@@ -14,7 +14,7 @@ from .hierarchy import (
     semantic_distance,
 )
 from .losses import LossValue, SimLossConfig, batch_scale, cls_loss, kl_loss, pair_weight, sim_loss, total_loss
-from .metrics import MetricsReport, ahp_at_k, evaluate, evaluate_embeddings, hp_at_k, mean_ap, relevance
+from .metrics import MetricsReport, ahp_at_k, evaluate, evaluate_embeddings, hp_at_k, relevance
 from .model import (
     ClassifierParams,
     EmbeddingBatch,

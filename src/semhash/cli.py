@@ -27,7 +27,7 @@ from .data import (
     write_labels,
 )
 from .errors import DivergedLoss, SemhashError, ShapeMismatch
-from .hashing import binarize, build_index, load_index, query_topk, save_index
+from .hashing import HashCode, binarize, build_index, load_index, query_topk, save_index
 from .hierarchy import load_taxonomy
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
@@ -183,7 +183,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     matches = np.flatnonzero(index.ids == args.query_id)
     if matches.size == 0:
         raise SemhashError(f"query id {args.query_id} not present in {args.index}")
-    code = index.codes()[int(matches[0])]
+    row = index.words[int(matches[0])]
+    code = HashCode(words=tuple(int(w) for w in row), code_length=index.code_length)
     for sample_id, dist in query_topk(index, code, args.k):
         print(f"{sample_id}\t{dist}")
     return EXIT_OK

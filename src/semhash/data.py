@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EmptyTaxonomy,
     InvalidShapeParam,
     MalformedFile,
     ShapeMismatch,
@@ -117,8 +116,6 @@ def generate_synthetic(
     if diffusion <= 0 or noise < 0:
         raise InvalidShapeParam("diffusion must be > 0 and noise >= 0")
     leaves = t.leaves()
-    if not leaves:
-        raise EmptyTaxonomy("taxonomy has no leaf labels")
 
     gen = rng.generator
     means = np.zeros((len(t), dim), dtype=np.float64)

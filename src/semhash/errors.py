@@ -69,10 +69,6 @@ class InvalidShapeParam(SemhashError):
     pass
 
 
-class EmptyTaxonomy(SemhashError):
-    pass
-
-
 class UnknownLabel(SemhashError):
     pass
 

@@ -91,6 +91,12 @@ def hamming(a: HashCode, b: HashCode) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
+def _check_unique_ids(ids: np.ndarray) -> None:
+    values, counts = np.unique(ids, return_counts=True)
+    if np.any(counts > 1):
+        raise ShapeMismatch(f"duplicate sample id {values[counts > 1][0]}")
+
+
 @dataclass
 class HashIndex:
     """Searchable collection of codes with parallel sample ids and labels."""
@@ -111,6 +117,7 @@ class HashIndex:
         n = self.words.shape[0]
         if self.ids.shape != (n,) or self.labels.shape != (n,):
             raise LengthMismatch("ids and labels must parallel the code list")
+        _check_unique_ids(self.ids)
         mask = np.uint64(_pad_mask(self.code_length))
         if n and np.any(self.words[:, -1] & ~mask):
             raise ShapeMismatch("padding bits above the code length must be zero")
@@ -138,14 +145,12 @@ def build_index(
     return HashIndex(words=words, ids=np.asarray(ids), labels=np.asarray(labels), code_length=k)
 
 
-def hamming_to_all(index: HashIndex, q: HashCode) -> np.ndarray:
-    """Hamming distance from the query to every indexed code."""
-    if q.code_length != index.code_length:
-        raise LengthMismatch(
-            f"query K={q.code_length} != index K={index.code_length}"
-        )
-    qw = np.array(q.words, dtype=np.uint64)
-    return np.bitwise_count(index.words ^ qw[None, :]).sum(axis=1, dtype=np.int64)
+def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
+    """Hamming distance from one code, a row of packed words, to every indexed code."""
+    words = np.asarray(words, dtype=np.uint64)
+    if words.shape != index.words.shape[1:]:
+        raise LengthMismatch(f"query words {words.shape} != index rows {index.words.shape[1:]}")
+    return np.bitwise_count(index.words ^ words[None, :]).sum(axis=1, dtype=np.int64)
 
 
 def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
@@ -154,7 +159,9 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
         raise EmptyIndex("index is empty")
     if k < 1:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
-    dists = hamming_to_all(index, q)
+    if q.code_length != index.code_length:
+        raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
+    dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))
     order = np.lexsort((index.ids, dists))
     top = order[: min(k, len(index))]
     return [(int(index.ids[i]), int(dists[i])) for i in top]

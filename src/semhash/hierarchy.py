@@ -306,16 +306,26 @@ def semantic_distance(t: Taxonomy, a: int, b: int) -> float:
 
 
 def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> SemanticDistanceMatrix:
-    """Pairwise semantic distances for an ordered list of leaf labels."""
+    """Pairwise semantic distances for an ordered list of leaf labels.
+
+    Built from a table of each label's ancestor at every depth (a leaf stands
+    in for itself below its own depth).  Depth by depth from the root, every
+    pair sharing that depth's ancestor takes its height, so the deepest shared
+    ancestor, the LCA, writes last.
+    """
     labels = [int(label) for label in labels]
-    n = len(labels)
-    values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = semantic_distance(t, labels[i], labels[j])
-            values[i, j] = d
-            values[j, i] = d
-    # validates leaf-ness even when there is a single label
     for label in labels:
-        semantic_distance(t, label, label)
+        semantic_distance(t, label, label)  # rejects unknown ids and non-leaves
+    ancestors = np.empty((t.height + 1, len(labels)), dtype=np.int64)
+    for i, node in enumerate(labels):
+        for depth in range(t.height, -1, -1):
+            if depth < t._depth[node]:
+                node = t._parent[node]  # type: ignore[assignment]
+            ancestors[depth, i] = node
+    node_height = np.asarray(t._node_height, dtype=np.float64)
+    values = np.empty((len(labels), len(labels)), dtype=np.float64)
+    for row in ancestors:
+        np.copyto(values, node_height[row][None, :], where=row[:, None] == row[None, :])
+    # a one-node tree has height 0, and every distance in it is 0
+    values /= max(t.height, 1)
     return SemanticDistanceMatrix(labels=labels, values=values)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, ShapeMismatch
-from .hashing import HashCode, HashIndex, hamming_to_all
+from .hashing import HashIndex, _check_unique_ids, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
 
 
@@ -67,6 +67,30 @@ def relevance(t: Taxonomy, query_label: int, item_label: int) -> float:
     return 1.0 - semantic_distance(t, query_label, item_label)
 
 
+def _hp_curve(rel: np.ndarray, k_max: int) -> np.ndarray:
+    """HP@1..k_max of one complete ranking, given each ranked item's relevance."""
+    got = np.cumsum(rel)[:k_max]
+    ideal = np.cumsum(np.sort(rel)[::-1])[:k_max]
+    return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
+
+
+def _ap(hit_mask: np.ndarray) -> float:
+    """AP of one complete ranking with binary relevance; nan without a hit."""
+    hits = np.flatnonzero(hit_mask)
+    if hits.size == 0:
+        return math.nan
+    return math.fsum((np.arange(hits.size) + 1.0) / (hits + 1.0)) / hits.size
+
+
+def _ranked_relevance(
+    ranked_labels: Sequence[int], query_label: int, k: int, t: Taxonomy
+) -> np.ndarray:
+    n = len(ranked_labels)
+    if k < 1 or k > n:
+        raise KTooLarge(f"k={k} outside [1, {n}]")
+    return np.array([relevance(t, query_label, lab) for lab in ranked_labels])
+
+
 def hp_at_k(
     ranked_labels: Sequence[int], query_label: int, k: int, t: Taxonomy
 ) -> float:
@@ -76,43 +100,33 @@ def hp_at_k(
     excluded).  When even the ideal top k has zero relevance the ratio is
     defined as 1.0.
     """
-    n = len(ranked_labels)
-    if k < 1 or k > n:
-        raise KTooLarge(f"k={k} outside [1, {n}]")
-    rel = np.array([relevance(t, query_label, lab) for lab in ranked_labels])
-    got = float(rel[:k].sum())
-    ideal = float(np.sort(rel)[::-1][:k].sum())
-    if ideal == 0.0:
-        return 1.0
-    return got / ideal
+    return float(_hp_curve(_ranked_relevance(ranked_labels, query_label, k, t), k)[-1])
 
 
 def ahp_at_k(
     ranked_labels: Sequence[int], query_label: int, k_max: int, t: Taxonomy
 ) -> float:
     """Mean of hp_at_k over cutoffs 1..k_max."""
-    n = len(ranked_labels)
-    if k_max < 1 or k_max > n:
-        raise KTooLarge(f"k_max={k_max} outside [1, {n}]")
-    return math.fsum(hp_at_k(ranked_labels, query_label, k, t) for k in range(1, k_max + 1)) / k_max
+    rel = _ranked_relevance(ranked_labels, query_label, k_max, t)
+    return math.fsum(_hp_curve(rel, k_max)) / k_max
 
 
 def average_precision(ranked_labels: Sequence[int], query_label: int) -> float:
     """AP with binary same-class relevance over a complete ranking."""
-    rel = np.asarray([lab == query_label for lab in ranked_labels], dtype=np.float64)
-    total = rel.sum()
-    if total == 0:
+    ap = _ap(np.asarray(ranked_labels) == query_label)
+    if math.isnan(ap):
         raise NoRelevantItems(f"no item shares label {query_label}")
-    hits = np.flatnonzero(rel)
-    precisions = (np.arange(len(hits)) + 1.0) / (hits + 1.0)
-    return math.fsum(precisions) / total
+    return ap
 
 
 def hamming_ranking(
-    index: HashIndex, code: HashCode, exclude_id: Optional[int] = None
+    index: HashIndex, words: np.ndarray, exclude_id: Optional[int] = None
 ) -> np.ndarray:
-    """Positions of index entries ranked by (Hamming distance, sample id)."""
-    dists = hamming_to_all(index, code)
+    """Positions of index entries ranked by (Hamming distance, sample id).
+
+    ``words`` is one code as a row of packed ``uint64`` words.
+    """
+    dists = hamming_to_all(index, words)
     order = np.lexsort((index.ids, dists))
     if exclude_id is not None:
         order = order[index.ids[order] != exclude_id]
@@ -131,90 +145,54 @@ def manhattan_ranking(
     return order
 
 
-def mean_ap(
-    index: HashIndex,
-    queries: HashIndex,
-    rank_fn: Optional[Callable[[HashIndex, HashCode, Optional[int]], np.ndarray]] = None,
-) -> tuple[float, int]:
-    """Mean AP over queries; queries without a same-class item are skipped.
-
-    Returns (map, skipped count).  Each query's own id is excluded from its
-    candidates.
-    """
-    rank_fn = rank_fn or hamming_ranking
-    q_codes = queries.codes()
-    values, skipped = [], 0
-    for qi in range(len(queries)):
-        order = rank_fn(index, q_codes[qi], int(queries.ids[qi]))
-        labels = index.labels[order]
-        try:
-            values.append(average_precision(labels.tolist(), int(queries.labels[qi])))
-        except NoRelevantItems:
-            skipped += 1
-    if not values:
-        raise NoRelevantItems("every query was skipped")
-    return math.fsum(values) / len(values), skipped
-
-
-def _evaluate_rankings(
-    ranked_label_lists: list[np.ndarray],
-    query_ids: Sequence[int],
-    query_labels: Sequence[int],
+def _score(
+    rankings: Iterable[np.ndarray],
+    item_ids: np.ndarray,
+    item_labels: np.ndarray,
+    query_ids: np.ndarray,
+    query_labels: np.ndarray,
     t: Taxonomy,
     k_max: int,
     per_query: bool,
     ranking: str,
 ) -> MetricsReport:
-    n_queries = len(ranked_label_lists)
+    """Score each query's ranking (positions into the items) as it arrives.
+
+    Ids are unique on each side, so a query that is also an item has one
+    candidate fewer: itself.
+    """
+    n_queries = len(query_ids)
     if n_queries == 0:
         raise ShapeMismatch("no queries to evaluate")
-    min_candidates = min(len(r) for r in ranked_label_lists)
+    min_candidates = len(item_ids) - int(np.isin(query_ids, item_ids).any())
     if k_max < 1 or k_max > min_candidates:
         raise KTooLarge(f"k_max={k_max} outside [1, {min_candidates}]")
 
     # one relevance lookup per (query label, item label) pair
-    label_ids = sorted({int(l) for r in ranked_label_lists for l in r} | {int(l) for l in query_labels})
-    pos = {lab: i for i, lab in enumerate(label_ids)}
-    rel_table = 1.0 - distance_matrix(t, label_ids).values
+    label_ids, rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
+    rel_table = 1.0 - distance_matrix(t, label_ids.tolist()).values
+    query_rows, item_rows = rows[:n_queries], rows[n_queries:]
 
     hp_rows = np.empty((n_queries, k_max))
-    ap_values: list[float] = []
-    per_query_rows: list[tuple[int, float, float]] = []
-    skipped = 0
-    for qi, ranked in enumerate(ranked_label_lists):
-        q_label = int(query_labels[qi])
-        item_idx = np.array([pos[int(l)] for l in ranked], dtype=np.int64)
-        rel = rel_table[pos[q_label]][item_idx]
-        got = np.cumsum(rel)[:k_max]
-        ideal = np.cumsum(np.sort(rel)[::-1])[:k_max]
-        hp = np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
-        hp_rows[qi] = hp
-
-        binary = rel == 1.0
-        total = int(binary.sum())
-        if total == 0:
-            ap = math.nan
-            skipped += 1
-        else:
-            hits = np.flatnonzero(binary)
-            ap = math.fsum((np.arange(total) + 1.0) / (hits + 1.0)) / total
-            ap_values.append(ap)
-        if per_query:
-            ahp = math.fsum(hp) / k_max
-            per_query_rows.append((int(query_ids[qi]), ap, ahp))
+    aps: list[float] = []
+    for qi, order in enumerate(rankings):
+        ranked_rows = item_rows[order]
+        hp_rows[qi] = _hp_curve(rel_table[query_rows[qi]][ranked_rows], k_max)
+        aps.append(_ap(ranked_rows == query_rows[qi]))
 
     hp_curve = [
         (k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)
     ]
     ahp_per_query = [math.fsum(row) / k_max for row in hp_rows]
     mahp = math.fsum(ahp_per_query) / n_queries
+    ap_values = [ap for ap in aps if not math.isnan(ap)]
     map_value = math.fsum(ap_values) / len(ap_values) if ap_values else math.nan
     return MetricsReport(
         map=map_value,
         mahp_at_k={k_max: mahp},
         hp_curve=hp_curve,
-        per_query=per_query_rows if per_query else None,
-        map_skipped_queries=skipped,
+        per_query=list(zip(query_ids.tolist(), aps, ahp_per_query)) if per_query else None,
+        map_skipped_queries=n_queries - len(ap_values),
         n_queries=n_queries,
         ranking=ranking,
     )
@@ -235,13 +213,13 @@ def evaluate(
     queries = queries if queries is not None else index
     if queries.code_length != index.code_length:
         raise LengthMismatch("query and index code lengths differ")
-    q_codes = queries.codes()
-    rankings = [
-        index.labels[hamming_ranking(index, q_codes[qi], int(queries.ids[qi]))]
-        for qi in range(len(queries))
-    ]
-    return _evaluate_rankings(
-        rankings, queries.ids.tolist(), queries.labels.tolist(), t, k_max, per_query, "hamming"
+    rankings = (
+        hamming_ranking(index, words, qid)
+        for words, qid in zip(queries.words, queries.ids.tolist())
+    )
+    return _score(
+        rankings, index.ids, index.labels, queries.ids, queries.labels,
+        t, k_max, per_query, "hamming",
     )
 
 
@@ -259,10 +237,8 @@ def evaluate_embeddings(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
-    rankings = [
-        labels_arr[manhattan_ranking(values, ids, values[qi], int(ids[qi]))]
-        for qi in range(values.shape[0])
-    ]
-    return _evaluate_rankings(
-        rankings, ids.tolist(), labels_arr.tolist(), t, k_max, per_query, "manhattan"
+    _check_unique_ids(ids)
+    rankings = (
+        manhattan_ranking(values, ids, values[qi], qid) for qi, qid in enumerate(ids.tolist())
     )
+    return _score(rankings, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan")

@@ -8,6 +8,7 @@ ragged final batch dropped.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -95,16 +96,23 @@ def parse_config(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key == "hidden_sizes":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "variant":
-            values[key] = value
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        try:
+            if key in _INT_KEYS:
+                values[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(value)
+                if not math.isfinite(values[key]):
+                    raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
+            elif key == "hidden_sizes":
+                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            elif key == "variant":
+                values[key] = value
+            else:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        except ValueError:
+            raise ConfigError(f"line {lineno}: invalid value for {key}: {value!r}") from None
     return TrainConfig(**values)
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -234,3 +235,50 @@ class TestPipeline:
                                "report.json", "hp_curve.csv")
             })
         assert results[0] == results[1]
+
+
+def test_eval_rejects_index_with_duplicate_ids(workdir, capsys):
+    # ids [0, 0, 1] with labels cat, cat, car; K=1, one code word per entry
+    entries = [(0, 3, 0), (0, 3, 0), (1, 7, 1)]
+    raw = b"SHRI" + struct.pack("<III", 1, 1, len(entries))
+    raw += b"".join(struct.pack("<QIQ", *entry) for entry in entries)
+    (workdir / "dup.index").write_bytes(raw)
+    rc = main([
+        "eval", "--index", str(workdir / "dup.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "1", "--out", str(workdir / "dup"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "duplicate sample id 0" in err[0]
+    assert not (workdir / "dup.report.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("code_length", "1.5"),
+    ("learning_rate", "nan"),
+    ("gamma", "inf"),
+    ("seed", None),  # None repeats the key's line
+])
+def test_train_bad_config_value_is_one_error_line(workdir, capsys, key, value):
+    gen_data(workdir)
+    lines = (workdir / "train.cfg").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    if value is None:
+        lines.append(lines[at])
+        bad_line = len(lines)
+    else:
+        lines[at] = f"{key} = {value}"
+        bad_line = at + 1
+    (workdir / "train.cfg").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main([
+        "train", "--config", str(workdir / "train.cfg"),
+        "--features", str(workdir / "data.features"), "--labels", str(workdir / "data.labels"),
+        "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"line {bad_line}:" in err[0]
+    assert not (workdir / "m.checkpoint").exists()

@@ -18,6 +18,7 @@ from semhash.hashing import (
     binarize,
     build_index,
     hamming,
+    hamming_to_all,
     load_index,
     pack_bits,
     query_topk,
@@ -140,6 +141,20 @@ class TestQueryTopk:
             query_topk(idx, pack_bits([1, 0, 1]), 1)
 
 
+class TestHammingToAll:
+    def test_word_row_matches_bit_loop(self):
+        rng = np.random.default_rng(4)
+        codes, bits = random_codes(rng, 30, 100)
+        idx = build_index(codes, np.arange(30), np.zeros(30, dtype=int))
+        got = hamming_to_all(idx, idx.words[7])
+        assert got.tolist() == [bf_hamming(row, bits[7]) for row in bits]
+
+    def test_wrong_word_count(self):
+        idx = build_index([pack_bits([1, 0])], [0], [0])
+        with pytest.raises(LengthMismatch):
+            hamming_to_all(idx, np.zeros(2, dtype=np.uint64))
+
+
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -199,3 +214,8 @@ def test_build_index_rejects_mixed_lengths():
 def test_build_index_rejects_empty():
     with pytest.raises(EmptyIndex):
         build_index([], [], [])
+
+
+def test_build_index_rejects_duplicate_ids():
+    with pytest.raises(ShapeMismatch):
+        build_index([pack_bits([1]), pack_bits([0]), pack_bits([1])], [0, 0, 1], [0, 0, 1])

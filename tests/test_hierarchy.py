@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semhash.errors import (
     CycleDetected,
@@ -165,6 +166,36 @@ def test_distance_properties_on_random_trees(parents):
     n = len(leaves)
     for i, j, k in itertools.combinations(range(n), 3) if n >= 3 else []:
         assert v[i, k] <= max(v[i, j], v[j, k]) + 1e-12
+
+
+@given(tree_parent_lists, st.data())
+@settings(max_examples=60, deadline=None)
+def test_distance_matrix_matches_pairwise_and_oracle(parents, data):
+    t = taxonomy_from_parents(parents)
+    # repeated labels, in any order, from leaves at whatever depths the tree has
+    labels = data.draw(st.lists(st.sampled_from(t.leaves()), min_size=1, max_size=12))
+    v = distance_matrix(t, labels).values
+    parent_of = [t.parent(i) for i in range(len(t))]
+    depth_of = [t.depth(i) for i in range(len(t))]
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            assert v[i, j] == semantic_distance(t, a, b)
+            assert v[i, j] == t.node_height(bf_lca(parent_of, depth_of, a, b)) / t.height
+
+
+def test_distance_matrix_leaves_at_mixed_depths():
+    # leaves at depths 1, 2 and 3 under one root
+    t = parse_taxonomy("r x\nr y\ny y1\ny z\nz z1\nz z2")
+    names = ["x", "y1", "z1", "z2", "z1"]
+    v = distance_matrix(t, [t.node_id(n) for n in names]).values
+    expected = np.array([
+        [0, 1, 1, 1, 1],
+        [1, 0, 2 / 3, 2 / 3, 2 / 3],
+        [1, 2 / 3, 0, 1 / 3, 0],
+        [1, 2 / 3, 1 / 3, 0, 1 / 3],
+        [1, 2 / 3, 0, 1 / 3, 0],
+    ])
+    np.testing.assert_array_equal(v, expected)
 
 
 @given(tree_parent_lists)

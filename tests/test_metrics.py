@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semhash.errors import KTooLarge, NoRelevantItems
+from semhash.errors import KTooLarge, NoRelevantItems, ShapeMismatch
 from semhash.hashing import build_index, pack_bits
 from semhash.metrics import (
     ahp_at_k,
@@ -14,16 +14,16 @@ from semhash.metrics import (
     evaluate,
     evaluate_embeddings,
     hp_at_k,
-    mean_ap,
     relevance,
 )
 
-from conftest import WORDNET_LIKE_TEXT
+from conftest import MAPMINER_TEXT, WORDNET_LIKE_TEXT
 from oracles import bf_ahp_at_k, bf_ap, bf_hamming, bf_hp_at_k
 from semhash.hierarchy import parse_taxonomy
 
 # immutable; shared across hypothesis examples
 WORDNET_LIKE = parse_taxonomy(WORDNET_LIKE_TEXT)
+MAPMINER = parse_taxonomy(MAPMINER_TEXT)
 
 
 def leaf(t, name):
@@ -215,24 +215,58 @@ class TestEvaluate:
         assert math.isnan(report.map)
 
 
+class TestEvaluateEmbeddings:
+    @given(seed=st.integers(min_value=0, max_value=9999), n=st.integers(min_value=2, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_per_query_matches_bruteforce_l1_ranking(self, seed, n):
+        t = MAPMINER
+        class_leaves = [t.node_id(f"c{i}") for i in range(8)]
+        rng = np.random.default_rng(seed)
+        # grid coordinates make exact L1 ties common, so the id tie-break matters
+        values = rng.integers(0, 3, size=(n, 3)) * 0.25
+        ids = [int(i) for i in rng.choice(100, size=n, replace=False)]
+        labels = [int(rng.choice(class_leaves)) for _ in range(n)]
+        k_max = n - 1
+        report = evaluate_embeddings(values, ids, labels, t, k_max=k_max, per_query=True)
+        for q, (qid, ap, ahp) in enumerate(report.per_query):
+            assert qid == ids[q]
+            cands = sorted(
+                (math.fsum(abs(values[i] - values[q])), ids[i], i) for i in range(n) if i != q
+            )
+            ranked = [labels[i] for _, _, i in cands]
+            rels = [relevance(t, labels[q], lab) for lab in ranked]
+            assert ahp == pytest.approx(bf_ahp_at_k(rels, k_max), rel=1e-12)
+            binary = [1 if lab == labels[q] else 0 for lab in ranked]
+            if sum(binary):
+                assert ap == pytest.approx(bf_ap(binary), rel=1e-12)
+            else:
+                assert math.isnan(ap)
+
+    def test_rejects_duplicate_ids(self, five_node_tax):
+        t = five_node_tax
+        a1 = t.node_id("a1")
+        with pytest.raises(ShapeMismatch):
+            evaluate_embeddings(np.zeros((3, 2)), [0, 0, 1], [a1] * 3, t, k_max=1)
+
+
 class TestMeanAp:
     def test_exact_matches_ranked_first(self, five_node_tax):
         t = five_node_tax
         a1, a2 = t.node_id("a1"), t.node_id("a2")
         codes = [pack_bits([0, 0]), pack_bits([0, 0]), pack_bits([1, 1]), pack_bits([1, 1])]
         index = build_index(codes, [0, 1, 2, 3], [a1, a1, a2, a2])
-        value, skipped = mean_ap(index, index)
-        assert value == 1.0
-        assert skipped == 0
+        report = evaluate(index, None, t, k_max=1)
+        assert report.map == 1.0
+        assert report.map_skipped_queries == 0
 
     def test_skips_queries_without_same_class(self, five_node_tax):
         t = five_node_tax
         a1, a2, b1 = (t.node_id(n) for n in ("a1", "a2", "b1"))
         codes = [pack_bits([0]), pack_bits([0]), pack_bits([1])]
         index = build_index(codes, [0, 1, 2], [a1, a1, b1])
-        value, skipped = mean_ap(index, index)
-        assert skipped == 1
-        assert value == 1.0
+        report = evaluate(index, None, t, k_max=1)
+        assert report.map_skipped_queries == 1
+        assert report.map == 1.0
 
 
 class TestReportOutput:
