@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidShapeParam,
     MalformedFile,
     ShapeMismatch,
@@ -45,6 +46,8 @@ class RngState:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngState":
+        if not 0 <= int(seed) < 2**128:
+            raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
         return cls(seed=int(seed), generator=np.random.Generator(np.random.Philox(key=int(seed))))
 
     def split(self, n: int) -> list["RngState"]:

@@ -272,10 +272,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
 
 
-def save_taxonomy(path: str | Path, t: Taxonomy) -> None:
-    Path(path).write_text(serialize_taxonomy(t), encoding="utf-8")
-
-
 def lca(t: Taxonomy, a: int, b: int) -> int:
     """Deepest node that is an ancestor of both a and b."""
     t._check_id(a)

@@ -130,9 +130,12 @@ def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
 
     For each embedding, compares the log distance to its nearest target point
     against the log distance to its nearest batch neighbor (self excluded).
-    Distances are Euclidean and clamped at 1e-12 before the logarithm, so
-    duplicated points stay finite.  Neighbor assignments are treated as
-    locally constant when differentiating.
+    That is the Wang-Kulkarni-Verdu (2009) k-NN estimator at k = 1, divided by
+    the dimension K and without its log(m/(n-1)) constant, so lambda1 absorbs
+    a 1/K scale and the gradient's direction is unchanged.  Distances are
+    Euclidean and clamped at 1e-12 before the logarithm, so duplicated points
+    stay finite.  Neighbor assignments are treated as locally constant when
+    differentiating.
     """
     zv = _values(z)
     tv = np.asarray(target, dtype=np.float64)

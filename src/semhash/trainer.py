@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -58,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.code_length < 1:
             raise ConfigError(f"code_length must be >= 1, got {self.code_length}")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         for name in ("learning_rate", "adam_eps", "gamma", "alpha", "beta", "tau_floor"):
@@ -137,7 +138,6 @@ class StepRecord:
 @dataclass
 class TrainLog:
     records: list[StepRecord] = field(default_factory=list)
-    wall_time: float = 0.0
     params_digest: str = ""
 
     def to_csv(self) -> str:
@@ -168,23 +168,21 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh arrays."""
+    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
     if step_index < 1:
         raise ConfigError(f"step index must be >= 1, got {step_index}")
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads and moments must have equal lengths")
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**step_index)
-        v_hat = v / (1.0 - beta2**step_index)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / (1.0 - beta1**step_index)) / (np.sqrt(v / (1.0 - beta2**step_index)) + eps)
+    return params, state
 
 
 def _flatten(encoder: EncoderParams, classifier: ClassifierParams) -> list[np.ndarray]:
@@ -225,14 +223,18 @@ def train(
     dist = distance_matrix(taxonomy, universe).values
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
     classifier = init_classifier(config.code_length, len(universe), init_rng)
-    params = _flatten(encoder, classifier)
-    adam = AdamState.zeros_like(params)
+    # the encoder and head become views into one buffer that Adam updates in place
+    flat = _flatten(encoder, classifier)
+    buf = np.concatenate([p.ravel() for p in flat])
+    ends = np.cumsum([p.size for p in flat])
+    views = [buf[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
+    encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
+    adam = AdamState.zeros_like([buf])
     sim_cfg = config.sim_config()
     features = dataset.features.astype(np.float64)
 
     log = TrainLog()
     step = 0
-    started = time.perf_counter()
     bsz = config.batch_size
     for _ in range(config.epochs):
         perm = shuffle_rng.generator.permutation(n)
@@ -258,20 +260,16 @@ def train(
                     f"step {step}: non-finite total "
                     f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"
                 )
-            grads = []
-            for gw, gb in encoder_backward(encoder, cache, loss.grad_z):
-                grads.extend([gw, gb])
-            grads.extend(loss.grad_classifier)
+            grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z) for g in pair]
+            grads.extend(g.ravel() for g in loss.grad_classifier)
             params, adam = adam_step(
-                params, grads, adam, step,
+                [buf], [np.concatenate(grads)], adam, step,
                 config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
             )
-            if not all(np.all(np.isfinite(p)) for p in params):
+            if not np.isfinite(params[0]).all():
                 raise DivergedLoss(f"step {step}: parameters became non-finite")
-            encoder, classifier = _unflatten(params, len(encoder.layers), config.code_length)
             log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
 
-    log.wall_time = time.perf_counter() - started
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()
     return encoder, classifier, log
 

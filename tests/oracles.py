@@ -66,6 +66,23 @@ def bf_ap(ranked_binary) -> float:
     return math.fsum(acc) / total
 
 
+def bf_adam(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam step from the textbook recurrence, on fresh arrays.
+
+    Returns new (params, m, v) lists; the inputs are left untouched.
+    """
+    new_p, new_m, new_v = [], [], []
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i = beta1 * m_i + (1.0 - beta1) * g
+        v_i = beta2 * v_i + (1.0 - beta2) * g * g
+        m_hat = m_i / (1.0 - beta1**t)
+        v_hat = v_i / (1.0 - beta2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_p, new_m, new_v
+
+
 def spearman(x, y) -> float:
     """Rank correlation via average ranks and Pearson on the ranks."""
     def ranks(v):

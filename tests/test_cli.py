@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semhash
 import semhash.cli as cli_mod
 from semhash.cli import main
 from semhash.errors import DivergedLoss
@@ -282,3 +287,55 @@ def test_train_bad_config_value_is_one_error_line(workdir, capsys, key, value):
     assert len(err) == 1 and err[0].startswith("error:")
     assert f"line {bad_line}:" in err[0]
     assert not (workdir / "m.checkpoint").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "seed", "-1"),
+    ("train", "seed", str(2**128)),
+    ("train", "--seed", "-1"),
+    ("train", "hidden_sizes", "-3"),
+    ("train", "hidden_sizes", "0"),
+    ("gen-data", "--seed", "-1"),
+])
+def test_bad_seed_or_hidden_size_is_one_error_line(workdir, capsys, command, key, value):
+    gen_data(workdir)
+    if command == "gen-data":
+        argv = [
+            "gen-data", "--taxonomy", str(workdir / "tax.txt"), "--per-class", "6",
+            "--dim", "12", "--seed", value, "--out", str(workdir / "m"),
+        ]
+    else:
+        argv = [
+            "train", "--config", str(workdir / "train.cfg"),
+            "--features", str(workdir / "data.features"),
+            "--labels", str(workdir / "data.labels"),
+            "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
+        ]
+        if key.startswith("--"):
+            argv += [key, value]
+        else:
+            lines = [
+                f"{key} = {value}" if line.startswith(f"{key} =") else line
+                for line in (workdir / "train.cfg").read_text().splitlines()
+            ]
+            (workdir / "train.cfg").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and all(line.startswith(("error:", "warning:")) for line in err)
+    assert key.lstrip("-").replace("_", " ") in errors[0]
+    assert not any(workdir.glob("m.*"))
+
+
+def test_module_entry_point_prints_no_runtime_warning():
+    src = Path(semhash.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "semhash.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == f"semhash {semhash.__version__}"
+    assert "RuntimeWarning" not in out.stderr

@@ -13,6 +13,7 @@ from semhash.data import (
 )
 from semhash.benchmark import balanced_taxonomy
 from semhash.errors import (
+    ConfigError,
     InvalidShapeParam,
     MalformedFile,
     ShapeMismatch,
@@ -37,6 +38,12 @@ class TestRngState:
             np.testing.assert_array_equal(a, b)
         assert not np.array_equal(s1[0], s1[1])
         assert not np.array_equal(s1[1], s1[2])
+
+    def test_seed_range_is_philox_key_range(self):
+        RngState.from_seed(2**128 - 1)
+        for seed in (-1, 2**128):
+            with pytest.raises(ConfigError, match="seed must lie in"):
+                RngState.from_seed(seed)
 
 
 class TestBetaSample:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semhash.trainer as trainer_mod
+from oracles import bf_adam
 from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, generate_synthetic
 from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch
@@ -59,6 +60,50 @@ class TestAdamStep:
         with pytest.raises(ShapeMismatch):
             adam_step([np.zeros(2)], [np.zeros(3)], state, 1, 1e-3, 0.9, 0.999, 1e-8)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flat_buffer_and_per_array_match_oracle_bitwise(self, seed):
+        # one concatenated vector and a per-array list must both reproduce the
+        # fresh-array recurrence bit for bit, every step
+        gen = np.random.default_rng(seed)
+        shapes = [tuple(gen.integers(1, 6, size=gen.integers(1, 3))) for _ in range(4)]
+        hyper = (10.0 ** gen.uniform(-4, -1), gen.uniform(0.5, 0.99), gen.uniform(0.9, 0.9999),
+                 10.0 ** gen.uniform(-10, -6))
+        ref = [gen.normal(size=s) for s in shapes]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        arrays = [p.copy() for p in ref]
+        arrays_state = AdamState.zeros_like(arrays)
+        flat = np.concatenate([p.ravel() for p in ref])
+        flat_state = AdamState.zeros_like([flat])
+        for t in range(1, 6):
+            grads = [gen.normal(scale=10.0 ** gen.uniform(-3, 1), size=s) for s in shapes]
+            ref, ref_m, ref_v = bf_adam(ref, grads, ref_m, ref_v, t, *hyper)
+            adam_step(arrays, grads, arrays_state, t, *hyper)
+            adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state, t, *hyper)
+            for got, want in ((arrays, ref), (arrays_state.m, ref_m), (arrays_state.v, ref_v)):
+                for g_arr, w_arr in zip(got, want):
+                    np.testing.assert_array_equal(g_arr, w_arr)
+            for got, want in ((flat, ref), (flat_state.m[0], ref_m), (flat_state.v[0], ref_v)):
+                np.testing.assert_array_equal(got, np.concatenate([w.ravel() for w in want]))
+
+    def test_updates_in_place_and_returns_the_given_objects(self):
+        p, g = np.array([0.5, -1.0]), np.array([0.2, 0.3])
+        state = AdamState.zeros_like([p])
+        m, v = state.m[0], state.v[0]
+        params = [p]
+        out_params, out_state = adam_step(params, [g], state, 1, 1e-2, 0.9, 0.999, 1e-8)
+        assert out_params is params and out_params[0] is p
+        assert out_state is state and out_state.m[0] is m and out_state.v[0] is v
+        assert np.all(p != [0.5, -1.0]) and np.all(m != 0) and np.all(v != 0)
+
+    def test_shape_mismatch_leaves_every_array_untouched(self):
+        params = [np.ones(2), np.ones(3)]
+        state = AdamState.zeros_like(params)
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, [np.ones(2), np.ones(4)], state, 1, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(params[0], np.ones(2))
+        np.testing.assert_array_equal(state.m[0], np.zeros(2))
+
 
 class TestConfig:
     def test_roundtrip_through_text(self):
@@ -81,6 +126,11 @@ class TestConfig:
     def test_batch_size_floor(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
+
+    @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
+    def test_hidden_sizes_floor(self, hidden):
+        with pytest.raises(ConfigError, match="hidden sizes"):
+            TrainConfig(hidden_sizes=hidden)
 
     def test_apply_variant_forces_lambda2(self):
         cfg = TrainConfig()
@@ -177,6 +227,22 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "adam_step", poisoned)
         with pytest.raises(DivergedLoss, match="non-finite"):
             train(cfg, ds, tax)
+
+    def test_encoder_and_head_are_views_of_one_buffer(self, monkeypatch):
+        # parameters are rebuilt once, before the loop, as views of one base
+        # array that every step updates in place
+        tax, ds, cfg = tiny_setup(epochs=1)
+        calls = []
+        real = trainer_mod._unflatten
+        monkeypatch.setattr(trainer_mod, "_unflatten", lambda *a: calls.append(a) or real(*a))
+        encoder, classifier, log = train(cfg, ds, tax)
+        assert len(calls) == 1 and len(log.records) > 1
+        arrays = [a for pair in encoder.layers for a in pair]
+        arrays += [classifier.weights, classifier.biases]
+        base = arrays[0].base
+        assert base is not None and base.ndim == 1
+        assert all(a.base is base for a in arrays)
+        assert base.size == sum(a.size for a in arrays)
 
     def test_csv_header_and_shape(self):
         tax, ds, cfg = tiny_setup(epochs=1)
