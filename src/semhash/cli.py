@@ -28,7 +28,7 @@ from .data import (
 )
 from .errors import DivergedLoss, SemhashError, ShapeMismatch
 from .hashing import HashCode, binarize, build_index, load_index, query_topk, save_index
-from .hierarchy import load_taxonomy
+from .hierarchy import load_taxonomy, read_text
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
 from .trainer import apply_variant, parse_config, train
@@ -100,7 +100,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    config = parse_config(read_text(args.config))
     if args.seed is not None:
         if args.seed != config.seed:
             _warn(f"--seed {args.seed} overrides config seed {config.seed}")

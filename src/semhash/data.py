@@ -21,7 +21,7 @@ from .errors import (
     UnknownLabel,
     VersionMismatch,
 )
-from .hierarchy import Taxonomy
+from .hierarchy import Taxonomy, read_text
 
 FEATURES_MAGIC = b"SHRF"
 FEATURES_VERSION = 1
@@ -176,7 +176,7 @@ def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:
 
 
 def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     ids = []
     for name in lines:
         name = name.strip()

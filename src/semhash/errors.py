@@ -23,10 +23,6 @@ class MultipleRoots(SemhashError):
     pass
 
 
-class NoRoot(SemhashError):
-    pass
-
-
 class UnknownNode(SemhashError):
     pass
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,6 +153,14 @@ def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(index.words ^ words[None, :]).sum(axis=1, dtype=np.int64)
 
 
+def _rank(dists: np.ndarray, ids: np.ndarray, exclude_id: Optional[int] = None) -> np.ndarray:
+    """Positions ordered by (distance, id), without the entry whose id is ``exclude_id``."""
+    order = np.lexsort((ids, dists))
+    if exclude_id is not None:
+        order = order[ids[order] != exclude_id]
+    return order
+
+
 def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     """Exact top-k by (Hamming distance, sample id) over a full scan."""
     if len(index) == 0:
@@ -162,9 +170,7 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     if q.code_length != index.code_length:
         raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
     dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))
-    order = np.lexsort((index.ids, dists))
-    top = order[: min(k, len(index))]
-    return [(int(index.ids[i]), int(dists[i])) for i in top]
+    return [(int(index.ids[i]), int(dists[i])) for i in _rank(dists, index.ids)[:k]]
 
 
 def save_index(path: str | Path, index: HashIndex) -> None:

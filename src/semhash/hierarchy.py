@@ -19,7 +19,6 @@ from .errors import (
     MalformedFile,
     MultipleParents,
     MultipleRoots,
-    NoRoot,
     NotALeaf,
     UnknownNode,
 )
@@ -34,15 +33,17 @@ class TaxonomyNode:
 
 @dataclass
 class Taxonomy:
-    """Rooted label tree with precomputed depth/height tables.
+    """Rooted label tree, checked and tabulated in one pass over ``nodes`` (ids 0..n-1).
 
+    The pass reports a cycle before it counts roots.  ``root``, ``height``,
+    ``leaf_labels`` and the depth and height tables are derived, not given.
     Immutable after construction; safe for concurrent reads.
     """
 
     nodes: list[TaxonomyNode]
-    root: int
-    height: int
-    leaf_labels: dict[str, int]
+    root: int = field(init=False)
+    height: int = field(init=False)
+    leaf_labels: dict[str, int] = field(init=False)
 
     _parent: list[Optional[int]] = field(init=False, repr=False)
     _children: list[list[int]] = field(init=False, repr=False)
@@ -59,91 +60,48 @@ class Taxonomy:
 
         self._parent = [node.parent for node in self.nodes]
         self._children = [[] for _ in range(n)]
-        roots = []
         for node in self.nodes:
-            if node.parent is None:
-                roots.append(node.id)
-            else:
+            if node.parent is not None:
                 if not 0 <= node.parent < n:
                     raise UnknownNode(f"parent id {node.parent} out of range")
                 self._children[node.parent].append(node.id)
-        if not roots:
-            raise NoRoot("no parentless node")
-        if len(roots) > 1:
-            names = ", ".join(self.nodes[r].name for r in roots)
-            raise MultipleRoots(f"multiple roots: {names}")
-        if roots[0] != self.root:
-            raise NoRoot(f"declared root {self.root} is not the parentless node")
 
-        # depth via parent chains; a chain longer than n means a cycle
+        # depth along parent chains; meeting a node still in progress (-2) is a cycle
         self._depth = [-1] * n
-        self._depth[self.root] = 0
         for i in range(n):
             trail = []
             j: Optional[int] = i
             while j is not None and self._depth[j] < 0:
+                if self._depth[j] == -2:
+                    raise CycleDetected(f"cycle through node {self.nodes[j].name!r}")
+                self._depth[j] = -2
                 trail.append(j)
-                if len(trail) > n:
-                    raise CycleDetected(f"cycle through node {self.nodes[i].name!r}")
                 j = self._parent[j]
-            if j is None:
-                raise CycleDetected(f"cycle through node {self.nodes[i].name!r}")
-            base = self._depth[j]
+            base = -1 if j is None else self._depth[j]
             for step, node_id in enumerate(reversed(trail), start=1):
                 self._depth[node_id] = base + step
+
+        # without a cycle every chain ends at a parentless node, so n >= 1
+        # nodes have at least one
+        roots = [i for i in range(n) if self._parent[i] is None]
+        if len(roots) > 1:
+            names = ", ".join(self.nodes[r].name for r in roots)
+            raise MultipleRoots(f"multiple roots: {names}")
+        self.root = roots[0]
 
         # height = max edge count down to a descendant leaf
         self._node_height = [0] * n
         for i in sorted(range(n), key=lambda k: self._depth[k], reverse=True):
             if self._children[i]:
                 self._node_height[i] = 1 + max(self._node_height[c] for c in self._children[i])
-        if self._node_height[self.root] != self.height:
-            raise MalformedFile(
-                f"declared height {self.height} != computed {self._node_height[self.root]}"
-            )
+        self.height = self._node_height[self.root]
 
         self._name_to_id = {node.name: node.id for node in self.nodes}
         if len(self._name_to_id) != n:
             raise MalformedFile("duplicate node names")
-        expected_leaves = {
+        self.leaf_labels = {
             node.name: node.id for node in self.nodes if not self._children[node.id]
         }
-        if self.leaf_labels != expected_leaves:
-            raise MalformedFile("leaf_labels inconsistent with tree structure")
-
-    @classmethod
-    def from_nodes(cls, nodes: list[TaxonomyNode]) -> "Taxonomy":
-        """Build a Taxonomy from node records, deriving root, height, leaves."""
-        roots = [node.id for node in nodes if node.parent is None]
-        if not roots:
-            raise NoRoot("no parentless node")
-        if len(roots) > 1:
-            raise MultipleRoots("multiple roots: " + ", ".join(nodes[r].name for r in roots))
-        root = roots[0]
-
-        n = len(nodes)
-        children_count = [0] * n
-        for node in nodes:
-            if node.parent is not None:
-                children_count[node.parent] += 1
-        leaf_labels = {node.name: node.id for node in nodes if children_count[node.id] == 0}
-
-        # height of root by walking every leaf-to-root chain
-        height = 0
-        for node in nodes:
-            if children_count[node.id] != 0:
-                continue
-            depth = 0
-            j: Optional[int] = node.id
-            seen = set()
-            while j is not None and nodes[j].parent is not None:
-                if j in seen:
-                    raise CycleDetected(f"cycle through node {nodes[j].name!r}")
-                seen.add(j)
-                j = nodes[j].parent
-                depth += 1
-            height = max(height, depth)
-        return cls(nodes=nodes, root=root, height=height, leaf_labels=leaf_labels)
 
     # --- lookups ---
 
@@ -222,41 +180,19 @@ def parse_taxonomy(text: str) -> Taxonomy:
     if not edges:
         raise EmptyInput("no edges in taxonomy text")
 
-    order: list[str] = []
     ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(order)
-            order.append(name)
-        return ids[name]
-
     parent_of: dict[int, int] = {}
     for parent_name, child_name in edges:
-        p = intern(parent_name)
-        c = intern(child_name)
-        if c in parent_of and parent_of[c] != p:
-            raise MultipleParents(
-                f"node {child_name!r} has parents {order[parent_of[c]]!r} and {parent_name!r}"
-            )
+        p = ids.setdefault(parent_name, len(ids))
+        c = ids.setdefault(child_name, len(ids))
+        if parent_of.get(c, p) != p:
+            first = list(ids)[parent_of[c]]
+            raise MultipleParents(f"node {child_name!r} has parents {first!r} and {parent_name!r}")
         if p == c:
             raise CycleDetected(f"self-edge on {child_name!r}")
         parent_of[c] = p
 
-    if all(i in parent_of for i in range(len(order))):
-        # every node is some edge's child, so a parent chain must loop
-        raise CycleDetected("every node appears as a child; edge list contains a cycle")
-    for start in range(len(order)):
-        seen = set()
-        j: Optional[int] = start
-        while j is not None:
-            if j in seen:
-                raise CycleDetected(f"cycle through node {order[j]!r}")
-            seen.add(j)
-            j = parent_of.get(j)
-
-    nodes = [TaxonomyNode(i, order[i], parent_of.get(i)) for i in range(len(order))]
-    return Taxonomy.from_nodes(nodes)
+    return Taxonomy([TaxonomyNode(i, name, parent_of.get(i)) for i, name in enumerate(ids)])
 
 
 def serialize_taxonomy(t: Taxonomy) -> str:
@@ -268,8 +204,16 @@ def serialize_taxonomy(t: Taxonomy) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """Contents of a UTF-8 text input file; ``MalformedFile`` if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise MalformedFile(f"{path}: not UTF-8 text") from None
+
+
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
+    return parse_taxonomy(read_text(path))
 
 
 def lca(t: Taxonomy, a: int, b: int) -> int:

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import KTooLarge, LengthMismatch, NoRelevantItems, ShapeMismatch
-from .hashing import HashIndex, _check_unique_ids, hamming_to_all
+from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
+from .hashing import HashIndex, _check_unique_ids, _rank, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
 
 
@@ -126,11 +126,7 @@ def hamming_ranking(
 
     ``words`` is one code as a row of packed ``uint64`` words.
     """
-    dists = hamming_to_all(index, words)
-    order = np.lexsort((index.ids, dists))
-    if exclude_id is not None:
-        order = order[index.ids[order] != exclude_id]
-    return order
+    return _rank(hamming_to_all(index, words), index.ids, exclude_id)
 
 
 def manhattan_ranking(
@@ -139,10 +135,7 @@ def manhattan_ranking(
     """Positions ranked by (Manhattan distance, sample id) over raw embeddings."""
     values = np.asarray(values, dtype=np.float64)
     dists = np.abs(values - np.asarray(query_vec, dtype=np.float64)[None, :]).sum(axis=1)
-    order = np.lexsort((ids, dists))
-    if exclude_id is not None:
-        order = order[np.asarray(ids)[order] != exclude_id]
-    return order
+    return _rank(dists, np.asarray(ids), exclude_id)
 
 
 def _score(
@@ -237,6 +230,8 @@ def evaluate_embeddings(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("embeddings contain NaN or inf")
     _check_unique_ids(ids)
     rankings = (
         manhattan_ranking(values, ids, values[qi], qid) for qi, qid in enumerate(ids.tolist())

@@ -1,7 +1,8 @@
 """Independent straight-line oracles used to check the library implementations.
 
 Everything here is deliberately brute force (bit loops, subset enumeration,
-ancestor-set intersection) and shares no code with the package.
+ancestor-set intersection) and shares no code with the package; errors are
+named by their class name.
 """
 from __future__ import annotations
 
@@ -35,6 +36,56 @@ def bf_lca(parent_of, depth_of, a, b):
 
     common = set(chain(a)) & set(chain(b))
     return max(common, key=lambda n: depth_of[n])
+
+
+def bf_parse_taxonomy(text):
+    """Parse an edge-list taxonomy from its documented rules.
+
+    Returns the name of the first error class under the documented
+    precedence (line format, empty input, per-edge second parent or
+    self-edge in file order, cycle, extra root), or
+    ``(root name, height, leaf names, depth by name)``.
+    """
+    edges = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            return "MalformedFile"
+        edges.append(tuple(parts))
+    if not edges:
+        return "EmptyInput"
+
+    names = []
+    parent_of = {}
+    for parent, child in edges:
+        for name in (parent, child):
+            if name not in names:
+                names.append(name)
+        if child in parent_of and parent_of[child] != parent:
+            return "MultipleParents"
+        if parent == child:
+            return "CycleDetected"
+        parent_of[child] = parent
+
+    ancestors = {}
+    for name in names:
+        seen = set()
+        x = name
+        while x in parent_of:
+            x = parent_of[x]
+            if x in seen or x == name:
+                return "CycleDetected"
+            seen.add(x)
+        ancestors[name] = seen
+    roots = [name for name in names if name not in parent_of]
+    if len(roots) != 1:
+        return "MultipleRoots"
+    depth = {name: len(ancestors[name]) for name in names}
+    leaves = {name for name in names if name not in parent_of.values()}
+    return roots[0], max(depth.values()), leaves, depth
 
 
 def bf_best_k_sum(values, k) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,11 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semhash
 import semhash.cli as cli_mod
 from semhash.cli import main
+from semhash.data import write_features
 from semhash.errors import DivergedLoss
+from semhash.hashing import binarize, build_index, save_index
+from semhash.hierarchy import parse_taxonomy
 from semhash.trainer import TrainConfig, format_config
 
 TAX_TEXT = "\n".join(
@@ -339,3 +346,95 @@ def test_module_entry_point_prints_no_runtime_warning():
     assert out.returncode == 0
     assert out.stdout.strip() == f"semhash {semhash.__version__}"
     assert "RuntimeWarning" not in out.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_no_binarize_rejects_non_finite_embeddings(workdir, capsys, bad):
+    t = parse_taxonomy(TAX_TEXT)
+    labels = t.leaves()
+    values = np.linspace(0.0, 1.0, 4 * len(labels)).reshape(len(labels), 4)
+    save_index(workdir / "e.index", build_index(binarize(values), range(len(labels)), labels))
+    values[2, 1] = float(bad)
+    write_features(workdir / "e.embeddings", values)
+    rc = main([
+        "eval", "--index", str(workdir / "e.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "3", "--out", str(workdir / "e"),
+        "--no-binarize", "--embeddings", str(workdir / "e.embeddings"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (workdir / "e.report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["train.cfg", "tax.txt", "data.labels"])
+def test_non_utf8_text_input_is_one_error_line(workdir, capsys, name):
+    gen_data(workdir)
+    path = workdir / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    rc = main([
+        "train", "--config", str(workdir / "train.cfg"),
+        "--features", str(workdir / "data.features"), "--labels", str(workdir / "data.labels"),
+        "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"error: {path}: not UTF-8 text"]
+    assert not any(workdir.glob("m.*"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "tax.txt").write_text(TAX_TEXT + "\n")
+    cfg = TrainConfig(code_length=8, hidden_sizes=(4,), batch_size=8, epochs=1, seed=3)
+    (d / "train.cfg").write_text(format_config(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_pipeline(d)
+    return d
+
+
+# each input file and a command that reads it; "{}" stands for the damaged
+# copy, and every other argument with a dot names a file in the fuzz directory
+FUZZ_COMMANDS = {
+    "tax.txt": ["eval", "--index", "run.index", "--taxonomy", "{}", "--k-max", "5"],
+    "data.labels": ["encode", "--checkpoint", "run.checkpoint", "--features", "data.features",
+                    "--labels", "{}", "--taxonomy", "tax.txt"],
+    "data.features": ["encode", "--checkpoint", "run.checkpoint", "--features", "{}",
+                      "--labels", "data.labels", "--taxonomy", "tax.txt"],
+    "run.checkpoint": ["encode", "--checkpoint", "{}", "--features", "data.features",
+                       "--labels", "data.labels", "--taxonomy", "tax.txt"],
+    "run.index": ["eval", "--index", "{}", "--taxonomy", "tax.txt", "--k-max", "5"],
+    "run.embeddings": ["eval", "--index", "run.index", "--taxonomy", "tax.txt", "--k-max", "5",
+                       "--no-binarize", "--embeddings", "{}"],
+}
+
+
+@given(
+    name=st.sampled_from(sorted(FUZZ_COMMANDS)),
+    cut=st.none() | st.floats(0.0, 1.0),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_damaged_input_files_end_in_one_error_line(fuzz_dir, name, cut, flips):
+    data = bytearray((fuzz_dir / name).read_bytes())
+    for at, mask in flips:
+        data[int(at * (len(data) - 1))] ^= mask
+    if cut is not None:
+        del data[int(cut * len(data)):]
+    damaged = fuzz_dir / f"damaged.{name}"
+    damaged.write_bytes(bytes(data))
+    argv = [
+        str(damaged) if arg == "{}" else str(fuzz_dir / arg) if "." in arg else arg
+        for arg in FUZZ_COMMANDS[name]
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + ["--out", str(fuzz_dir / "out")])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

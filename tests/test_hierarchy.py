@@ -12,6 +12,7 @@ from semhash.errors import (
     MultipleParents,
     MultipleRoots,
     NotALeaf,
+    SemhashError,
     UnknownNode,
 )
 from semhash.hierarchy import (
@@ -23,7 +24,7 @@ from semhash.hierarchy import (
 )
 
 from conftest import random_taxonomy, taxonomy_from_parents, tree_parent_lists
-from oracles import bf_lca
+from oracles import bf_lca, bf_parse_taxonomy
 
 
 class TestParse:
@@ -209,3 +210,51 @@ def test_parse_serialize_roundtrip(parents):
     by_name = {n.name: (t.nodes[n.parent].name if n.parent is not None else None) for n in t.nodes}
     by_name2 = {n.name: (t2.nodes[n.parent].name if n.parent is not None else None) for n in t2.nodes}
     assert by_name == by_name2
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists with cycles, self-edges, second parents, extra roots and stray lines."""
+    kind = draw(st.sampled_from(["tree", "parent map", "random"]))
+    if kind == "tree":
+        # a valid tree, maybe beside a second tree and a separate cycle, plus
+        # up to two arbitrary extra edges
+        parents = draw(tree_parent_lists)
+        names = [f"n{i}" for i in range(len(parents) + 1)] + ["x"]
+        edges = [(f"n{p}", f"n{i + 1}") for i, p in enumerate(parents)]
+        if draw(st.booleans()):
+            edges.append(("r", "r1"))
+        cycle = draw(st.integers(0, 3))
+        edges += [(f"c{i}", f"c{(i + 1) % cycle}") for i in range(cycle)]
+        edges += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=2))
+    elif kind == "parent map":
+        # at most one parent per node, any of them or none: cycles and extra roots, often both
+        k = draw(st.integers(1, 8))
+        parents = draw(st.lists(st.none() | st.integers(0, k - 1), min_size=k, max_size=k))
+        edges = [(f"n{p}", f"n{i}") for i, p in enumerate(parents) if p is not None]
+    else:
+        name = st.sampled_from("abcdefgh")
+        edges = draw(st.lists(st.tuples(name, name), max_size=10))
+    edges = draw(st.permutations(edges))
+    lines = [f"{p} {c}" for p, c in edges]
+    extras = st.tuples(st.integers(0, len(lines)), st.sampled_from(["", "# note", "  # x y", "a b c"]))
+    for pos, extra in draw(st.lists(extras, max_size=1)):
+        lines.insert(pos, extra)
+    return "\n".join(lines)
+
+
+@given(edge_list_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_oracle(text):
+    expected = bf_parse_taxonomy(text)
+    try:
+        t = parse_taxonomy(text)
+    except SemhashError as exc:
+        assert type(exc).__name__ == expected
+        return
+    assert not isinstance(expected, str), f"accepted, oracle says {expected}"
+    root, height, leaves, depth = expected
+    assert t.name(t.root) == root
+    assert t.height == height
+    assert set(t.leaf_labels) == leaves
+    assert {node.name: t.depth(node.id) for node in t.nodes} == depth

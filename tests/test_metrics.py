@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semhash.errors import KTooLarge, NoRelevantItems, ShapeMismatch
+from semhash.errors import KTooLarge, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from semhash.hashing import build_index, pack_bits
 from semhash.metrics import (
     ahp_at_k,
@@ -247,6 +247,14 @@ class TestEvaluateEmbeddings:
         a1 = t.node_id("a1")
         with pytest.raises(ShapeMismatch):
             evaluate_embeddings(np.zeros((3, 2)), [0, 0, 1], [a1] * 3, t, k_max=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, five_node_tax, bad):
+        t = five_node_tax
+        values = np.zeros((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            evaluate_embeddings(values, [0, 1, 2], [t.node_id("a1")] * 3, t, k_max=1)
 
 
 class TestMeanAp:
