@@ -28,7 +28,7 @@ from .data import (
 )
 from .errors import DivergedLoss, SemhashError, ShapeMismatch
 from .hashing import HashCode, binarize, build_index, load_index, query_topk, save_index
-from .hierarchy import load_taxonomy, read_text
+from .hierarchy import load_taxonomy, read_text, write_atomic
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
 from .trainer import apply_variant, parse_config, train
@@ -64,7 +64,7 @@ def _write_manifest(
         "outputs": [str(p) for p in outputs],
     }
     path = prefix.with_name(prefix.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -122,7 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     ckpt_path = prefix.with_name(prefix.name + ".checkpoint")
     log_path = prefix.with_name(prefix.name + ".log.csv")
     save_checkpoint(ckpt_path, encoder, classifier)
-    log_path.write_text(log.to_csv(), encoding="utf-8")
+    write_atomic(log_path, log.to_csv())
     _write_manifest(
         prefix,
         "train",
@@ -212,10 +212,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
     report_path = prefix.with_name(prefix.name + ".report.json")
     curve_path = prefix.with_name(prefix.name + ".hp_curve.csv")
-    report_path.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    write_atomic(
+        report_path,
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
-    curve_path.write_text(report.hp_curve_csv(), encoding="utf-8")
+    write_atomic(curve_path, report.hp_curve_csv())
     _write_manifest(
         prefix,
         "eval",
@@ -298,6 +299,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out") and not Path(args.out).name:  # "", "." or "/"
+            raise SemhashError(f"--out {args.out!r} does not name a file prefix")
         return args.func(args)
     except DivergedLoss as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)

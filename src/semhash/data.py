@@ -21,7 +21,7 @@ from .errors import (
     UnknownLabel,
     VersionMismatch,
 )
-from .hierarchy import Taxonomy, read_text
+from .hierarchy import Taxonomy, read_text, write_atomic
 
 FEATURES_MAGIC = b"SHRF"
 FEATURES_VERSION = 1
@@ -148,10 +148,8 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
     if features.ndim != 2:
         raise ShapeMismatch(f"features must be 2-D, got shape {features.shape}")
     n, d = features.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<III", FEATURES_VERSION, n, d))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
+    header = FEATURES_MAGIC + struct.pack("<III", FEATURES_VERSION, n, d)
+    write_atomic(path, header + np.ascontiguousarray(features, dtype="<f4").tobytes())
 
 
 def read_features(path: str | Path) -> np.ndarray:
@@ -172,7 +170,7 @@ def read_features(path: str | Path) -> np.ndarray:
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:
     names = [t.name(int(label)) for label in labels]
-    Path(path).write_text("\n".join(names) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(names) + "\n")
 
 
 def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:

@@ -7,6 +7,7 @@ deterministic.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +19,11 @@ from .errors import (
     EmptyIndex,
     LengthMismatch,
     MalformedFile,
+    NonFiniteInput,
     ShapeMismatch,
     VersionMismatch,
 )
+from .hierarchy import write_atomic
 from .model import EmbeddingBatch
 
 INDEX_MAGIC = b"SHRI"
@@ -78,6 +81,8 @@ def unpack_bits(code: HashCode) -> np.ndarray:
 
 def binarize(z, threshold: float = 0.5) -> list[HashCode]:
     """Threshold each embedding coordinate: bit = 1 iff value >= threshold."""
+    if not math.isfinite(threshold):
+        raise NonFiniteInput(f"threshold must be finite, got {threshold}")
     values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
@@ -146,19 +151,54 @@ def build_index(
 
 
 def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
-    """Hamming distance from one code, a row of packed words, to every indexed code."""
+    """Hamming distances from packed query codes to every indexed code.
+
+    ``words`` is one code as a row of W packed ``uint64`` words (the result
+    has N entries) or a block of b codes as a b x W array (the result is b x N).
+    """
     words = np.asarray(words, dtype=np.uint64)
-    if words.shape != index.words.shape[1:]:
+    if words.ndim not in (1, 2) or words.shape[-1:] != index.words.shape[1:]:
         raise LengthMismatch(f"query words {words.shape} != index rows {index.words.shape[1:]}")
-    return np.bitwise_count(index.words ^ words[None, :]).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(index.words ^ words[..., None, :]).sum(axis=-1, dtype=np.int64)
 
 
-def _rank(dists: np.ndarray, ids: np.ndarray, exclude_id: Optional[int] = None) -> np.ndarray:
+def _rank(dists: np.ndarray) -> np.ndarray:
+    """Column order of each row of a b x N distance block, by (distance, column).
+
+    Overwrites ``dists`` (int64 or float64) with the order, returned as an
+    int64 view of it.  Integer distances become the unique key
+    ``distance * N + column``, which is sorted.  Float distances are
+    argsorted; if the block holds an exact tie, the unique key
+    ``tie run * N + column`` is built and sorted instead.
+    """
+    n = dists.shape[1]
+    if dists.dtype.kind == "i":
+        key = dists
+        key *= n
+        key += np.arange(n)
+    else:
+        order = np.argsort(dists)
+        dists.sort()
+        new_run = dists[:, 1:] != dists[:, :-1]
+        key = dists.view(np.int64)  # the sorted distances are no longer needed
+        if new_run.all():
+            key[...] = order
+            return key
+        key[:, 0] = 0
+        np.cumsum(new_run, axis=1, out=key[:, 1:])
+        key *= n
+        key += order
+    key.sort()
+    key %= n
+    return key
+
+
+def _rank_by_id(dists: np.ndarray, ids: np.ndarray, exclude_id: Optional[int] = None) -> np.ndarray:
     """Positions ordered by (distance, id), without the entry whose id is ``exclude_id``."""
-    order = np.lexsort((ids, dists))
+    by_id = np.argsort(ids, kind="stable")
     if exclude_id is not None:
-        order = order[ids[order] != exclude_id]
-    return order
+        by_id = by_id[ids[by_id] != exclude_id]
+    return by_id[_rank(dists[by_id][None, :])[0]]
 
 
 def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
@@ -170,7 +210,7 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     if q.code_length != index.code_length:
         raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
     dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))
-    return [(int(index.ids[i]), int(dists[i])) for i in _rank(dists, index.ids)[:k]]
+    return [(int(index.ids[i]), int(dists[i])) for i in _rank_by_id(dists, index.ids)[:k]]
 
 
 def save_index(path: str | Path, index: HashIndex) -> None:
@@ -182,10 +222,8 @@ def save_index(path: str | Path, index: HashIndex) -> None:
     records["id"] = index.ids
     records["label"] = index.labels
     records["words"] = index.words
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<III", INDEX_VERSION, index.code_length, len(index)))
-        fh.write(records.tobytes())
+    header = INDEX_MAGIC + struct.pack("<III", INDEX_VERSION, index.code_length, len(index))
+    write_atomic(path, header + records.tobytes())
 
 
 def load_index(path: str | Path) -> HashIndex:

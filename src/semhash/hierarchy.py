@@ -7,6 +7,7 @@ height of the root, which yields a normalized ultrametric on the leaves.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -210,6 +211,25 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise MalformedFile(f"{path}: not UTF-8 text") from None
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (text as UTF-8) without a partial file.
+
+    The data goes to a temporary file beside ``path`` that ``os.replace`` then
+    renames over it, so an interrupted write leaves the previous file whole.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the file the caller asked for
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:

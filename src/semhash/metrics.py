@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
-from .hashing import HashIndex, _check_unique_ids, _rank, hamming_to_all
+from .hashing import HashIndex, _check_unique_ids, _rank, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
+
+# bytes of one block's b x N distance rows; eval's working set is about two
+# such blocks
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -48,7 +52,7 @@ class MetricsReport:
                 for qid, ap, ahp in self.per_query
             ]
         return {
-            "map": self.map,
+            "map": None if math.isnan(self.map) else self.map,
             "mahp_at_k": {str(k): v for k, v in sorted(self.mahp_at_k.items())},
             "map_skipped_queries": self.map_skipped_queries,
             "n_queries": self.n_queries,
@@ -67,11 +71,14 @@ def relevance(t: Taxonomy, query_label: int, item_label: int) -> float:
     return 1.0 - semantic_distance(t, query_label, item_label)
 
 
+def _hp(got: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """HP from gathered and ideal cumulative relevance; 1.0 where the ideal is 0."""
+    return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
+
+
 def _hp_curve(rel: np.ndarray, k_max: int) -> np.ndarray:
     """HP@1..k_max of one complete ranking, given each ranked item's relevance."""
-    got = np.cumsum(rel)[:k_max]
-    ideal = np.cumsum(np.sort(rel)[::-1])[:k_max]
-    return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
+    return _hp(np.cumsum(rel[:k_max]), np.cumsum(np.sort(rel)[::-1][:k_max]))
 
 
 def _ap(hit_mask: np.ndarray) -> float:
@@ -126,7 +133,10 @@ def hamming_ranking(
 
     ``words`` is one code as a row of packed ``uint64`` words.
     """
-    return _rank(hamming_to_all(index, words), index.ids, exclude_id)
+    words = np.asarray(words, dtype=np.uint64)
+    if words.ndim != 1:
+        raise LengthMismatch(f"one code expected, got words of shape {words.shape}")
+    return _rank_by_id(hamming_to_all(index, words), index.ids, exclude_id)
 
 
 def manhattan_ranking(
@@ -135,11 +145,12 @@ def manhattan_ranking(
     """Positions ranked by (Manhattan distance, sample id) over raw embeddings."""
     values = np.asarray(values, dtype=np.float64)
     dists = np.abs(values - np.asarray(query_vec, dtype=np.float64)[None, :]).sum(axis=1)
-    return _rank(dists, np.asarray(ids), exclude_id)
+    return _rank_by_id(dists, np.asarray(ids), exclude_id)
 
 
 def _score(
-    rankings: Iterable[np.ndarray],
+    distances: Callable[[slice], np.ndarray],
+    sentinel: float,
     item_ids: np.ndarray,
     item_labels: np.ndarray,
     query_ids: np.ndarray,
@@ -149,29 +160,65 @@ def _score(
     per_query: bool,
     ranking: str,
 ) -> MetricsReport:
-    """Score each query's ranking (positions into the items) as it arrives.
+    """Rank and score the queries block by block.
 
-    Ids are unique on each side, so a query that is also an item has one
-    candidate fewer: itself.
+    ``distances(rows)`` gives the distances from the queries in ``rows`` to
+    every item, one row per query.  Ids are unique on each side, so a query
+    that is also an item has one candidate fewer: itself.  Its own entry gets
+    the ``sentinel`` distance, which ranks after every other item, and is
+    dropped.
     """
-    n_queries = len(query_ids)
+    n_queries, n_items = len(query_ids), len(item_ids)
     if n_queries == 0:
         raise ShapeMismatch("no queries to evaluate")
-    min_candidates = len(item_ids) - int(np.isin(query_ids, item_ids).any())
+    by_id = np.argsort(item_ids)
+    own_col = np.searchsorted(item_ids[by_id], query_ids)
+    has_own = np.isin(query_ids, item_ids)
+    min_candidates = n_items - int(has_own.any())
     if k_max < 1 or k_max > min_candidates:
         raise KTooLarge(f"k_max={k_max} outside [1, {min_candidates}]")
 
     # one relevance lookup per (query label, item label) pair
-    label_ids, rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
+    label_ids, label_rows = np.unique(
+        np.concatenate([query_labels, item_labels]), return_inverse=True
+    )
     rel_table = 1.0 - distance_matrix(t, label_ids.tolist()).values
-    query_rows, item_rows = rows[:n_queries], rows[n_queries:]
+    query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
+    # the ideal top-k_max relevance prefix sums, one per (query label, label
+    # of its own entry or none), from the histogram of item labels
+    n_labels = len(label_ids)
+    own_rows = np.full(n_queries, n_labels)
+    own_rows[has_own] = item_rows[own_col[has_own]]
+    histogram = np.bincount(item_rows, minlength=n_labels)
+    ideal_keys, ideal_of_query = np.unique(
+        query_rows * (n_labels + 1) + own_rows, return_inverse=True
+    )
+    ideal = np.empty((len(ideal_keys), k_max))
+    for i, key in enumerate(ideal_keys.tolist()):
+        label, own = divmod(key, n_labels + 1)
+        counts = histogram.copy()
+        if own < n_labels:
+            counts[own] -= 1
+        desc = np.argsort(rel_table[label])[::-1]
+        ideal[i] = np.cumsum(np.repeat(rel_table[label, desc], counts[desc])[:k_max])
+
+    block = max(1, _BLOCK_BYTES // (8 * n_items))
     hp_rows = np.empty((n_queries, k_max))
     aps: list[float] = []
-    for qi, order in enumerate(rankings):
-        ranked_rows = item_rows[order]
-        hp_rows[qi] = _hp_curve(rel_table[query_rows[qi]][ranked_rows], k_max)
-        aps.append(_ap(ranked_rows == query_rows[qi]))
+    for start in range(0, n_queries, block):
+        rows = slice(start, start + block)
+        dists = distances(rows)[:, by_id]
+        mine = np.flatnonzero(has_own[rows])
+        dists[mine, own_col[rows][mine]] = sentinel
+        ranked_rows = item_rows[_rank(dists)]
+        q_rows = query_rows[rows, None]
+        got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
+        hp_rows[rows] = _hp(got, ideal[ideal_of_query[rows]])
+        hits = ranked_rows == q_rows
+        hits[mine, -1] = False  # the query's own entry, ranked last
+        aps.extend(_ap(row) for row in hits)
+        del dists, ranked_rows  # at most one block's arrays are alive at a time
 
     hp_curve = [
         (k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)
@@ -206,12 +253,10 @@ def evaluate(
     queries = queries if queries is not None else index
     if queries.code_length != index.code_length:
         raise LengthMismatch("query and index code lengths differ")
-    rankings = (
-        hamming_ranking(index, words, qid)
-        for words, qid in zip(queries.words, queries.ids.tolist())
-    )
     return _score(
-        rankings, index.ids, index.labels, queries.ids, queries.labels,
+        lambda rows: hamming_to_all(index, queries.words[rows]),
+        index.code_length + 1,
+        index.ids, index.labels, queries.ids, queries.labels,
         t, k_max, per_query, "hamming",
     )
 
@@ -230,10 +275,23 @@ def evaluate_embeddings(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
-    if not np.isfinite(values).all():
-        raise NonFiniteInput("embeddings contain NaN or inf")
+    # twice the largest row norm bounds every distance, so no distance is inf
+    with np.errstate(over="ignore"):
+        bounded = np.isfinite(2 * np.abs(values).sum(axis=1)).all()
+    if not bounded:
+        raise NonFiniteInput("embeddings contain NaN or inf, or overflow Manhattan distances")
     _check_unique_ids(ids)
-    rankings = (
-        manhattan_ranking(values, ids, values[qi], qid) for qi, qid in enumerate(ids.tolist())
+    diff = np.empty_like(values)
+
+    def distances(rows: slice) -> np.ndarray:
+        queries = values[rows]
+        out = np.empty((len(queries), len(values)))
+        for vec, row in zip(queries, out):
+            np.subtract(values, vec, out=diff)
+            np.abs(diff, out=diff)
+            diff.sum(axis=1, out=row)
+        return out
+
+    return _score(
+        distances, math.inf, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan"
     )
-    return _score(rankings, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan")

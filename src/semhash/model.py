@@ -25,6 +25,7 @@ from .errors import (
     StaleCache,
     VersionMismatch,
 )
+from .hierarchy import write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1
@@ -295,7 +296,7 @@ def checkpoint_bytes(encoder: EncoderParams, classifier: ClassifierParams) -> by
 
 
 def save_checkpoint(path: str | Path, encoder: EncoderParams, classifier: ClassifierParams) -> None:
-    Path(path).write_bytes(checkpoint_bytes(encoder, classifier))
+    write_atomic(path, checkpoint_bytes(encoder, classifier))
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, ClassifierParams]:

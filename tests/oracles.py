@@ -117,6 +117,40 @@ def bf_ap(ranked_binary) -> float:
     return math.fsum(acc) / total
 
 
+def bf_evaluate(dists, item_ids, item_labels, query_ids, query_labels, rel, k_max):
+    """The per-query retrieval eval: rank, score and average one query at a time.
+
+    ``dists(qi)`` gives query qi's distance to every item, ``rel(a, b)`` the
+    relevance of an item labelled b to a query labelled a.  Each query's own
+    id is dropped from its candidates, which are ranked by (distance, id).
+    Returns the ``MetricsReport`` fields, ``ranking`` aside, as a dict.
+    """
+    item_ids, item_labels = np.asarray(item_ids), np.asarray(item_labels)
+    hp_rows, aps = [], []
+    for qi, (qid, q_label) in enumerate(zip(query_ids, query_labels)):
+        order = np.lexsort((item_ids, dists(qi)))
+        order = order[item_ids[order] != qid]
+        rels = np.array([rel(q_label, item_labels[i]) for i in order])
+        got = np.cumsum(rels)[:k_max]
+        ideal = np.cumsum(np.sort(rels)[::-1])[:k_max]
+        hp_rows.append(np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0))
+        hits = np.flatnonzero(item_labels[order] == q_label)
+        terms = (np.arange(hits.size) + 1.0) / (hits + 1.0)
+        aps.append(math.fsum(terms) / hits.size if hits.size else math.nan)
+    n = len(hp_rows)
+    hp_rows = np.array(hp_rows)
+    ahps = [math.fsum(row) / k_max for row in hp_rows]
+    found = [ap for ap in aps if not math.isnan(ap)]
+    return {
+        "map": math.fsum(found) / len(found) if found else math.nan,
+        "mahp_at_k": {k_max: math.fsum(ahps) / n},
+        "hp_curve": [(k + 1, math.fsum(hp_rows[:, k]) / n) for k in range(k_max)],
+        "per_query": list(zip([int(q) for q in query_ids], aps, ahps)),
+        "map_skipped_queries": n - len(found),
+        "n_queries": n,
+    }
+
+
 def bf_adam(params, grads, m, v, t, lr, beta1, beta2, eps):
     """One bias-corrected Adam step from the textbook recurrence, on fresh arrays.
 

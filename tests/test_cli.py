@@ -438,3 +438,207 @@ def test_damaged_input_files_end_in_one_error_line(fuzz_dir, name, cut, flips):
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN/Infinity extensions Python's json allows."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_report_without_same_class_items_is_strict_json(workdir):
+    # three leaves, one item each: no query has a same-class item, so map is undefined
+    t = parse_taxonomy(TAX_TEXT)
+    labels = [t.node_id(name) for name in ("cat", "dog", "car")]
+    values = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    save_index(workdir / "s.index", build_index(binarize(values), [0, 1, 2], labels))
+    rc = main([
+        "eval", "--index", str(workdir / "s.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "2", "--out", str(workdir / "s"), "--per-query",
+    ])
+    assert rc == 0
+    report = strict_json((workdir / "s.report.json").read_text())
+    assert report["map"] is None
+    assert report["map_skipped_queries"] == 3
+    assert [q["ap"] for q in report["per_query"]] == [None, None, None]
+    strict_json((workdir / "s.manifest.json").read_text())
+
+
+def test_pipeline_json_artifacts_are_strict_json(workdir):
+    run_pipeline(workdir)
+    for path in [*workdir.glob("*.manifest.json"), workdir / "run.report.json"]:
+        strict_json(path.read_text())
+
+
+class HalfThenFail:
+    """A file opened by ``write_atomic`` that writes half its data, then raises."""
+
+    def __init__(self, path, mode, exc):
+        self.fh = open(path, mode)
+        self.exc = exc
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        self.fh.flush()
+        raise self.exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Make every artifact write stop midway with ``exc``."""
+    import semhash.hierarchy as hierarchy_mod
+
+    def install(exc):
+        monkeypatch.setattr(
+            hierarchy_mod, "open", lambda path, mode: HalfThenFail(path, mode, exc), raising=False
+        )
+    return install
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+@pytest.mark.parametrize("name", [
+    "run.checkpoint", "run.log.csv", "run.embeddings", "data.labels", "run.index",
+    "run.manifest.json",
+])
+def test_interrupted_write_keeps_the_previous_file(workdir, failing_writes, exc, name):
+    run_pipeline(workdir)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    failing_writes(exc)
+    t = parse_taxonomy(TAX_TEXT)
+    writers = {
+        "run.checkpoint": lambda p: semhash.model.save_checkpoint(
+            p, *semhash.model.load_checkpoint(workdir / "run.checkpoint")),
+        "run.log.csv": lambda p: semhash.hierarchy.write_atomic(p, "step\n"),
+        "run.embeddings": lambda p: write_features(p, np.zeros((2, 3))),
+        "data.labels": lambda p: semhash.data.write_labels(p, t.leaves(), t),
+        "run.index": lambda p: save_index(p, semhash.hashing.load_index(workdir / "run.index")),
+        "run.manifest.json": lambda p: semhash.hierarchy.write_atomic(p, b"{}"),
+    }
+    with pytest.raises(type(exc)):
+        writers[name](workdir / name)
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+def test_interrupted_eval_leaves_previous_report_and_no_temp_file(workdir, failing_writes, capsys):
+    run_pipeline(workdir)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    failing_writes(OSError(28, "No space left on device"))
+    capsys.readouterr()
+    rc = main([
+        "eval", "--index", str(workdir / "run.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "10", "--out", str(workdir / "run"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: [Errno 28] No space left on device: '{workdir / 'run.report.json'}'"]
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_out_prefix_without_a_name_is_one_error_line(workdir, capsys, out):
+    rc = main([
+        "gen-data", "--taxonomy", str(workdir / "tax.txt"), "--per-class", "6",
+        "--dim", "12", "--seed", "1", "--out", out,
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: --out {out!r} does not name a file prefix"]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_is_one_error_line(workdir, capsys, threshold):
+    run_pipeline(workdir)
+    capsys.readouterr()
+    rc = main([
+        "index", "--embeddings", str(workdir / "run.embeddings"),
+        "--labels", str(workdir / "data.labels"), "--taxonomy", str(workdir / "tax.txt"),
+        "--out", str(workdir / "t"), f"--threshold={threshold}",
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: threshold must be finite")
+    assert not any(workdir.glob("t.*"))
+
+
+# a valid command line for every command, relative to a copy of the fuzz
+# directory; mutations replace, drop, repeat, insert or swap its tokens
+ARGV_BASES = [
+    ["gen-data", "--taxonomy", "tax.txt", "--per-class", "2", "--dim", "3", "--seed", "1",
+     "--out", "o", "--diffusion", "1.0", "--noise", "0.5"],
+    ["train", "--config", "train.cfg", "--features", "data.features", "--labels",
+     "data.labels", "--taxonomy", "tax.txt", "--out", "o", "--variant", "shrewd",
+     "--seed", "2", "--epochs", "1"],
+    ["encode", "--checkpoint", "run.checkpoint", "--features", "data.features",
+     "--labels", "data.labels", "--taxonomy", "tax.txt", "--out", "o", "--threshold", "0.5"],
+    ["index", "--embeddings", "run.embeddings", "--labels", "data.labels",
+     "--taxonomy", "tax.txt", "--out", "o", "--threshold", "0.5"],
+    ["query", "--index", "run.index", "--query-id", "3", "--k", "4"],
+    ["eval", "--index", "run.index", "--taxonomy", "tax.txt", "--k-max", "5", "--out", "o",
+     "--per-query"],
+    ["eval", "--index", "run.index", "--taxonomy", "tax.txt", "--k-max", "5", "--out", "o",
+     "--no-binarize", "--embeddings", "run.embeddings"],
+]
+ARGV_TOKENS = [
+    "", "-1", "0", "1", "2", "99", "1.5", "nan", "inf", "1e999", "x", "-", "--", ".", "/",
+    "missing.file", "tax.txt", "train.cfg", "data.features", "data.labels", "run.checkpoint",
+    "run.embeddings", "run.index", "shred", "shrewd", "--out", "--seed", "--k-max", "-h",
+    "--no-binarize", "--per-query", "eval", "train",
+]
+ARGV_EDIT = st.tuples(
+    st.sampled_from(["value"] * 5 + ["replace", "drop", "repeat", "insert", "swap"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from(ARGV_TOKENS),
+)
+
+
+def mutate_argv(argv, edits):
+    argv = list(argv)
+    for op, at, other, token in edits:
+        if not argv:
+            argv = [token]
+            continue
+        i, j = int(at * len(argv)), int(other * len(argv))
+        values = [k for k in range(1, len(argv))
+                  if argv[k - 1].startswith("--") and not argv[k].startswith("--")]
+        if op == "value" and values:  # most edits keep the command line's shape
+            argv[values[int(at * len(values))]] = token
+        elif op in ("replace", "value"):
+            argv[i] = token
+        elif op == "drop":
+            del argv[i]
+        elif op == "repeat":
+            argv.insert(i, argv[i])
+        elif op == "insert":
+            argv.insert(i, token)
+        else:
+            argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+@given(base=st.sampled_from(ARGV_BASES), edits=st.lists(ARGV_EDIT, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_mutated_command_lines_exit_cleanly(fuzz_dir, tmp_path_factory, base, edits):
+    argv = mutate_argv(base, edits)
+    run_dir = tmp_path_factory.mktemp("argv")
+    for name in ("tax.txt", "train.cfg", "data.features", "data.labels", "run.checkpoint",
+                 "run.embeddings", "run.index"):
+        (run_dir / name).write_bytes((fuzz_dir / name).read_bytes())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(run_dir), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+            rc = exc.code
+            assert rc in (0, 2)
+    assert rc in (0, 1, 2, 3), argv
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (rc in (1, 3)), (argv, err.getvalue())

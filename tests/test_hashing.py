@@ -15,6 +15,7 @@ from semhash.errors import (
 from semhash.hashing import (
     HashCode,
     HashIndex,
+    _rank,
     binarize,
     build_index,
     hamming,
@@ -153,6 +154,47 @@ class TestHammingToAll:
         idx = build_index([pack_bits([1, 0])], [0], [0])
         with pytest.raises(LengthMismatch):
             hamming_to_all(idx, np.zeros(2, dtype=np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1, 1)])
+    def test_block_of_wrong_shape(self, shape):
+        idx = build_index([pack_bits([1, 0])], [0], [0])
+        with pytest.raises(LengthMismatch):
+            hamming_to_all(idx, np.zeros(shape, dtype=np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 64, 130])
+    def test_block_of_rows_matches_one_row_at_a_time(self, k):
+        rng = np.random.default_rng(k)
+        codes, _ = random_codes(rng, 20, k)
+        idx = build_index(codes, np.arange(20), np.zeros(20, dtype=int))
+        block = idx.words[[3, 0, 3, 19]]
+        got = hamming_to_all(idx, block)
+        assert got.shape == (4, 20)
+        for row, words in zip(got, block):
+            assert row.tolist() == hamming_to_all(idx, words).tolist()
+
+
+class TestRank:
+    """The row ranker orders every row by (distance, column), like np.lexsort."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rows=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_rows_match_lexsort(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        dists = rng.integers(0, int(rng.integers(1, 6)), size=(rows, n))
+        want = [np.lexsort((np.arange(n), row)).tolist() for row in dists]
+        assert _rank(dists).tolist() == want
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rows=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_float_rows_with_ties_match_lexsort(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        # few distinct values, inf among them: most rows hold exact ties
+        levels = np.array([0.0, 0.25, 1.0 / 3.0, 2.5, np.inf])[: int(rng.integers(1, 6))]
+        dists = rng.choice(levels, size=(rows, n))
+        fresh = rng.random((rows, n)) < rng.random()  # distinct values, some rows untied
+        dists[fresh] = rng.random(int(fresh.sum()))
+        want = [np.lexsort((np.arange(n), row)).tolist() for row in dists]
+        assert _rank(dists).tolist() == want
 
 
 class TestIndexFile:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semhash.metrics as metrics_mod
 from semhash.errors import KTooLarge, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from semhash.hashing import build_index, pack_bits
 from semhash.metrics import (
+    MetricsReport,
     ahp_at_k,
     average_precision,
     evaluate,
@@ -18,7 +20,7 @@ from semhash.metrics import (
 )
 
 from conftest import MAPMINER_TEXT, WORDNET_LIKE_TEXT
-from oracles import bf_ahp_at_k, bf_ap, bf_hamming, bf_hp_at_k
+from oracles import bf_ahp_at_k, bf_ap, bf_evaluate, bf_hamming, bf_hp_at_k
 from semhash.hierarchy import parse_taxonomy
 
 # immutable; shared across hypothesis examples
@@ -248,7 +250,8 @@ class TestEvaluateEmbeddings:
         with pytest.raises(ShapeMismatch):
             evaluate_embeddings(np.zeros((3, 2)), [0, 0, 1], [a1] * 3, t, k_max=1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # 1e308 is finite, but its distance to 0 doubled is not
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_rejects_non_finite_values(self, five_node_tax, bad):
         t = five_node_tax
         values = np.zeros((3, 2))
@@ -298,3 +301,107 @@ class TestReportOutput:
         report = evaluate_embeddings(values, [0, 1, 2, 3], [a1, a1, a2, a2], t, k_max=3)
         assert report.ranking == "manhattan"
         assert report.map == 1.0
+
+
+# --- the blocked ranking-and-scoring kernel against the per-query oracle ---
+
+LEAVES = WORDNET_LIKE.leaves()
+
+
+def wordnet_relevance(a, b):
+    return relevance(WORDNET_LIKE, a, b)
+
+
+def assert_same_report(got, fields, ranking):
+    want = MetricsReport(**fields, ranking=ranking)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.hp_curve_csv() == want.hp_curve_csv()
+    assert repr(got.per_query) == repr(want.per_query)  # nan-safe and exact
+
+
+def kernel_case(seed, code_length):
+    """Random ids, labels and codes, with repeated codes so distances tie.
+
+    The item count is never a multiple of 3, so 3-query blocks are ragged.
+    """
+    rng = np.random.default_rng(seed)
+    n = 3 * int(rng.integers(1, 9)) + 1 + seed % 2
+    pool = rng.integers(0, 2, size=(int(rng.integers(1, n)), code_length), dtype=np.uint8)
+    bits = pool[rng.integers(0, len(pool), n)]
+    ids = rng.permutation(rng.choice(10 * n, size=n, replace=False))
+    labels = rng.choice(LEAVES, size=n)
+    return rng, bits, ids, labels
+
+
+def hamming_dists(item_bits, query_bits):
+    return lambda qi: (item_bits != query_bits[qi]).sum(axis=1)
+
+
+KERNEL_CASES = [
+    (seed, k, per_block)
+    for seed in range(3)
+    for k in (1, 63, 64, 65, 130)
+    for per_block in (1, 3, None)
+]
+
+
+class TestBlockedScorer:
+    @pytest.fixture
+    def block_of(self, monkeypatch):
+        """Size eval blocks to ``per_block`` queries over ``n`` items (None: all)."""
+        def set_block(per_block, n_items, n_queries):
+            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n_items * (per_block or n_queries))
+        return set_block
+
+    @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
+    def test_hamming_leave_one_out_matches_oracle(self, block_of, seed, k, per_block):
+        rng, bits, ids, labels = kernel_case(seed, k)
+        n = len(ids)
+        block_of(per_block, n, n)
+        index = build_index([pack_bits(row) for row in bits], ids, labels)
+        k_max = int(rng.integers(1, n))
+        got = evaluate(index, None, WORDNET_LIKE, k_max, per_query=True)
+        want = bf_evaluate(hamming_dists(bits, bits), ids, labels, ids, labels,
+                           wordnet_relevance, k_max)
+        assert_same_report(got, want, "hamming")
+
+    @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
+    def test_manhattan_leave_one_out_matches_oracle(self, block_of, seed, k, per_block):
+        rng, bits, ids, labels = kernel_case(seed, k)
+        n = len(ids)
+        block_of(per_block, n, n)
+        # grid values over repeated rows: many exact L1 ties
+        values = bits * 0.5 + rng.integers(0, 2, size=bits.shape) * 0.25
+        k_max = int(rng.integers(1, n))
+        got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
+        want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                           ids, labels, wordnet_relevance, k_max)
+        assert_same_report(got, want, "manhattan")
+
+    @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
+    def test_separate_queries_present_and_absent(self, block_of, seed, k, per_block):
+        rng, bits, ids, labels = kernel_case(seed, k)
+        n = len(ids)
+        index = build_index([pack_bits(row) for row in bits], ids, labels)
+        # some query ids are in the index (with other codes and labels), some not
+        present = rng.choice(ids, size=int(rng.integers(0, n)), replace=False)
+        absent = 10 * n + rng.choice(50, size=int(rng.integers(1, 6)), replace=False)
+        q_ids = rng.permutation(np.concatenate([present, absent]))
+        q_bits = np.concatenate([bits, rng.integers(0, 2, size=(len(q_ids), k), dtype=np.uint8)])
+        q_bits = q_bits[rng.integers(0, len(q_bits), len(q_ids))]
+        q_labels = rng.choice(LEAVES, size=len(q_ids))
+        queries = build_index([pack_bits(row) for row in q_bits], q_ids, q_labels)
+        block_of(per_block, n, len(q_ids))
+        k_max = int(rng.integers(1, n + (len(present) == 0)))
+        got = evaluate(index, queries, WORDNET_LIKE, k_max, per_query=True)
+        want = bf_evaluate(hamming_dists(bits, q_bits), ids, labels, q_ids, q_labels,
+                           wordnet_relevance, k_max)
+        assert_same_report(got, want, "hamming")
+
+    def test_absent_query_ranks_every_item(self, five_node_tax):
+        t = five_node_tax
+        a1, a2, b1 = (t.node_id(n) for n in ("a1", "a2", "b1"))
+        index = build_index([pack_bits([0]), pack_bits([1]), pack_bits([1])], [4, 5, 6], [a1, a2, b1])
+        queries = build_index([pack_bits([1])], [9], [a1])
+        report = evaluate(index, queries, t, k_max=3, per_query=True)
+        assert report.per_query[0][1] == pytest.approx(1.0 / 3.0)  # a1 ranks last

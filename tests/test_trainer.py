@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semhash.trainer as trainer_mod
 from oracles import bf_adam
@@ -105,6 +109,26 @@ class TestAdamStep:
         np.testing.assert_array_equal(state.m[0], np.zeros(2))
 
 
+CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
+CONFIG_VALUES = [
+    "", "0", "1", "-1", "2", "8", "1.5", "1e-3", "0.9", "1e400", "-0.0", "nan", "inf",
+    "-inf", "1_000", "0x10", "9" * 5000, "shred", "shrewd", "16,8", "4,,2", "4,-1", " 3 ",
+    "\u0663", "=", "#", "x",
+]
+# one config line: a known or arbitrary key with a tricky or arbitrary value,
+# a comment, or arbitrary text
+CONFIG_LINE = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=8),
+        st.sampled_from(["=", "= ", " = ", ":"]),
+        st.sampled_from(CONFIG_VALUES) | st.text(max_size=12),
+    ),
+    st.sampled_from(["", "# comment", "   "]),
+    st.text(max_size=20),
+)
+
+
 class TestConfig:
     def test_roundtrip_through_text(self):
         cfg = TrainConfig(code_length=8, hidden_sizes=(32, 16), lambda2=0.0, variant="shrewd",
@@ -131,6 +155,16 @@ class TestConfig:
     def test_hidden_sizes_floor(self, hidden):
         with pytest.raises(ConfigError, match="hidden sizes"):
             TrainConfig(hidden_sizes=hidden)
+
+    @given(text=st.lists(CONFIG_LINE, max_size=8).map("\n".join))
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_text_gives_a_config_or_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, TrainConfig)
+        assert parse_config(format_config(cfg)) == cfg
 
     def test_apply_variant_forces_lambda2(self):
         cfg = TrainConfig()
