@@ -148,8 +148,12 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
     if features.ndim != 2:
         raise ShapeMismatch(f"features must be 2-D, got shape {features.shape}")
     n, d = features.shape
-    header = FEATURES_MAGIC + struct.pack("<III", FEATURES_VERSION, n, d)
-    write_atomic(path, header + np.ascontiguousarray(features, dtype="<f4").tobytes())
+    write_atomic(
+        path,
+        FEATURES_MAGIC,
+        struct.pack("<III", FEATURES_VERSION, n, d),
+        np.ascontiguousarray(features, dtype="<f4"),
+    )
 
 
 def read_features(path: str | Path) -> np.ndarray:

@@ -168,8 +168,8 @@ def _rank(dists: np.ndarray) -> np.ndarray:
     Overwrites ``dists`` (int64 or float64) with the order, returned as an
     int64 view of it.  Integer distances become the unique key
     ``distance * N + column``, which is sorted.  Float distances are
-    argsorted; if the block holds an exact tie, the unique key
-    ``tie run * N + column`` is built and sorted instead.
+    argsorted, then the unique key ``tie run * N + column`` is sorted, which
+    puts the columns of equal distances in order.  A NaN ranks last.
     """
     n = dists.shape[1]
     if dists.dtype.kind == "i":
@@ -181,10 +181,7 @@ def _rank(dists: np.ndarray) -> np.ndarray:
         dists.sort()
         new_run = dists[:, 1:] != dists[:, :-1]
         key = dists.view(np.int64)  # the sorted distances are no longer needed
-        if new_run.all():
-            key[...] = order
-            return key
-        key[:, 0] = 0
+        key[:, :1] = 0  # a row may be empty
         np.cumsum(new_run, axis=1, out=key[:, 1:])
         key *= n
         key += order
@@ -222,8 +219,12 @@ def save_index(path: str | Path, index: HashIndex) -> None:
     records["id"] = index.ids
     records["label"] = index.labels
     records["words"] = index.words
-    header = INDEX_MAGIC + struct.pack("<III", INDEX_VERSION, index.code_length, len(index))
-    write_atomic(path, header + records.tobytes())
+    write_atomic(
+        path,
+        INDEX_MAGIC,
+        struct.pack("<III", INDEX_VERSION, index.code_length, len(index)),
+        records,
+    )
 
 
 def load_index(path: str | Path) -> HashIndex:

@@ -213,17 +213,22 @@ def read_text(path: str | Path) -> str:
         raise MalformedFile(f"{path}: not UTF-8 text") from None
 
 
-def write_atomic(path: str | Path, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (text as UTF-8) without a partial file.
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Replace ``path`` with ``chunks`` written in turn, without a partial file.
 
-    The data goes to a temporary file beside ``path`` that ``os.replace`` then
-    renames over it, so an interrupted write leaves the previous file whole.
+    Each chunk is text (written as UTF-8) or a bytes-like object such as a
+    contiguous array, written as is without a copy.  The chunks go to a
+    temporary file beside ``path`` that ``os.replace`` then renames over it,
+    so an interrupted write leaves the previous file whole.  The new file has
+    the default permissions, and a symlink at ``path`` is replaced, not
+    written through.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

@@ -165,8 +165,10 @@ def _score(
     ``distances(rows)`` gives the distances from the queries in ``rows`` to
     every item, one row per query.  Ids are unique on each side, so a query
     that is also an item has one candidate fewer: itself.  Its own entry gets
-    the ``sentinel`` distance, which ranks after every other item, and is
-    dropped.
+    the ``sentinel`` distance, above every finite distance, so it ranks after
+    every other item and is dropped.  In a block that holds an inf distance
+    (an overflowed Manhattan sum) it gets NaN instead, which ranks after inf;
+    NaN is not always used because it slows the float argsort.
     """
     n_queries, n_items = len(query_ids), len(item_ids)
     if n_queries == 0:
@@ -210,7 +212,7 @@ def _score(
         rows = slice(start, start + block)
         dists = distances(rows)[:, by_id]
         mine = np.flatnonzero(has_own[rows])
-        dists[mine, own_col[rows][mine]] = sentinel
+        dists[mine, own_col[rows][mine]] = math.nan if np.isinf(dists).any() else sentinel
         ranked_rows = item_rows[_rank(dists)]
         q_rows = query_rows[rows, None]
         got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
@@ -275,11 +277,8 @@ def evaluate_embeddings(
     labels_arr = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
-    # twice the largest row norm bounds every distance, so no distance is inf
-    with np.errstate(over="ignore"):
-        bounded = np.isfinite(2 * np.abs(values).sum(axis=1)).all()
-    if not bounded:
-        raise NonFiniteInput("embeddings contain NaN or inf, or overflow Manhattan distances")
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("embeddings contain NaN or inf")
     _check_unique_ids(ids)
     diff = np.empty_like(values)
 

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash.metrics as metrics_mod
-from semhash.errors import KTooLarge, NoRelevantItems, NonFiniteInput, ShapeMismatch
+from semhash.errors import (
+    KTooLarge,
+    LengthMismatch,
+    NoRelevantItems,
+    NonFiniteInput,
+    ShapeMismatch,
+)
 from semhash.hashing import build_index, pack_bits
 from semhash.metrics import (
     MetricsReport,
@@ -15,7 +21,9 @@ from semhash.metrics import (
     average_precision,
     evaluate,
     evaluate_embeddings,
+    hamming_ranking,
     hp_at_k,
+    manhattan_ranking,
     relevance,
 )
 
@@ -250,8 +258,7 @@ class TestEvaluateEmbeddings:
         with pytest.raises(ShapeMismatch):
             evaluate_embeddings(np.zeros((3, 2)), [0, 0, 1], [a1] * 3, t, k_max=1)
 
-    # 1e308 is finite, but its distance to 0 doubled is not
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, five_node_tax, bad):
         t = five_node_tax
         values = np.zeros((3, 2))
@@ -398,6 +405,20 @@ class TestBlockedScorer:
                            wordnet_relevance, k_max)
         assert_same_report(got, want, "hamming")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflowing_distances_match_oracle(self, seed):
+        # finite values whose distances overflow to inf and tie there
+        rng = np.random.default_rng(seed)
+        n = 14
+        values = rng.choice([-1e308, 0.0, 1e308], size=(n, 2))
+        ids = rng.permutation(3 * n)[:n]
+        labels = rng.choice(LEAVES, size=n)
+        with np.errstate(over="ignore"):
+            got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, n - 1, per_query=True)
+            want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                               ids, labels, wordnet_relevance, n - 1)
+        assert_same_report(got, want, "manhattan")
+
     def test_absent_query_ranks_every_item(self, five_node_tax):
         t = five_node_tax
         a1, a2, b1 = (t.node_id(n) for n in ("a1", "a2", "b1"))
@@ -405,3 +426,44 @@ class TestBlockedScorer:
         queries = build_index([pack_bits([1])], [9], [a1])
         report = evaluate(index, queries, t, k_max=3, per_query=True)
         assert report.per_query[0][1] == pytest.approx(1.0 / 3.0)  # a1 ranks last
+
+
+def lexsort_ranking(dists, ids, exclude_id):
+    order = np.lexsort((ids, dists))
+    return order[ids[order] != exclude_id].tolist()
+
+
+class TestRankingHelpers:
+    """One-query rankings: positions by (distance, id), the excluded id dropped."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), k=st.sampled_from([1, 64, 70]))
+    @settings(max_examples=100, deadline=None)
+    def test_hamming_ranking_matches_lexsort(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+        bits = bits[rng.integers(0, n, n)]  # repeated codes: distance ties
+        ids = rng.permutation(3 * n)[:n]
+        index = build_index([pack_bits(row) for row in bits], ids, np.zeros(n, dtype=np.int64))
+        q_bits = rng.integers(0, 2, size=k)
+        exclude = [None, int(ids[rng.integers(0, n)]), 3 * n][int(rng.integers(0, 3))]
+        dists = np.array([bf_hamming(row, q_bits) for row in bits])
+        words = np.array(pack_bits(q_bits).words, dtype=np.uint64)
+        got = hamming_ranking(index, words, exclude_id=exclude)
+        assert got.tolist() == lexsort_ranking(dists, ids, exclude)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_manhattan_ranking_matches_lexsort(self, seed, n):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 3, size=(n, 3)) * 0.25  # grid values: exact ties
+        ids = rng.permutation(3 * n)[:n]
+        q = rng.integers(0, 3, size=3) * 0.25
+        exclude = [None, int(ids[rng.integers(0, n)]), 3 * n][int(rng.integers(0, 3))]
+        dists = np.abs(values - q).sum(axis=1)
+        got = manhattan_ranking(values, ids, q, exclude_id=exclude)
+        assert got.tolist() == lexsort_ranking(dists, ids, exclude)
+
+    def test_hamming_ranking_rejects_a_block_of_codes(self):
+        index = build_index([pack_bits([0, 1]), pack_bits([1, 1])], [0, 1], [0, 0])
+        with pytest.raises(LengthMismatch):
+            hamming_ranking(index, index.words)
