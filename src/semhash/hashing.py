@@ -61,22 +61,19 @@ class HashCode:
             raise ShapeMismatch("padding bits above the code length must be zero")
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The B x W little-endian ``uint64`` words of a B x K bit matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    padded = np.zeros((bits.shape[0], _n_words(bits.shape[1]) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8")
+
+
 def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size < 1:
         raise ShapeMismatch("bits must be a non-empty 1-D sequence")
-    k = bits.size
-    packed = np.packbits(bits, bitorder="little")
-    padded = np.zeros(_n_words(k) * 8, dtype=np.uint8)
-    padded[: packed.size] = packed
-    words = np.frombuffer(padded.tobytes(), dtype="<u8")
-    return HashCode(words=tuple(int(w) for w in words), code_length=k)
-
-
-def unpack_bits(code: HashCode) -> np.ndarray:
-    raw = np.array(code.words, dtype="<u8").tobytes()
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[: code.code_length]
+    return HashCode(words=tuple(_pack(bits[None, :])[0].tolist()), code_length=bits.size)
 
 
 def binarize(z, threshold: float = 0.5) -> list[HashCode]:
@@ -86,8 +83,8 @@ def binarize(z, threshold: float = 0.5) -> list[HashCode]:
     values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
-    bits = (values >= threshold).astype(np.uint8)
-    return [pack_bits(row) for row in bits]
+    words = _pack(values >= threshold)
+    return [HashCode(words=tuple(row), code_length=values.shape[1]) for row in words.tolist()]
 
 
 def hamming(a: HashCode, b: HashCode) -> int:
@@ -155,39 +152,14 @@ def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
 
     ``words`` is one code as a row of W packed ``uint64`` words (the result
     has N entries) or a block of b codes as a b x W array (the result is b x N).
+    The distances are of the smallest unsigned type that holds ``K + 1``, so
+    a caller can mark an entry with the out-of-range distance ``K + 1``.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim not in (1, 2) or words.shape[-1:] != index.words.shape[1:]:
         raise LengthMismatch(f"query words {words.shape} != index rows {index.words.shape[1:]}")
-    return np.bitwise_count(index.words ^ words[..., None, :]).sum(axis=-1, dtype=np.int64)
-
-
-def _rank(dists: np.ndarray) -> np.ndarray:
-    """Column order of each row of a b x N distance block, by (distance, column).
-
-    Overwrites ``dists`` (int64 or float64) with the order, returned as an
-    int64 view of it.  Integer distances become the unique key
-    ``distance * N + column``, which is sorted.  Float distances are
-    argsorted, then the unique key ``tie run * N + column`` is sorted, which
-    puts the columns of equal distances in order.  A NaN ranks last.
-    """
-    n = dists.shape[1]
-    if dists.dtype.kind == "i":
-        key = dists
-        key *= n
-        key += np.arange(n)
-    else:
-        order = np.argsort(dists)
-        dists.sort()
-        new_run = dists[:, 1:] != dists[:, :-1]
-        key = dists.view(np.int64)  # the sorted distances are no longer needed
-        key[:, :1] = 0  # a row may be empty
-        np.cumsum(new_run, axis=1, out=key[:, 1:])
-        key *= n
-        key += order
-    key.sort()
-    key %= n
-    return key
+    dtype = np.min_scalar_type(index.code_length + 1)
+    return np.bitwise_count(index.words ^ words[..., None, :]).sum(axis=-1, dtype=dtype)
 
 
 def _rank_by_id(dists: np.ndarray, ids: np.ndarray, exclude_id: Optional[int] = None) -> np.ndarray:
@@ -195,7 +167,7 @@ def _rank_by_id(dists: np.ndarray, ids: np.ndarray, exclude_id: Optional[int] = 
     by_id = np.argsort(ids, kind="stable")
     if exclude_id is not None:
         by_id = by_id[ids[by_id] != exclude_id]
-    return by_id[_rank(dists[by_id][None, :])[0]]
+    return by_id[np.argsort(dists[by_id], kind="stable")]
 
 
 def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
@@ -247,6 +219,8 @@ def load_index(path: str | Path) -> HashIndex:
             f"{path}: expected {expected} bytes, found {len(raw)} (offset {header})"
         )
     records = np.frombuffer(raw, dtype=entry, offset=header)
+    if np.any(records["id"] >= 2**63):
+        raise MalformedFile(f"{path}: sample id {records['id'].max()} is not below 2**63")
     return HashIndex(
         words=records["words"].reshape(count, w),
         ids=records["id"].astype(np.int64),

@@ -196,15 +196,6 @@ def parse_taxonomy(text: str) -> Taxonomy:
     return Taxonomy([TaxonomyNode(i, name, parent_of.get(i)) for i, name in enumerate(ids)])
 
 
-def serialize_taxonomy(t: Taxonomy) -> str:
-    """Edge-list text that reparses to the same tree (ids may be relabeled)."""
-    lines = []
-    for node in t.nodes:
-        if node.parent is not None:
-            lines.append(f"{t.nodes[node.parent].name} {node.name}")
-    return "\n".join(lines) + "\n"
-
-
 def read_text(path: str | Path) -> str:
     """Contents of a UTF-8 text input file; ``MalformedFile`` if not UTF-8."""
     try:

@@ -17,11 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
-from .hashing import HashIndex, _check_unique_ids, _rank, _rank_by_id, hamming_to_all
+from .hashing import HashIndex, _check_unique_ids, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
 
-# bytes of one block's b x N distance rows; eval's working set is about two
-# such blocks
+# bytes of one block's b x N int64 rank rows; eval's working set is at most
+# three such blocks
 _BLOCK_BYTES = 1 << 20
 
 
@@ -165,10 +165,9 @@ def _score(
     ``distances(rows)`` gives the distances from the queries in ``rows`` to
     every item, one row per query.  Ids are unique on each side, so a query
     that is also an item has one candidate fewer: itself.  Its own entry gets
-    the ``sentinel`` distance, above every finite distance, so it ranks after
-    every other item and is dropped.  In a block that holds an inf distance
-    (an overflowed Manhattan sum) it gets NaN instead, which ranks after inf;
-    NaN is not always used because it slows the float argsort.
+    the ``sentinel`` distance, which a stable sort puts after every distance
+    (``K + 1`` for Hamming, NaN for Manhattan, after even an overflowed inf
+    sum), so it ranks last and is dropped.
     """
     n_queries, n_items = len(query_ids), len(item_ids)
     if n_queries == 0:
@@ -212,8 +211,8 @@ def _score(
         rows = slice(start, start + block)
         dists = distances(rows)[:, by_id]
         mine = np.flatnonzero(has_own[rows])
-        dists[mine, own_col[rows][mine]] = math.nan if np.isinf(dists).any() else sentinel
-        ranked_rows = item_rows[_rank(dists)]
+        dists[mine, own_col[rows][mine]] = sentinel
+        ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
         q_rows = query_rows[rows, None]
         got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
         hp_rows[rows] = _hp(got, ideal[ideal_of_query[rows]])
@@ -292,5 +291,5 @@ def evaluate_embeddings(
         return out
 
     return _score(
-        distances, math.inf, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan"
+        distances, math.nan, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan"
     )

@@ -17,6 +17,12 @@ def bf_hamming(bits_a, bits_b) -> int:
     return sum(1 for x, y in zip(bits_a, bits_b) if x != y)
 
 
+def unpack_bits(code) -> np.ndarray:
+    """The code_length bits of a packed code, bit j from bit j % 64 of word j // 64."""
+    bits = [(code.words[j // 64] >> (j % 64)) & 1 for j in range(code.code_length)]
+    return np.array(bits, dtype=np.uint8)
+
+
 def bf_topk(db_bits, ids, query_bits, k):
     """Naive sort by (per-bit hamming distance, id)."""
     scored = sorted(
@@ -86,6 +92,15 @@ def bf_parse_taxonomy(text):
     depth = {name: len(ancestors[name]) for name in names}
     leaves = {name for name in names if name not in parent_of.values()}
     return roots[0], max(depth.values()), leaves, depth
+
+
+def serialize_taxonomy(t) -> str:
+    """Edge-list text that reparses to the same tree (ids may be relabeled)."""
+    lines = []
+    for node in t.nodes:
+        if node.parent is not None:
+            lines.append(f"{t.nodes[node.parent].name} {node.name}")
+    return "\n".join(lines) + "\n"
 
 
 def bf_best_k_sum(values, k) -> float:

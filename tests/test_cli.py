@@ -266,6 +266,19 @@ def test_eval_rejects_index_with_duplicate_ids(workdir, capsys):
     assert not (workdir / "dup.report.json").exists()
 
 
+def test_query_rejects_index_id_not_below_2_to_the_63(workdir, capsys):
+    # one entry with id 2**64 - 1, which a signed id would read as -1
+    raw = b"SHRI" + struct.pack("<III", 1, 1, 1) + struct.pack("<QIQ", 2**64 - 1, 3, 1)
+    (workdir / "big.index").write_bytes(raw)
+    rc = main(["query", "--index", str(workdir / "big.index"), "--query-id", "-1"])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "big.index" in err[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("code_length", "1.5"),
     ("learning_rate", "nan"),

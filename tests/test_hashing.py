@@ -15,7 +15,6 @@ from semhash.errors import (
 from semhash.hashing import (
     HashCode,
     HashIndex,
-    _rank,
     binarize,
     build_index,
     hamming,
@@ -24,10 +23,9 @@ from semhash.hashing import (
     pack_bits,
     query_topk,
     save_index,
-    unpack_bits,
 )
 
-from oracles import bf_hamming, bf_topk
+from oracles import bf_hamming, bf_topk, unpack_bits
 
 
 def random_codes(rng, n, k):
@@ -172,29 +170,17 @@ class TestHammingToAll:
         for row, words in zip(got, block):
             assert row.tolist() == hamming_to_all(idx, words).tolist()
 
-
-class TestRank:
-    """The row ranker orders every row by (distance, column), like np.lexsort."""
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rows=st.integers(1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_integer_rows_match_lexsort(self, seed, n, rows):
-        rng = np.random.default_rng(seed)
-        dists = rng.integers(0, int(rng.integers(1, 6)), size=(rows, n))
-        want = [np.lexsort((np.arange(n), row)).tolist() for row in dists]
-        assert _rank(dists).tolist() == want
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rows=st.integers(1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_float_rows_with_ties_match_lexsort(self, seed, n, rows):
-        rng = np.random.default_rng(seed)
-        # few distinct values, inf among them: most rows hold exact ties
-        levels = np.array([0.0, 0.25, 1.0 / 3.0, 2.5, np.inf])[: int(rng.integers(1, 6))]
-        dists = rng.choice(levels, size=(rows, n))
-        fresh = rng.random((rows, n)) < rng.random()  # distinct values, some rows untied
-        dists[fresh] = rng.random(int(fresh.sum()))
-        want = [np.lexsort((np.arange(n), row)).tolist() for row in dists]
-        assert _rank(dists).tolist() == want
+    @pytest.mark.parametrize("k", [1, 64, 65, 254, 255, 300])
+    def test_narrow_dtype_holds_k_plus_one(self, k):
+        rng = np.random.default_rng(k)
+        codes, bits = random_codes(rng, 6, k)
+        codes.append(pack_bits(1 - bits[0]))  # at distance K from the first code
+        bits = np.vstack([bits, 1 - bits[0]])
+        idx = build_index(codes, np.arange(7), np.zeros(7, dtype=int))
+        got = hamming_to_all(idx, idx.words[:2])
+        assert got.dtype.kind == "u" and np.iinfo(got.dtype).max >= k + 1
+        assert got[0, -1] == k
+        assert got.tolist() == [[bf_hamming(row, q) for row in bits] for q in bits[:2]]
 
 
 class TestIndexFile:
@@ -246,6 +232,14 @@ class TestIndexFile:
         assert idx.ids.tolist() == [5]
         assert idx.labels.tolist() == [3]
         assert unpack_bits(idx.codes()[0]).tolist() == [1, 0, 1, 0]
+
+    def test_id_not_below_2_to_the_63_is_malformed(self, tmp_path):
+        # one entry whose u64 id would wrap to -1 as a signed id
+        raw = b"SHRI" + struct.pack("<III", 1, 4, 1) + struct.pack("<QI", 2**64 - 1, 3) + struct.pack("<Q", 5)
+        path = tmp_path / "big.index"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedFile, match="big.index"):
+            load_index(path)
 
 
 def test_build_index_rejects_mixed_lengths():

@@ -20,11 +20,10 @@ from semhash.hierarchy import (
     lca,
     parse_taxonomy,
     semantic_distance,
-    serialize_taxonomy,
 )
 
 from conftest import random_taxonomy, taxonomy_from_parents, tree_parent_lists
-from oracles import bf_lca, bf_parse_taxonomy
+from oracles import bf_lca, bf_parse_taxonomy, serialize_taxonomy
 
 
 class TestParse:

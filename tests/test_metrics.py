@@ -329,11 +329,13 @@ def assert_same_report(got, fields, ranking):
 def kernel_case(seed, code_length):
     """Random ids, labels and codes, with repeated codes so distances tie.
 
+    The pool holds each code's complement, so the largest distance, K, occurs.
     The item count is never a multiple of 3, so 3-query blocks are ragged.
     """
     rng = np.random.default_rng(seed)
     n = 3 * int(rng.integers(1, 9)) + 1 + seed % 2
     pool = rng.integers(0, 2, size=(int(rng.integers(1, n)), code_length), dtype=np.uint8)
+    pool = np.concatenate([pool, 1 - pool])
     bits = pool[rng.integers(0, len(pool), n)]
     ids = rng.permutation(rng.choice(10 * n, size=n, replace=False))
     labels = rng.choice(LEAVES, size=n)
@@ -347,7 +349,7 @@ def hamming_dists(item_bits, query_bits):
 KERNEL_CASES = [
     (seed, k, per_block)
     for seed in range(3)
-    for k in (1, 63, 64, 65, 130)
+    for k in (1, 63, 64, 65, 130, 254, 255)  # K + 1 needs uint16 from K = 255
     for per_block in (1, 3, None)
 ]
 
