@@ -8,6 +8,7 @@ output paths.  Exit codes: 0 success, 1 runtime error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -230,6 +231,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semhash",

@@ -7,6 +7,7 @@ feature-space distances correlate with semantic distances.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,6 +117,9 @@ def generate_synthetic(
     """
     if per_class < 1 or dim < 1:
         raise InvalidShapeParam("per_class and dim must be >= 1")
+    for name, value in (("diffusion", diffusion), ("noise", noise)):
+        if not math.isfinite(value):
+            raise InvalidShapeParam(f"{name} must be finite, got {value}")
     if diffusion <= 0 or noise < 0:
         raise InvalidShapeParam("diffusion must be > 0 and noise >= 0")
     leaves = t.leaves()

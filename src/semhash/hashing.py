@@ -24,7 +24,7 @@ from .errors import (
     VersionMismatch,
 )
 from .hierarchy import write_atomic
-from .model import EmbeddingBatch
+from .model import _embedding_values
 
 INDEX_MAGIC = b"SHRI"
 INDEX_VERSION = 1
@@ -80,7 +80,7 @@ def binarize(z, threshold: float = 0.5) -> list[HashCode]:
     """Threshold each embedding coordinate: bit = 1 iff value >= threshold."""
     if not math.isfinite(threshold):
         raise NonFiniteInput(f"threshold must be finite, got {threshold}")
-    values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
+    values = _embedding_values(z)
     if values.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
     words = _pack(values >= threshold)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
-from .model import ClassifierParams, EmbeddingBatch, classifier_forward
+from .model import ClassifierParams, _embedding_values, classifier_forward
 
 _NU_EPS = 1e-12  # distance clamp before logs; keeps duplicates finite
 
@@ -48,19 +48,6 @@ class LossValue:
     cls: float
     grad_z: np.ndarray
     grad_classifier: tuple[np.ndarray, np.ndarray]
-    lambda1: float
-    lambda2: float
-    sim_weight: float = 1.0
-
-    @property
-    def variant(self) -> str:
-        return "shred" if self.lambda2 > 0 else "shrewd"
-
-
-def _values(z) -> np.ndarray:
-    if isinstance(z, EmbeddingBatch):
-        return z.values
-    return np.asarray(z, dtype=np.float64)
 
 
 def pair_weight(d, cfg: SimLossConfig):
@@ -93,7 +80,7 @@ def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.nd
     where tau_z and tau_y are the off-diagonal batch means (floored).  tau_z
     depends on the embeddings and is differentiated through.
     """
-    zv = _values(z)
+    zv = _embedding_values(z)
     if zv.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {zv.shape}")
     b, _ = zv.shape
@@ -137,7 +124,7 @@ def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
     stay finite.  Neighbor assignments are treated as locally constant when
     differentiating.
     """
-    zv = _values(z)
+    zv = _embedding_values(z)
     tv = np.asarray(target, dtype=np.float64)
     if zv.ndim != 2 or tv.ndim != 2:
         raise ShapeMismatch("embeddings and target must be 2-D")
@@ -213,7 +200,7 @@ def total_loss(
     default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
     ``sim_weight=0`` supports head-only ablation runs.
     """
-    zv = _values(z)
+    zv = _embedding_values(z)
     sim_v, sim_g = sim_loss(zv, distances, cfg)
     kl_v, kl_g = kl_loss(zv, target)
     logits = classifier_forward(classifier, zv)
@@ -230,7 +217,4 @@ def total_loss(
         cls=cls_v,
         grad_z=grad_z,
         grad_classifier=(grad_w, grad_b),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        sim_weight=sim_weight,
     )

@@ -96,32 +96,24 @@ class EmbeddingBatch:
     """B x K embedding rows, every entry strictly inside (0, 1)."""
 
     values: np.ndarray
-    sample_ids: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ShapeMismatch(f"embeddings must be B x K with B >= 1, got {self.values.shape}")
-        if self.sample_ids.shape != (self.values.shape[0],):
-            raise ShapeMismatch("sample_ids length != batch size")
         if not np.all((self.values > 0.0) & (self.values < 1.0)):
             raise ShapeMismatch("embedding values must lie strictly inside (0, 1)")
 
-    @property
-    def batch_size(self) -> int:
-        return self.values.shape[0]
 
-    @property
-    def code_length(self) -> int:
-        return self.values.shape[1]
+def _embedding_values(z) -> np.ndarray:
+    """The float64 value matrix of an ``EmbeddingBatch`` or of an array-like."""
+    return z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
 
 
 @dataclass
 class ForwardCache:
     params: EncoderParams
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
 
@@ -153,9 +145,7 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIG_LO, _SIG_HI)
 
 
-def encoder_forward(
-    p: EncoderParams, x: np.ndarray, sample_ids: Optional[np.ndarray] = None
-) -> tuple[EmbeddingBatch, ForwardCache]:
+def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"input must be B x D, got shape {x.shape}")
@@ -163,20 +153,16 @@ def encoder_forward(
         raise ShapeMismatch(f"input dim {x.shape[1]} != encoder in-dim {p.in_dim}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("input contains non-finite values")
-    if sample_ids is None:
-        sample_ids = np.arange(x.shape[0], dtype=np.int64)
 
-    pre: list[np.ndarray] = []
     act: list[np.ndarray] = []
     a = x
     last = len(p.layers) - 1
     for i, (w, b) in enumerate(p.layers):
         s = a @ w.T + b
-        pre.append(s)
         a = _sigmoid(s) if i == last else np.maximum(s, 0.0)
         act.append(a)
-    batch = EmbeddingBatch(values=a, sample_ids=sample_ids)
-    cache = ForwardCache(params=p, inputs=x, pre_activations=pre, activations=act)
+    batch = EmbeddingBatch(values=a)
+    cache = ForwardCache(params=p, inputs=x, activations=act)
     return batch, cache
 
 
@@ -198,12 +184,13 @@ def encoder_backward(
         below = cache.inputs if i == 0 else cache.activations[i - 1]
         grads[i] = (delta.T @ below, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ w) * (cache.pre_activations[i - 1] > 0.0)
+            # a ReLU output is positive exactly where its input is
+            delta = (delta @ w) * (below > 0.0)
     return grads
 
 
 def classifier_forward(c: ClassifierParams, z) -> np.ndarray:
-    values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
+    values = _embedding_values(z)
     if values.ndim != 2 or values.shape[1] != c.code_length:
         raise ShapeMismatch(
             f"embeddings {values.shape} incompatible with classifier K={c.code_length}"

@@ -150,38 +150,35 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def zeros_like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     step_index: int,
     lr: float,
     beta1: float,
     beta2: float,
     eps: float,
-) -> tuple[list[np.ndarray], AdamState]:
+) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
     if step_index < 1:
         raise ConfigError(f"step index must be >= 1, got {step_index}")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params, grads and moments must have equal lengths")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / (1.0 - beta1**step_index)) / (np.sqrt(v / (1.0 - beta2**step_index)) + eps)
+    m, v = state.m, state.v
+    if not params.shape == grads.shape == m.shape == v.shape:
+        raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, m {m.shape}, v {v.shape}")
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    params -= lr * (m / (1.0 - beta1**step_index)) / (np.sqrt(v / (1.0 - beta2**step_index)) + eps)
     return params, state
 
 
@@ -229,7 +226,7 @@ def train(
     ends = np.cumsum([p.size for p in flat])
     views = [buf[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
-    adam = AdamState.zeros_like([buf])
+    adam = AdamState.zeros_like(buf)
     sim_cfg = config.sim_config()
     features = dataset.features.astype(np.float64)
 
@@ -242,7 +239,7 @@ def train(
             idx = perm[start : start + bsz]
             y = class_idx[idx]
             target = beta_sample(config.alpha, config.beta, (bsz, config.code_length), target_rng)
-            batch, cache = encoder_forward(encoder, features[idx], sample_ids=idx)
+            batch, cache = encoder_forward(encoder, features[idx])
             loss = total_loss(
                 batch,
                 dist[np.ix_(y, y)],
@@ -263,10 +260,10 @@ def train(
             grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z) for g in pair]
             grads.extend(g.ravel() for g in loss.grad_classifier)
             params, adam = adam_step(
-                [buf], [np.concatenate(grads)], adam, step,
+                buf, np.concatenate(grads), adam, step,
                 config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
             )
-            if not np.isfinite(params[0]).all():
+            if not np.isfinite(params).all():
                 raise DivergedLoss(f"step {step}: parameters became non-finite")
             log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
 

@@ -183,6 +183,82 @@ def bf_adam(params, grads, m, v, t, lr, beta1, beta2, eps):
     return new_p, new_m, new_v
 
 
+def bf_encoder_forward(layers, x):
+    """ReLU hidden layers and a logistic output clamped into (0, 1), on fresh arrays.
+
+    ``layers`` is [(weights out x in, biases)].  Returns (z, pre-activations,
+    activations), one entry per layer in the last two.
+    """
+    pre, act = [], []
+    a = x
+    for i, (w, b) in enumerate(layers):
+        s = a @ w.T + b
+        if i < len(layers) - 1:
+            a = np.maximum(s, 0.0)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = np.where(s >= 0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
+            a = np.clip(a, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
+        pre.append(s)
+        act.append(a)
+    return a, pre, act
+
+
+def bf_encoder_backward(layers, x, pre, act, grad_z):
+    """Per-layer (weights, biases) gradients of sum(grad_z * z).
+
+    The ReLU derivative is taken from the pre-activations: 1 where s > 0,
+    else 0.
+    """
+    grads = []
+    delta = grad_z * act[-1] * (1.0 - act[-1])
+    for i in reversed(range(len(layers))):
+        below = x if i == 0 else act[i - 1]
+        grads.insert(0, (delta.T @ below, delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ layers[i][0]) * (pre[i - 1] > 0.0)
+    return grads
+
+
+def bf_train(layers, head, features, class_idx, dist, batch_size, epochs, perm, target, loss,
+             adam):
+    """Minibatch training as a straight-line loop over separate, fresh arrays.
+
+    ``layers`` is the encoder's [(weights, biases)] and ``head`` the
+    classifier's (weights, biases); neither is written.  Each epoch walks
+    ``perm(n)`` in batches, dropping the ragged end.  Each step draws
+    ``target((batch_size, K))``, takes the batch's distances with ``np.ix_``,
+    calls ``loss(z, distances, y, head_w, head_b, target)`` for
+    (total, sim, kl, cls, grad_z, grad_head_w, grad_head_b), backpropagates
+    with ``bf_encoder_backward`` and moves every array with ``bf_adam`` under
+    ``adam`` = (lr, beta1, beta2, eps).  Returns (layers, head, records), a
+    record being (step, sim, kl, cls, total).
+    """
+    params = [a.copy() for pair in layers for a in pair] + [a.copy() for a in head]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    n_layers = len(layers)
+    records = []
+    step = 0
+    for _ in range(epochs):
+        order = perm(features.shape[0])
+        for start in range(0, features.shape[0] - batch_size + 1, batch_size):
+            idx = order[start : start + batch_size]
+            x, y = features[idx], class_idx[idx]
+            t = target((batch_size, head[0].shape[1]))
+            pairs = [(params[2 * i], params[2 * i + 1]) for i in range(n_layers)]
+            z, pre, act = bf_encoder_forward(pairs, x)
+            total, sim, kl, cls, grad_z, grad_w, grad_b = loss(
+                z, dist[np.ix_(y, y)], y, params[-2], params[-1], t
+            )
+            step += 1
+            grads = [g for pair in bf_encoder_backward(pairs, x, pre, act, grad_z) for g in pair]
+            params, m, v = bf_adam(params, grads + [grad_w, grad_b], m, v, step, *adam)
+            records.append((step, sim, kl, cls, total))
+    pairs = [(params[2 * i], params[2 * i + 1]) for i in range(n_layers)]
+    return pairs, (params[-2], params[-1]), records
+
+
 def spearman(x, y) -> float:
     """Rank correlation via average ranks and Pearson on the ranks."""
     def ranks(v):

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,35 @@ def test_non_finite_threshold_is_one_error_line(workdir, capsys, threshold):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: threshold must be finite")
     assert not any(workdir.glob("t.*"))
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--diffusion"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_data_non_finite_spread_is_one_error_line(workdir, capsys, flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "gen-data", "--taxonomy", str(workdir / "tax.txt"), "--per-class", "2",
+            "--dim", "3", "--seed", "1", "--out", str(workdir / "g"), flag, value,
+        ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"error: {flag[2:]} must be finite, got {value}"]
+    assert "RuntimeWarning" not in err and not caught
+    assert not any(workdir.glob("g.*"))
+
+
+def test_each_command_line_gets_its_own_defaults(workdir, capsys):
+    # the parser is built once per process; an option given on one command
+    # line must not carry over to the next
+    run_pipeline(workdir)
+    index = str(workdir / "run.index")
+    capsys.readouterr()
+    assert main(["query", "--index", index, "--query-id", "0", "--k", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["query", "--index", index, "--query-id", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert cli_mod.build_parser() is cli_mod.build_parser()
 
 
 # a valid command line for every command, relative to a copy of the fuzz

@@ -116,6 +116,10 @@ class TestGenerateSynthetic:
             generate_synthetic(five_node_tax, 2, 4, 0.0, 0.1, rng)
         with pytest.raises(InvalidShapeParam):
             generate_synthetic(five_node_tax, 2, 4, 1.0, -0.1, rng)
+        for diffusion, noise, name in ((1.0, np.nan, "noise"), (1.0, np.inf, "noise"),
+                                       (np.nan, 0.1, "diffusion"), (np.inf, 0.1, "diffusion")):
+            with pytest.raises(InvalidShapeParam, match=f"{name} must be finite"):
+                generate_synthetic(five_node_tax, 2, 4, diffusion, noise, rng)
 
 
 class TestDatasetFiles:

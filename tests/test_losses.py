@@ -261,12 +261,6 @@ class TestTotalLoss:
         assert lv.total == sim_loss(z, d, cfg)[0]
         assert not lv.grad_classifier[0].any()
 
-    def test_variant_flags(self):
-        z, d, labels, clf, target = self._inputs()
-        cfg = SimLossConfig()
-        assert total_loss(z, d, labels, clf, target, 1.0, 0.0, cfg).variant == "shrewd"
-        assert total_loss(z, d, labels, clf, target, 1.0, 0.5, cfg).variant == "shred"
-
     def test_total_is_exact_weighted_sum(self):
         for seed in range(5):
             z, d, labels, clf, target = self._inputs(seed)

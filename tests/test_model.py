@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bf_encoder_backward, bf_encoder_forward
 from semhash.data import RngState
 from semhash.errors import (
     MalformedFile,
@@ -140,6 +141,28 @@ class TestEncoderBackward:
 
         report = gradient_check(loss_fn, flat)
         assert report.max_rel_error < 1e-4
+
+    def test_matches_oracle_where_pre_activations_are_exactly_zero(self):
+        # integer inputs and weights make many hidden pre-activations exactly
+        # 0; the ReLU mask read from the activations must agree bit for bit
+        # with the oracle's, read from the pre-activations
+        gen = np.random.default_rng(12)
+        layers = [
+            (gen.integers(-2, 3, size=(n_out, n_in)).astype(float),
+             gen.integers(-1, 2, size=n_out).astype(float))
+            for n_in, n_out in ((5, 7), (7, 6), (6, 4))
+        ]
+        p = EncoderParams(layers=layers, code_length=4)
+        x = gen.integers(-2, 3, size=(9, 5)).astype(float)
+        grad_z = gen.normal(size=(9, 4))
+        z, cache = encoder_forward(p, x)
+        want_z, pre, act = bf_encoder_forward(layers, x)
+        assert all((s == 0.0).any() and (s < 0.0).any() for s in pre[:-1])
+        np.testing.assert_array_equal(z.values, want_z)
+        got = encoder_backward(p, cache, grad_z)
+        for got_pair, want_pair in zip(got, bf_encoder_backward(layers, x, pre, act, grad_z)):
+            for g, w in zip(got_pair, want_pair):
+                np.testing.assert_array_equal(g, w)
 
     def test_stale_cache(self):
         p1, p2 = make_encoder(1), make_encoder(2)

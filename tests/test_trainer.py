@@ -6,11 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash.trainer as trainer_mod
-from oracles import bf_adam
+from oracles import bf_adam, bf_train
 from semhash.benchmark import balanced_taxonomy
-from semhash.data import RngState, generate_synthetic
+from semhash.data import RngState, beta_sample, generate_synthetic
 from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch
-from semhash.model import checkpoint_bytes
+from semhash.hierarchy import distance_matrix
+from semhash.losses import total_loss
+from semhash.model import (
+    ClassifierParams,
+    EncoderParams,
+    checkpoint_bytes,
+    init_classifier,
+    init_encoder,
+)
 from semhash.trainer import (
     AdamState,
     TrainConfig,
@@ -26,31 +34,31 @@ class TestAdamStep:
     def test_first_step_closed_form(self):
         g = np.array([0.3, -2.0, 1e-4])
         p = np.zeros(3)
-        state = AdamState.zeros_like([p])
+        state = AdamState.zeros_like(p)
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        (new_p,), _ = adam_step([p], [g], state, 1, lr, b1, b2, eps)
+        new_p, _ = adam_step(p, g, state, 1, lr, b1, b2, eps)
         # bias correction makes m_hat = g and v_hat = g^2 at step one
         expected = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(new_p, expected, rtol=1e-12)
 
     def test_zero_gradient_keeps_params_and_decays_moments(self):
         p = np.array([1.0, -2.0])
-        state = AdamState(m=[np.array([0.5, 0.5])], v=[np.array([0.25, 0.25])])
-        (new_p,), new_state = adam_step([p], [np.zeros(2)], state, 3, 0.0, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(new_p, p)  # lr 0 isolates the moment update
-        np.testing.assert_allclose(new_state.m[0], 0.9 * 0.5)
-        np.testing.assert_allclose(new_state.v[0], 0.999 * 0.25)
-        fresh = AdamState.zeros_like([p])
-        (same_p,), _ = adam_step([p], [np.zeros(2)], fresh, 1, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(same_p, p)
+        state = AdamState(m=np.array([0.5, 0.5]), v=np.array([0.25, 0.25]))
+        new_p, new_state = adam_step(p, np.zeros(2), state, 3, 0.0, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(new_p, [1.0, -2.0])  # lr 0 isolates the moment update
+        np.testing.assert_allclose(new_state.m, 0.9 * 0.5)
+        np.testing.assert_allclose(new_state.v, 0.999 * 0.25)
+        fresh = AdamState.zeros_like(p)
+        same_p, _ = adam_step(p, np.zeros(2), fresh, 1, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(same_p, [1.0, -2.0])
 
     def test_three_step_scalar_trace_matches_hand_unroll(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         grads = [0.4, -0.2, 0.1]
         p = np.array([0.5])
-        state = AdamState.zeros_like([p])
+        state = AdamState.zeros_like(p)
         for t, g in enumerate(grads, start=1):
-            (p,), state = adam_step([p], [np.array([g])], state, t, lr, b1, b2, eps)
+            p, state = adam_step(p, np.array([g]), state, t, lr, b1, b2, eps)
         # independent unroll of the recurrence
         theta, m, v = 0.5, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
@@ -60,14 +68,23 @@ class TestAdamStep:
         assert p[0] == pytest.approx(theta, rel=1e-14)
 
     def test_shape_mismatch(self):
-        state = AdamState.zeros_like([np.zeros(2)])
+        state = AdamState.zeros_like(np.zeros(2))
         with pytest.raises(ShapeMismatch):
-            adam_step([np.zeros(2)], [np.zeros(3)], state, 1, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(np.zeros(2), np.zeros(3), state, 1, 1e-3, 0.9, 0.999, 1e-8)
+
+    def test_step_index_below_one_rejected(self):
+        p = np.ones(2)
+        state = AdamState.zeros_like(p)
+        for step_index in (0, -1):
+            with pytest.raises(ConfigError, match="step index"):
+                adam_step(p, np.ones(2), state, step_index, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(p, np.ones(2))
+        assert not state.m.any() and not state.v.any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_flat_buffer_and_per_array_match_oracle_bitwise(self, seed):
-        # one concatenated vector and a per-array list must both reproduce the
-        # fresh-array recurrence bit for bit, every step
+        # one concatenated vector must reproduce the per-array, fresh-array
+        # recurrence bit for bit, every step, moments included
         gen = np.random.default_rng(seed)
         shapes = [tuple(gen.integers(1, 6, size=gen.integers(1, 3))) for _ in range(4)]
         hyper = (10.0 ** gen.uniform(-4, -1), gen.uniform(0.5, 0.99), gen.uniform(0.9, 0.9999),
@@ -75,38 +92,37 @@ class TestAdamStep:
         ref = [gen.normal(size=s) for s in shapes]
         ref_m = [np.zeros(s) for s in shapes]
         ref_v = [np.zeros(s) for s in shapes]
-        arrays = [p.copy() for p in ref]
-        arrays_state = AdamState.zeros_like(arrays)
         flat = np.concatenate([p.ravel() for p in ref])
-        flat_state = AdamState.zeros_like([flat])
+        flat_state = AdamState.zeros_like(flat)
         for t in range(1, 6):
             grads = [gen.normal(scale=10.0 ** gen.uniform(-3, 1), size=s) for s in shapes]
             ref, ref_m, ref_v = bf_adam(ref, grads, ref_m, ref_v, t, *hyper)
-            adam_step(arrays, grads, arrays_state, t, *hyper)
-            adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state, t, *hyper)
-            for got, want in ((arrays, ref), (arrays_state.m, ref_m), (arrays_state.v, ref_v)):
-                for g_arr, w_arr in zip(got, want):
-                    np.testing.assert_array_equal(g_arr, w_arr)
-            for got, want in ((flat, ref), (flat_state.m[0], ref_m), (flat_state.v[0], ref_v)):
+            adam_step(flat, np.concatenate([g.ravel() for g in grads]), flat_state, t, *hyper)
+            for got, want in ((flat, ref), (flat_state.m, ref_m), (flat_state.v, ref_v)):
                 np.testing.assert_array_equal(got, np.concatenate([w.ravel() for w in want]))
 
     def test_updates_in_place_and_returns_the_given_objects(self):
         p, g = np.array([0.5, -1.0]), np.array([0.2, 0.3])
-        state = AdamState.zeros_like([p])
-        m, v = state.m[0], state.v[0]
-        params = [p]
-        out_params, out_state = adam_step(params, [g], state, 1, 1e-2, 0.9, 0.999, 1e-8)
-        assert out_params is params and out_params[0] is p
-        assert out_state is state and out_state.m[0] is m and out_state.v[0] is v
+        state = AdamState.zeros_like(p)
+        m, v = state.m, state.v
+        out_params, out_state = adam_step(p, g, state, 1, 1e-2, 0.9, 0.999, 1e-8)
+        assert out_params is p
+        assert out_state is state and out_state.m is m and out_state.v is v
         assert np.all(p != [0.5, -1.0]) and np.all(m != 0) and np.all(v != 0)
 
     def test_shape_mismatch_leaves_every_array_untouched(self):
-        params = [np.ones(2), np.ones(3)]
-        state = AdamState.zeros_like(params)
-        with pytest.raises(ShapeMismatch):
-            adam_step(params, [np.ones(2), np.ones(4)], state, 1, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(params[0], np.ones(2))
-        np.testing.assert_array_equal(state.m[0], np.zeros(2))
+        # a wrong shape in the gradient or in either moment is caught before
+        # any array is written
+        for bad in ("grads", "m", "v"):
+            arrays = {"params": np.ones(3), "grads": np.ones(3),
+                      "m": np.full(3, 0.5), "v": np.full(3, 0.25)}
+            arrays[bad] = np.full(4, arrays[bad][0])
+            before = {name: a.copy() for name, a in arrays.items()}
+            state = AdamState(m=arrays["m"], v=arrays["v"])
+            with pytest.raises(ShapeMismatch):
+                adam_step(arrays["params"], arrays["grads"], state, 1, 1e-3, 0.9, 0.999, 1e-8)
+            for name, a in arrays.items():
+                np.testing.assert_array_equal(a, before[name])
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -254,8 +270,8 @@ class TestTrain:
 
         def poisoned(params, *args, **kwargs):
             new_params, state = real(params, *args, **kwargs)
-            new_params[0] = new_params[0].copy()
-            new_params[0].flat[0] = np.inf
+            new_params = new_params.copy()
+            new_params[0] = np.inf
             return new_params, state
 
         monkeypatch.setattr(trainer_mod, "adam_step", poisoned)
@@ -277,6 +293,38 @@ class TestTrain:
         assert base is not None and base.ndim == 1
         assert all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
+
+    @pytest.mark.parametrize("variant", ["shrewd", "shred"])
+    @pytest.mark.parametrize("hidden", [(), (16, 12)], ids=["linear", "two_hidden"])
+    def test_matches_straight_line_oracle(self, variant, hidden):
+        # the live buffer, its views, the gradient order and the in-place Adam
+        # must reproduce training on separate, fresh arrays bit for bit
+        tax, ds, cfg = tiny_setup(epochs=3)
+        cfg, _ = apply_variant(dataclasses.replace(cfg, hidden_sizes=hidden), variant)
+        encoder, classifier, log = train(cfg, ds, tax)
+
+        universe = [int(label) for label in ds.label_universe]
+        class_idx = np.array([universe.index(int(label)) for label in ds.labels])
+        init_rng, shuffle_rng, target_rng = RngState.from_seed(cfg.seed).split(3)
+        enc0 = init_encoder(ds.dim, cfg.hidden_sizes, cfg.code_length, init_rng)
+        clf0 = init_classifier(cfg.code_length, len(universe), init_rng)
+        sim_cfg = cfg.sim_config()
+
+        def loss(z, d, y, head_w, head_b, target):
+            lv = total_loss(z, d, y, ClassifierParams(head_w, head_b), target,
+                            cfg.lambda1, cfg.lambda2, sim_cfg, sim_weight=cfg.lambda_sim)
+            return (lv.total, lv.sim, lv.kl, lv.cls, lv.grad_z, *lv.grad_classifier)
+
+        layers, head, records = bf_train(
+            enc0.layers, (clf0.weights, clf0.biases), ds.features.astype(np.float64), class_idx,
+            distance_matrix(tax, universe).values, cfg.batch_size, cfg.epochs,
+            shuffle_rng.generator.permutation,
+            lambda shape: beta_sample(cfg.alpha, cfg.beta, shape, target_rng),
+            loss, (cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps),
+        )
+        assert [(r.step, r.sim, r.kl, r.cls, r.total) for r in log.records] == records
+        want = checkpoint_bytes(EncoderParams(layers, cfg.code_length), ClassifierParams(*head))
+        assert checkpoint_bytes(encoder, classifier) == want
 
     def test_csv_header_and_shape(self):
         tax, ds, cfg = tiny_setup(epochs=1)
