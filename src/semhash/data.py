@@ -98,7 +98,7 @@ def beta_sample(alpha: float, beta: float, shape: tuple[int, int], rng: RngState
     if alpha <= 0 or beta <= 0:
         raise InvalidShapeParam(f"alpha and beta must be positive, got {alpha}, {beta}")
     sample = rng.generator.beta(alpha, beta, size=shape)
-    return np.clip(sample, _OPEN_LO, _OPEN_HI)
+    return np.clip(sample, _OPEN_LO, _OPEN_HI, out=sample)
 
 
 def generate_synthetic(
@@ -126,25 +126,28 @@ def generate_synthetic(
 
     gen = rng.generator
     means = np.zeros((len(t), dim), dtype=np.float64)
-    # breadth-first from the root, children in id order, so draws are ordered
-    queue = [t.root]
-    while queue:
-        node = queue.pop(0)
-        for child in t.children(node):
-            means[child] = means[node] + diffusion * gen.standard_normal(dim)
-            queue.append(child)
-
     features = np.empty((per_class * len(leaves), dim), dtype=np.float64)
     labels = np.empty(per_class * len(leaves), dtype=np.int64)
-    for i, leaf in enumerate(leaves):
-        block = slice(i * per_class, (i + 1) * per_class)
-        features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
-        labels[block] = leaf
-    return Dataset(
-        features=features.astype(np.float32),
-        labels=labels,
-        label_universe=leaves,
-    )
+    # a finite but huge spread overflows; that is reported below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        # breadth-first from the root, children in id order, so draws are ordered
+        queue = [t.root]
+        while queue:
+            node = queue.pop(0)
+            for child in t.children(node):
+                means[child] = means[node] + diffusion * gen.standard_normal(dim)
+                queue.append(child)
+        for i, leaf in enumerate(leaves):
+            block = slice(i * per_class, (i + 1) * per_class)
+            features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
+            labels[block] = leaf
+        features = features.astype(np.float32)
+        means_overflow = not np.isfinite(means.astype(np.float32)).all()
+    if means_overflow:
+        raise InvalidShapeParam(f"diffusion {diffusion} overflows the float32 node means")
+    if not np.isfinite(features).all():
+        raise InvalidShapeParam(f"noise {noise} overflows the float32 features")
+    return Dataset(features=features, labels=labels, label_universe=leaves)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

@@ -15,6 +15,7 @@ absolute-value kinks and nearest-neighbor assignments held locally constant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def pair_weight(d, cfg: SimLossConfig):
 
 def _offdiag_mean(m: np.ndarray) -> float:
     b = m.shape[0]
-    return float((m.sum() - np.trace(m)) / (b * (b - 1)))
+    return float((m.sum() - m.trace()) / (b * (b - 1)))
 
 
 def batch_scale(distances: np.ndarray, floor: float) -> float:
@@ -96,17 +97,17 @@ def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.nd
 
     raw_tau_z = _offdiag_mean(manh)
     tau_z = max(raw_tau_z, cfg.tau_floor)
-    tau_y = batch_scale(d, cfg.tau_floor)
+    tau_y = max(_offdiag_mean(d), cfg.tau_floor)  # batch_scale(d), shape checked above
 
-    w = pair_weight(d, cfg)
+    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # pair_weight(d, cfg)
     resid = manh / tau_z - d / tau_y
-    value = float(np.sum(np.abs(resid) * w)) / (b * b)
+    value = float((np.abs(resid) * w).sum()) / (b * b)
 
     coeff = w * np.sign(resid)  # symmetric
     grad = 2.0 * np.einsum("bp,bpk->bk", coeff, sgn) / (b * b * tau_z)
     if raw_tau_z > cfg.tau_floor:
         # tau_z moves with the embeddings unless the floor clamps it
-        weighted_manh = float(np.sum(coeff * manh))
+        weighted_manh = float((coeff * manh).sum())
         dtau = 2.0 * sgn.sum(axis=1) / (b * (b - 1))
         grad -= (weighted_manh / (b * b * tau_z * tau_z)) * dtau
     return value, grad
@@ -137,25 +138,29 @@ def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
         raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {k}")
 
     dist_t = np.sqrt(((zv[:, None, :] - tv[None, :, :]) ** 2).sum(axis=2))
-    nn_t = np.argmin(dist_t, axis=1)
-    nu_t = dist_t[np.arange(b), nn_t]
+    nn_t = dist_t.argmin(axis=1)
+    nu_t = dist_t.min(axis=1)
 
     dist_z = np.sqrt(((zv[:, None, :] - zv[None, :, :]) ** 2).sum(axis=2))
     np.fill_diagonal(dist_z, np.inf)
-    nn_z = np.argmin(dist_z, axis=1)
-    nu_z = dist_z[np.arange(b), nn_z]
+    nn_z = dist_z.argmin(axis=1)
+    nu_z = dist_z.min(axis=1)
 
-    value = float(np.mean(np.log(np.maximum(nu_t, _NU_EPS)) - np.log(np.maximum(nu_z, _NU_EPS))))
+    log_ratio = np.log(np.maximum(nu_t, _NU_EPS)) - np.log(np.maximum(nu_z, _NU_EPS))
+    value = float(log_ratio.sum() / b)  # log_ratio.mean(), without its wrapper
 
+    off_t = zv - tv[nn_t]
+    off_z = zv - zv[nn_z]
     grad = np.zeros_like(zv)
-    for i in range(b):
-        if nu_t[i] > _NU_EPS:
-            v = zv[i] - tv[nn_t[i]]
-            grad[i] += v / (nu_t[i] ** 2 * b)
-        if np.isfinite(nu_z[i]) and nu_z[i] > _NU_EPS:
-            v = zv[i] - zv[nn_z[i]]
-            grad[i] -= v / (nu_z[i] ** 2 * b)
-            grad[nn_z[i]] += v / (nu_z[i] ** 2 * b)
+    # row updates stay in this order: float addition is not associative, and a
+    # row takes its own terms and the neighbour terms of other rows
+    for i, (nt, nz, j) in enumerate(zip(nu_t.tolist(), nu_z.tolist(), nn_z.tolist())):
+        if nt > _NU_EPS:
+            grad[i] += off_t[i] / (nt**2 * b)
+        if math.isfinite(nz) and nz > _NU_EPS:
+            push = off_z[i] / (nz**2 * b)
+            grad[i] -= push
+            grad[j] += push
     return value, grad
 
 

@@ -101,7 +101,7 @@ class EmbeddingBatch:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ShapeMismatch(f"embeddings must be B x K with B >= 1, got {self.values.shape}")
-        if not np.all((self.values > 0.0) & (self.values < 1.0)):
+        if not ((self.values > 0.0) & (self.values < 1.0)).all():
             raise ShapeMismatch("embedding values must lie strictly inside (0, 1)")
 
 
@@ -137,12 +137,12 @@ def init_classifier(code_length: int, n_classes: int, rng: RngState) -> Classifi
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    # 1 / (1 + exp(-s)) for s >= 0 and exp(s) / (1 + exp(s)) below; -|s| is
+    # exactly -s on the first branch and s on the second, so exp never overflows
+    e = np.exp(-np.abs(s))
+    out = np.where(s >= 0, 1.0, e)
+    out /= 1.0 + e
+    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 
 def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:
@@ -151,7 +151,7 @@ def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, Fo
         raise ShapeMismatch(f"input must be B x D, got shape {x.shape}")
     if x.shape[1] != p.in_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != encoder in-dim {p.in_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput("input contains non-finite values")
 
     act: list[np.ndarray] = []

@@ -1,9 +1,9 @@
 """Minibatch gradient-descent training of the encoder and classifier head.
 
 The loop is sequential and fully seeded: shuffling, initialization, and the
-per-step Beta target draws all derive from one seed, so identical configs
-produce bit-identical checkpoints.  Every epoch is one shuffled pass with the
-ragged final batch dropped.
+Beta target draws all derive from one seed, so identical configs produce
+bit-identical checkpoints.  Every epoch is one shuffled pass with the ragged
+final batch dropped, and draws its targets for all of its steps at once.
 """
 from __future__ import annotations
 
@@ -174,11 +174,21 @@ def adam_step(
     m, v = state.m, state.v
     if not params.shape == grads.shape == m.shape == v.shape:
         raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, m {m.shape}, v {v.shape}")
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, on two scratch arrays
+    update, denom = np.empty_like(params), np.empty_like(params)
     m *= beta1
-    m += (1.0 - beta1) * grads
+    m += np.multiply(grads, 1.0 - beta1, out=update)
+    np.multiply(grads, 1.0 - beta2, out=denom)
+    denom *= grads
     v *= beta2
-    v += (1.0 - beta2) * grads * grads
-    params -= lr * (m / (1.0 - beta1**step_index)) / (np.sqrt(v / (1.0 - beta2**step_index)) + eps)
+    v += denom
+    np.divide(v, 1.0 - beta2**step_index, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1**step_index, out=update)
+    update *= lr
+    update /= denom
+    params -= update
     return params, state
 
 
@@ -233,26 +243,29 @@ def train(
     log = TrainLog()
     step = 0
     bsz = config.batch_size
+    epoch_rows = n - n % bsz
     for _ in range(config.epochs):
         perm = shuffle_rng.generator.permutation(n)
-        for start in range(0, n - bsz + 1, bsz):
+        # numpy draws Beta variates one after another from the stream, so one
+        # draw per epoch equals one (bsz, K) draw per step, bit for bit
+        targets = beta_sample(config.alpha, config.beta, (epoch_rows, config.code_length), target_rng)
+        for start in range(0, epoch_rows, bsz):
             idx = perm[start : start + bsz]
             y = class_idx[idx]
-            target = beta_sample(config.alpha, config.beta, (bsz, config.code_length), target_rng)
             batch, cache = encoder_forward(encoder, features[idx])
             loss = total_loss(
                 batch,
-                dist[np.ix_(y, y)],
+                dist[y[:, None], y],
                 y,
                 classifier,
-                target,
+                targets[start : start + bsz],
                 config.lambda1,
                 config.lambda2,
                 sim_cfg,
                 sim_weight=config.lambda_sim,
             )
             step += 1
-            if not np.isfinite(loss.total):
+            if not math.isfinite(loss.total):
                 raise DivergedLoss(
                     f"step {step}: non-finite total "
                     f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"

@@ -183,6 +183,51 @@ def bf_adam(params, grads, m, v, t, lr, beta1, beta2, eps):
     return new_p, new_m, new_v
 
 
+def bf_sigmoid(s):
+    """Logistic function by boolean masks: 1/(1+exp(-s)) where s >= 0, else exp(s)/(1+exp(s)).
+
+    The result is clipped into [tiny, 1 - epsneg]; NaN inputs take the second branch.
+    """
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return np.clip(out, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
+
+
+def bf_kl_loss(zv, tv):
+    """k = 1 nearest-neighbour divergence estimate and its gradient, one sample at a time.
+
+    ``zv`` is B x K and ``tv`` M x K, both float64.  Distances are Euclidean
+    and clamped at 1e-12 before the logarithm; each row's target pull and
+    neighbour push are applied in row order on numpy scalars.
+    """
+    eps = 1e-12
+    b = zv.shape[0]
+    dist_t = np.sqrt(((zv[:, None, :] - tv[None, :, :]) ** 2).sum(axis=2))
+    nn_t = np.argmin(dist_t, axis=1)
+    nu_t = dist_t[np.arange(b), nn_t]
+
+    dist_z = np.sqrt(((zv[:, None, :] - zv[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dist_z, np.inf)
+    nn_z = np.argmin(dist_z, axis=1)
+    nu_z = dist_z[np.arange(b), nn_z]
+
+    value = float(np.mean(np.log(np.maximum(nu_t, eps)) - np.log(np.maximum(nu_z, eps))))
+
+    grad = np.zeros_like(zv)
+    for i in range(b):
+        if nu_t[i] > eps:
+            v = zv[i] - tv[nn_t[i]]
+            grad[i] += v / (nu_t[i] ** 2 * b)
+        if np.isfinite(nu_z[i]) and nu_z[i] > eps:
+            v = zv[i] - zv[nn_z[i]]
+            grad[i] -= v / (nu_z[i] ** 2 * b)
+            grad[nn_z[i]] += v / (nu_z[i] ** 2 * b)
+    return value, grad
+
+
 def bf_encoder_forward(layers, x):
     """ReLU hidden layers and a logistic output clamped into (0, 1), on fresh arrays.
 

@@ -597,6 +597,25 @@ def test_gen_data_non_finite_spread_is_one_error_line(workdir, capsys, flag, val
     assert not any(workdir.glob("g.*"))
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--diffusion", "1e308"), ("--noise", "1e300"), ("--noise", "1e39"),
+])
+def test_gen_data_overflowing_spread_is_one_error_line(workdir, capsys, flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "gen-data", "--taxonomy", str(workdir / "tax.txt"), "--per-class", "2",
+            "--dim", "3", "--seed", "1", "--out", str(workdir / "g"), flag, value,
+        ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag[2:]} ")
+    assert "overflows" in lines[0] and "non-finite" not in lines[0]
+    assert "RuntimeWarning" not in err and not caught
+    assert not any(workdir.glob("g.*"))
+
+
 def test_each_command_line_gets_its_own_defaults(workdir, capsys):
     # the parser is built once per process; an option given on one command
     # line must not carry over to the next

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestBetaSample:
         s = beta_sample(0.1, 0.1, (10_000, 4), RngState.from_seed(3))
         assert np.all((s > 0.0) & (s < 1.0))
 
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (0.5, 3.0), (2.0, 5.0)])
+    @pytest.mark.parametrize("b, k", [(4, 16), (64, 64)])
+    def test_one_draw_equals_consecutive_draws(self, alpha, beta, b, k):
+        # the trainer draws an epoch's targets at once and slices B rows per
+        # step; numpy takes Beta variates one after another from the stream
+        # (Johnk's method for alpha, beta <= 1, gamma ratios otherwise)
+        n = 5
+        whole = beta_sample(alpha, beta, (n * b, k), RngState.from_seed(21))
+        rng = RngState.from_seed(21)
+        steps = [beta_sample(alpha, beta, (b, k), rng) for _ in range(n)]
+        assert whole.tobytes() == np.concatenate(steps).tobytes()
+
     def test_invalid_shape_params(self):
         with pytest.raises(InvalidShapeParam):
             beta_sample(0.0, 0.1, (2, 2), RngState.from_seed(0))
@@ -120,6 +134,18 @@ class TestGenerateSynthetic:
                                        (np.nan, 0.1, "diffusion"), (np.inf, 0.1, "diffusion")):
             with pytest.raises(InvalidShapeParam, match=f"{name} must be finite"):
                 generate_synthetic(five_node_tax, 2, 4, diffusion, noise, rng)
+
+    @pytest.mark.parametrize("diffusion, noise, name", [
+        (1e308, 0.1, "diffusion"), (1e39, 0.1, "diffusion"),
+        (1.0, 1e300, "noise"), (1.0, 1e39, "noise"),
+    ])
+    def test_overflowing_spread_names_the_parameter(self, five_node_tax, diffusion, noise, name):
+        # finite values whose draws overflow float64 or the float32 features
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidShapeParam, match=f"^{name} .* overflows"):
+                generate_synthetic(five_node_tax, 2, 4, diffusion, noise, RngState.from_seed(0))
+        assert not caught
 
 
 class TestDatasetFiles:

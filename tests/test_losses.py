@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bf_kl_loss
 from semhash.data import RngState, beta_sample
 from semhash.errors import BatchTooSmall, LabelOutOfRange
 from semhash.losses import (
@@ -201,6 +202,43 @@ class TestKlLoss:
                 wins += 1
         assert wins >= 9
 
+    @given(
+        st.integers(min_value=2, max_value=70),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=70),
+        st.sampled_from([2, 3, 8, 0]),
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_oracle_bitwise(self, b, k, m, levels, n_dup, n_hit, seed):
+        # levels > 0 puts every coordinate on a grid of (levels - 1) interior
+        # points, which makes distance ties; duplicated rows and rows copied
+        # from the target give nu <= 1e-12 on both sides of the estimate
+        rng = np.random.default_rng(seed)
+        if levels:
+            z = rng.integers(1, levels, size=(b, k)) / levels
+            target = rng.integers(1, levels, size=(m, k)) / levels
+        else:
+            z, target = rng.uniform(size=(b, k)), rng.uniform(size=(m, k))
+        z[rng.integers(b, size=n_dup)] = z[rng.integers(b, size=n_dup)]
+        z[rng.integers(b, size=n_hit)] = target[rng.integers(m, size=n_hit)]
+        value, grad = kl_loss(z, target)
+        want_value, want_grad = bf_kl_loss(z, target)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_overflowing_distances_match_oracle(self):
+        # squares beyond float64 range make some nearest distances inf: such a
+        # row gets a zero target pull and no neighbour push
+        z = np.array([[0.0, 0.5], [1e200, 0.5], [-1e200, 0.5], [0.6, 0.5]])
+        target = np.array([[0.25, 0.5], [3e200, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_value, want_grad = bf_kl_loss(z, target)
+            value, grad = kl_loss(z, target)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 class TestClsLoss:
     def test_uniform_logits(self):

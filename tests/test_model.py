@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_encoder_backward, bf_encoder_forward
+from oracles import bf_encoder_backward, bf_encoder_forward, bf_sigmoid
 from semhash.data import RngState
 from semhash.errors import (
     MalformedFile,
@@ -15,6 +15,7 @@ from semhash.errors import (
 )
 from semhash.model import (
     ClassifierParams,
+    _sigmoid,
     EncoderParams,
     classifier_forward,
     encoder_backward,
@@ -95,6 +96,32 @@ class TestEncoderForward:
         x = rng.normal(scale=10.0, size=(4, 5))
         z, _ = encoder_forward(p, x)
         assert np.all((z.values > 0.0) & (z.values < 1.0))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestSigmoid:
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from(SIGMOID_EDGES),
+            st.floats(min_value=700.0, max_value=800.0),
+            st.floats(min_value=-800.0, max_value=-700.0),
+            st.floats(min_value=-40.0, max_value=40.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        min_size=1, max_size=64,
+    ))
+    @example(SIGMOID_EDGES + [700.0, -700.0, 745.0, -745.0, 800.0, -800.0])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_oracle_bitwise(self, values):
+        s = np.array(values, dtype=np.float64)
+        got, want = _sigmoid(s), bf_sigmoid(s)
+        # a NaN keeps its place but not its sign bit, which nothing downstream
+        # reads: EmbeddingBatch rejects any NaN output
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestEncoderBackward:

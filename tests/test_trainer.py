@@ -294,13 +294,22 @@ class TestTrain:
         assert all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
 
-    @pytest.mark.parametrize("variant", ["shrewd", "shred"])
-    @pytest.mark.parametrize("hidden", [(), (16, 12)], ids=["linear", "two_hidden"])
-    def test_matches_straight_line_oracle(self, variant, hidden):
-        # the live buffer, its views, the gradient order and the in-place Adam
-        # must reproduce training on separate, fresh arrays bit for bit
+    @pytest.mark.parametrize("hidden, variant, batch_size", [
+        pytest.param(hidden, variant, 8, id=f"{name}-{variant}")
+        for name, hidden in (("linear", ()), ("two_hidden", (16, 12)))
+        for variant in ("shrewd", "shred")
+    ] + [
+        pytest.param((), "shred", 6, id="linear-shred-ragged"),
+        pytest.param((16, 12), "shrewd", 6, id="two_hidden-shrewd-ragged"),
+    ])
+    def test_matches_straight_line_oracle(self, hidden, variant, batch_size):
+        # the live buffer, its views, the gradient order, the in-place Adam and
+        # the per-epoch target draw must reproduce training on separate, fresh
+        # arrays with one draw per step bit for bit; 64 samples leave a ragged
+        # batch of 4 at batch size 6
         tax, ds, cfg = tiny_setup(epochs=3)
-        cfg, _ = apply_variant(dataclasses.replace(cfg, hidden_sizes=hidden), variant)
+        cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size)
+        cfg, _ = apply_variant(cfg, variant)
         encoder, classifier, log = train(cfg, ds, tax)
 
         universe = [int(label) for label in ds.label_universe]
