@@ -5,15 +5,8 @@ __version__ = "0.1.0"
 from . import benchmark, data, hashing, hierarchy, losses, metrics, model, trainer
 from .data import Dataset, RngState, beta_sample, generate_synthetic, load_dataset
 from .hashing import HashCode, HashIndex, binarize, build_index, hamming, query_topk
-from .hierarchy import (
-    SemanticDistanceMatrix,
-    Taxonomy,
-    distance_matrix,
-    lca,
-    parse_taxonomy,
-    semantic_distance,
-)
-from .losses import LossValue, SimLossConfig, batch_scale, cls_loss, kl_loss, pair_weight, sim_loss, total_loss
+from .hierarchy import Taxonomy, distance_matrix, parse_taxonomy, semantic_distance
+from .losses import LossValue, SimLossConfig, cls_loss, kl_loss, sim_loss, total_loss
 from .metrics import MetricsReport, ahp_at_k, evaluate, evaluate_embeddings, hp_at_k, relevance
 from .model import (
     ClassifierParams,

@@ -123,6 +123,15 @@ def generate_synthetic(
     if diffusion <= 0 or noise < 0:
         raise InvalidShapeParam("diffusion must be > 0 and noise >= 0")
     leaves = t.leaves()
+    # numpy cannot allocate an array of more than intp-max bytes; check the
+    # float64 node means, then the features, before allocating either
+    limit = np.iinfo(np.intp).max
+    if 8 * len(t) * int(dim) > limit:
+        raise InvalidShapeParam(f"dim {dim} is too large: the node means would exceed {limit} bytes")
+    if 8 * int(per_class) * len(leaves) * int(dim) > limit:
+        raise InvalidShapeParam(
+            f"per_class {per_class} is too large: the features would exceed {limit} bytes"
+        )
 
     gen = rng.generator
     means = np.zeros((len(t), dim), dtype=np.float64)
@@ -194,11 +203,6 @@ def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:
             raise UnknownLabel(f"{path}: label {name!r} is not a leaf of the taxonomy")
         ids.append(node_id)
     return np.asarray(ids, dtype=np.int64)
-
-
-def save_dataset(ds: Dataset, features_path: str | Path, labels_path: str | Path, t: Taxonomy) -> None:
-    write_features(features_path, ds.features)
-    write_labels(labels_path, ds.labels, t)
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, t: Taxonomy) -> Dataset:

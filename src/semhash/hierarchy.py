@@ -147,19 +147,13 @@ class Taxonomy:
         if not isinstance(node_id, (int, np.integer)) or not 0 <= node_id < len(self.nodes):
             raise UnknownNode(f"unknown node id {node_id!r}")
 
-
-@dataclass
-class SemanticDistanceMatrix:
-    """Symmetric matrix of normalized leaf-to-leaf distances in [0, 1]."""
-
-    labels: list[int]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        n = len(self.labels)
-        if self.values.shape != (n, n):
-            raise UnknownNode(f"matrix shape {self.values.shape} != ({n}, {n})")
+    def _check_leaves(self, node_ids: Sequence[int]) -> None:
+        """Reject unknown ids, then non-leaves, so an unknown id is reported first."""
+        for node_id in node_ids:
+            self._check_id(node_id)
+        for node_id in node_ids:
+            if self._children[node_id]:
+                raise NotALeaf(f"node {self.nodes[node_id].name!r} is not a leaf")
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -232,36 +226,12 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     return parse_taxonomy(read_text(path))
 
 
-def lca(t: Taxonomy, a: int, b: int) -> int:
-    """Deepest node that is an ancestor of both a and b."""
-    t._check_id(a)
-    t._check_id(b)
-    da, db = t.depth(a), t.depth(b)
-    while da > db:
-        a = t.parent(a)  # type: ignore[assignment]
-        da -= 1
-    while db > da:
-        b = t.parent(b)  # type: ignore[assignment]
-        db -= 1
-    while a != b:
-        a = t.parent(a)  # type: ignore[assignment]
-        b = t.parent(b)  # type: ignore[assignment]
-    return a
-
-
 def semantic_distance(t: Taxonomy, a: int, b: int) -> float:
-    """Normalized distance between two leaf labels: lca height / root height."""
-    t._check_id(a)
-    t._check_id(b)
-    for node_id in (a, b):
-        if not t.is_leaf(node_id):
-            raise NotALeaf(f"node {t.name(node_id)!r} is not a leaf")
-    if t.height == 0:
-        return 0.0
-    return t.node_height(lca(t, a, b)) / t.height
+    """Normalized distance between two leaf labels: LCA height / root height."""
+    return float(distance_matrix(t, [a, b])[0, 1])
 
 
-def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> SemanticDistanceMatrix:
+def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
     """Pairwise semantic distances for an ordered list of leaf labels.
 
     Built from a table of each label's ancestor at every depth (a leaf stands
@@ -269,9 +239,7 @@ def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> SemanticDistanceMatri
     pair sharing that depth's ancestor takes its height, so the deepest shared
     ancestor, the LCA, writes last.
     """
-    labels = [int(label) for label in labels]
-    for label in labels:
-        semantic_distance(t, label, label)  # rejects unknown ids and non-leaves
+    t._check_leaves(labels)
     ancestors = np.empty((t.height + 1, len(labels)), dtype=np.int64)
     for i, node in enumerate(labels):
         for depth in range(t.height, -1, -1):
@@ -284,4 +252,4 @@ def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> SemanticDistanceMatri
         np.copyto(values, node_height[row][None, :], where=row[:, None] == row[None, :])
     # a one-node tree has height 0, and every distance in it is 0
     values /= max(t.height, 1)
-    return SemanticDistanceMatrix(labels=labels, values=values)
+    return values

@@ -51,26 +51,9 @@ class LossValue:
     grad_classifier: tuple[np.ndarray, np.ndarray]
 
 
-def pair_weight(d, cfg: SimLossConfig):
-    """Decaying pair weight in (0, 1]: 1 at distance 0, small for far pairs."""
-    d = np.asarray(d, dtype=np.float64)
-    out = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho
-    return float(out) if out.ndim == 0 else out
-
-
 def _offdiag_mean(m: np.ndarray) -> float:
     b = m.shape[0]
     return float((m.sum() - m.trace()) / (b * (b - 1)))
-
-
-def batch_scale(distances: np.ndarray, floor: float) -> float:
-    """Mean of the off-diagonal entries, clamped below by ``floor``."""
-    distances = np.asarray(distances, dtype=np.float64)
-    if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
-        raise ShapeMismatch(f"distances must be square, got {distances.shape}")
-    if distances.shape[0] < 2:
-        raise BatchTooSmall("batch scale needs at least 2 rows")
-    return max(_offdiag_mean(distances), floor)
 
 
 def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.ndarray]:
@@ -97,9 +80,9 @@ def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.nd
 
     raw_tau_z = _offdiag_mean(manh)
     tau_z = max(raw_tau_z, cfg.tau_floor)
-    tau_y = max(_offdiag_mean(d), cfg.tau_floor)  # batch_scale(d), shape checked above
+    tau_y = max(_offdiag_mean(d), cfg.tau_floor)
 
-    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # pair_weight(d, cfg)
+    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # 1 at distance 0, small for far pairs
     resid = manh / tau_z - d / tau_y
     value = float((np.abs(resid) * w).sum()) / (b * b)
 

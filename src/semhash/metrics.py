@@ -76,11 +76,6 @@ def _hp(got: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
 
 
-def _hp_curve(rel: np.ndarray, k_max: int) -> np.ndarray:
-    """HP@1..k_max of one complete ranking, given each ranked item's relevance."""
-    return _hp(np.cumsum(rel[:k_max]), np.cumsum(np.sort(rel)[::-1][:k_max]))
-
-
 def _ap(hit_mask: np.ndarray) -> float:
     """AP of one complete ranking with binary relevance; nan without a hit."""
     hits = np.flatnonzero(hit_mask)
@@ -89,13 +84,20 @@ def _ap(hit_mask: np.ndarray) -> float:
     return math.fsum((np.arange(hits.size) + 1.0) / (hits + 1.0)) / hits.size
 
 
-def _ranked_relevance(
-    ranked_labels: Sequence[int], query_label: int, k: int, t: Taxonomy
-) -> np.ndarray:
+def _score_ranking(
+    ranked_labels: Sequence[int], query_label: int, k_max: int, t: Taxonomy
+) -> MetricsReport:
+    """Score a complete ranking as given: positions as distances and ids, -1 as the query id."""
     n = len(ranked_labels)
-    if k < 1 or k > n:
-        raise KTooLarge(f"k={k} outside [1, {n}]")
-    return np.array([relevance(t, query_label, lab) for lab in ranked_labels])
+    if k_max < 1 or k_max > n:  # before any label is checked
+        raise KTooLarge(f"k={k_max} outside [1, {n}]")
+    for label in ranked_labels:  # the first bad (query, item) pair decides the error
+        t._check_leaves([query_label, label])
+    positions = np.arange(n)
+    return _score(
+        lambda rows: positions[None, :], n, positions, np.asarray(ranked_labels, dtype=np.int64),
+        np.array([-1]), np.array([query_label]), t, k_max, False, "given",
+    )
 
 
 def hp_at_k(
@@ -107,15 +109,14 @@ def hp_at_k(
     excluded).  When even the ideal top k has zero relevance the ratio is
     defined as 1.0.
     """
-    return float(_hp_curve(_ranked_relevance(ranked_labels, query_label, k, t), k)[-1])
+    return _score_ranking(ranked_labels, query_label, k, t).hp_curve[-1][1]
 
 
 def ahp_at_k(
     ranked_labels: Sequence[int], query_label: int, k_max: int, t: Taxonomy
 ) -> float:
     """Mean of hp_at_k over cutoffs 1..k_max."""
-    rel = _ranked_relevance(ranked_labels, query_label, k_max, t)
-    return math.fsum(_hp_curve(rel, k_max)) / k_max
+    return _score_ranking(ranked_labels, query_label, k_max, t).mahp_at_k[k_max]
 
 
 def average_precision(ranked_labels: Sequence[int], query_label: int) -> float:
@@ -183,7 +184,7 @@ def _score(
     label_ids, label_rows = np.unique(
         np.concatenate([query_labels, item_labels]), return_inverse=True
     )
-    rel_table = 1.0 - distance_matrix(t, label_ids.tolist()).values
+    rel_table = 1.0 - distance_matrix(t, label_ids.tolist())
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
     # the ideal top-k_max relevance prefix sums, one per (query label, label

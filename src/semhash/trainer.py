@@ -227,7 +227,7 @@ def train(
         raise UnknownLabel(f"dataset label {exc} missing from the label universe") from None
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
-    dist = distance_matrix(taxonomy, universe).values
+    dist = distance_matrix(taxonomy, universe)
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
     classifier = init_classifier(config.code_length, len(universe), init_rng)
     # the encoder and head become views into one buffer that Adam updates in place

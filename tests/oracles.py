@@ -119,6 +119,18 @@ def bf_ahp_at_k(ranked_rels, k_max) -> float:
     return math.fsum(bf_hp_at_k(ranked_rels, k) for k in range(1, k_max + 1)) / k_max
 
 
+def sorted_hp_curve(ranked_rels, k_max):
+    """HP@1..k_max of one complete ranking, the ideal prefix sums taken by sorting.
+
+    Gathered cumulative relevance over the cumulative relevance of the best
+    items, as float64, or 1.0 where that ideal is 0.
+    """
+    rels = np.asarray(ranked_rels, dtype=np.float64)
+    got = np.cumsum(rels[:k_max])
+    ideal = np.cumsum(np.sort(rels)[::-1][:k_max])
+    return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
+
+
 def bf_ap(ranked_binary) -> float:
     """Average precision from the definition, by prefix scan."""
     total = sum(ranked_binary)
@@ -226,6 +238,61 @@ def bf_kl_loss(zv, tv):
             grad[i] -= v / (nu_z[i] ** 2 * b)
             grad[nn_z[i]] += v / (nu_z[i] ** 2 * b)
     return value, grad
+
+
+def pair_weight(d, cfg):
+    """Decaying pair weight in (0, 1]: 1 at distance 0, small for far pairs."""
+    d = np.asarray(d, dtype=np.float64)
+    out = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho
+    return float(out) if out.ndim == 0 else out
+
+
+def batch_scale(distances, floor) -> float:
+    """Mean of the off-diagonal entries, clamped below by ``floor``."""
+    distances = np.asarray(distances, dtype=np.float64)
+    b = distances.shape[0]
+    if distances.shape != (b, b) or b < 2:
+        raise ValueError(f"need a square matrix with at least 2 rows, got {distances.shape}")
+    return max(float((distances.sum() - distances.trace()) / (b * (b - 1))), floor)
+
+
+def bf_sim_loss(z, d, cfg):
+    """Similarity loss and its gradient, one ordered pair (i, j) at a time.
+
+    The value is the mean over all B * B pairs of
+    ``|manhattan(z_i, z_j) / tau_z - d_ij / tau_y| * pair_weight(d_ij)``, with
+    tau_z and tau_y the ``batch_scale`` of the Manhattan and label distances.
+    Each pair's term is differentiated in z_i and z_j, and through tau_z unless
+    the floor clamps it; sign(0) = 0.
+    """
+    def sign(x):
+        return math.copysign(1.0, x) if x else 0.0
+
+    b, k = z.shape
+    zl = z.tolist()
+    manh = np.array([[math.fsum(abs(p - q) for p, q in zip(zi, zj)) for zj in zl] for zi in zl])
+    tau_z = batch_scale(manh, cfg.tau_floor)
+    tau_y = batch_scale(d, cfg.tau_floor)
+    value = 0.0
+    weighted = 0.0  # sum of w * sign(residual) * manhattan
+    grad = np.zeros((b, k))
+    dtau = np.zeros((b, k))  # d tau_z / d z
+    for i in range(b):
+        for j in range(b):
+            w = pair_weight(d[i, j], cfg)
+            r = manh[i, j] / tau_z - d[i, j] / tau_y
+            value += abs(r) * w
+            s = w * sign(r)
+            weighted += s * manh[i, j]
+            for c in range(k):
+                dm = sign(zl[i][c] - zl[j][c])  # d manh_ij / d z_ic = -d manh_ij / d z_jc
+                grad[i, c] += s * dm / tau_z
+                grad[j, c] -= s * dm / tau_z
+                dtau[i, c] += dm / (b * (b - 1))
+                dtau[j, c] -= dm / (b * (b - 1))
+    if tau_z > cfg.tau_floor:
+        grad -= weighted / tau_z**2 * dtau
+    return value / (b * b), grad / (b * b)
 
 
 def bf_encoder_forward(layers, x):

@@ -616,6 +616,21 @@ def test_gen_data_overflowing_spread_is_one_error_line(workdir, capsys, flag, va
     assert not any(workdir.glob("g.*"))
 
 
+@pytest.mark.parametrize("per_class, dim, name", [
+    ("4611686018427387904", "1", "per_class"), ("2", "4611686018427387904", "dim"),
+])
+def test_gen_data_unallocatable_size_is_one_error_line(workdir, capsys, per_class, dim, name):
+    # rejected from the sizes alone, before any array is allocated
+    rc = main([
+        "gen-data", "--taxonomy", str(workdir / "tax.txt"), "--per-class", per_class,
+        "--dim", dim, "--seed", "1", "--out", str(workdir / "g"),
+    ])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} ")
+    assert not any(workdir.glob("g.*"))
+
+
 def test_each_command_line_gets_its_own_defaults(workdir, capsys):
     # the parser is built once per process; an option given on one command
     # line must not carry over to the next

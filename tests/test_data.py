@@ -10,8 +10,8 @@ from semhash.data import (
     generate_synthetic,
     load_dataset,
     read_features,
-    save_dataset,
     write_features,
+    write_labels,
 )
 from semhash.benchmark import balanced_taxonomy
 from semhash.errors import (
@@ -111,7 +111,7 @@ class TestGenerateSynthetic:
         # path length, which is what the diffusion process spreads means by
         t = balanced_taxonomy((3, 2, 2))
         leaves = t.leaves()
-        sem = distance_matrix(t, leaves).values
+        sem = distance_matrix(t, leaves)
         iu = np.triu_indices(len(leaves), k=1)
         for seed in range(5):
             ds = generate_synthetic(t, per_class=10, dim=64, diffusion=1.0, noise=0.1,
@@ -183,7 +183,8 @@ class TestDatasetFiles:
         ds = generate_synthetic(wordnet_like_tax, per_class=4, dim=7, diffusion=1.0,
                                 noise=0.2, rng=RngState.from_seed(11))
         f, l = tmp_path / "r.features", tmp_path / "r.labels"
-        save_dataset(ds, f, l, wordnet_like_tax)
+        write_features(f, ds.features)
+        write_labels(l, ds.labels, wordnet_like_tax)
         back = load_dataset(f, l, wordnet_like_tax)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)

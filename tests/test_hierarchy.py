@@ -15,12 +15,8 @@ from semhash.errors import (
     SemhashError,
     UnknownNode,
 )
-from semhash.hierarchy import (
-    distance_matrix,
-    lca,
-    parse_taxonomy,
-    semantic_distance,
-)
+from semhash.hierarchy import distance_matrix, parse_taxonomy, semantic_distance
+from semhash.metrics import relevance
 
 from conftest import random_taxonomy, taxonomy_from_parents, tree_parent_lists
 from oracles import bf_lca, bf_parse_taxonomy, serialize_taxonomy
@@ -77,35 +73,6 @@ class TestParse:
         assert t.name(t.root) == "a"
 
 
-class TestLca:
-    def test_identity(self, five_node_tax):
-        t = five_node_tax
-        for name in ("root", "A", "a1", "b1"):
-            node = t.node_id(name)
-            assert lca(t, node, node) == node
-
-    def test_five_node_cases(self, five_node_tax):
-        t = five_node_tax
-        assert t.name(lca(t, t.node_id("a1"), t.node_id("a2"))) == "A"
-        assert t.name(lca(t, t.node_id("a1"), t.node_id("B"))) == "root"
-
-    def test_unknown_node(self, five_node_tax):
-        with pytest.raises(UnknownNode):
-            lca(five_node_tax, 0, 99)
-
-    @given(tree_parent_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_ancestor_set_oracle(self, parents):
-        t = taxonomy_from_parents(parents)
-        parent_of = {n.id: n.parent for n in t.nodes}
-        depth_of = {n.id: t.depth(n.id) for n in t.nodes}
-        rng = np.random.default_rng(len(parents))
-        nodes = [n.id for n in t.nodes]
-        for _ in range(10):
-            a, b = rng.choice(nodes, 2)
-            assert lca(t, int(a), int(b)) == bf_lca(parent_of, depth_of, int(a), int(b))
-
-
 class TestSemanticDistance:
     def test_zero_on_self(self, five_node_tax):
         t = five_node_tax
@@ -127,24 +94,50 @@ class TestSemanticDistance:
         with pytest.raises(NotALeaf):
             semantic_distance(t, t.node_id("A"), t.node_id("a1"))
 
+    @pytest.mark.parametrize("bad", [99, -1, 1.5, "a", None])
+    def test_unknown_ids_rejected(self, five_node_tax, bad):
+        t = five_node_tax
+        a1 = t.node_id("a1")
+        for call in (
+            lambda: semantic_distance(t, a1, bad),
+            lambda: semantic_distance(t, bad, a1),
+            lambda: relevance(t, a1, bad),
+            lambda: relevance(t, bad, a1),
+            lambda: distance_matrix(t, [a1, bad]),
+            lambda: distance_matrix(t, [bad]),
+        ):
+            with pytest.raises(UnknownNode):
+                call()
+
+    def test_unknown_id_reported_before_non_leaf(self, five_node_tax):
+        t = five_node_tax
+        root, a, a1 = t.node_id("root"), t.node_id("A"), t.node_id("a1")
+        for call in (
+            lambda: semantic_distance(t, root, 99),
+            lambda: relevance(t, a, 99),
+            lambda: distance_matrix(t, [a1, a, 99]),
+        ):
+            with pytest.raises(UnknownNode):
+                call()
+
 
 class TestDistanceMatrix:
     def test_single_label(self, five_node_tax):
         t = five_node_tax
         m = distance_matrix(t, [t.node_id("a1")])
-        assert m.values.shape == (1, 1)
-        assert m.values[0, 0] == 0.0
+        assert m.dtype == np.float64 and m.shape == (1, 1)
+        assert m[0, 0] == 0.0
 
     def test_three_leaf_fixture(self, five_node_tax):
         t = five_node_tax
         labels = [t.node_id(n) for n in ("a1", "a2", "b1")]
         expected = np.array([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
-        np.testing.assert_array_equal(distance_matrix(t, labels).values, expected)
+        np.testing.assert_array_equal(distance_matrix(t, labels), expected)
 
     def test_ultrametric_on_random_16_leaf_tree(self):
         t = random_taxonomy(seed=5, n_nodes=40)
         leaves = t.leaves()[:16]
-        v = distance_matrix(t, leaves).values
+        v = distance_matrix(t, leaves)
         n = len(leaves)
         for i, j, k in itertools.product(range(n), repeat=3):
             assert v[i, k] <= max(v[i, j], v[j, k]) + 1e-12
@@ -159,7 +152,7 @@ class TestDistanceMatrix:
 def test_distance_properties_on_random_trees(parents):
     t = taxonomy_from_parents(parents)
     leaves = t.leaves()
-    v = distance_matrix(t, leaves).values
+    v = distance_matrix(t, leaves)
     assert np.all(np.diag(v) == 0.0)
     np.testing.assert_array_equal(v, v.T)
     assert np.all((v >= 0.0) & (v <= 1.0))
@@ -174,7 +167,7 @@ def test_distance_matrix_matches_pairwise_and_oracle(parents, data):
     t = taxonomy_from_parents(parents)
     # repeated labels, in any order, from leaves at whatever depths the tree has
     labels = data.draw(st.lists(st.sampled_from(t.leaves()), min_size=1, max_size=12))
-    v = distance_matrix(t, labels).values
+    v = distance_matrix(t, labels)
     parent_of = [t.parent(i) for i in range(len(t))]
     depth_of = [t.depth(i) for i in range(len(t))]
     for i, a in enumerate(labels):
@@ -187,7 +180,7 @@ def test_distance_matrix_leaves_at_mixed_depths():
     # leaves at depths 1, 2 and 3 under one root
     t = parse_taxonomy("r x\nr y\ny y1\ny z\nz z1\nz z2")
     names = ["x", "y1", "z1", "z2", "z1"]
-    v = distance_matrix(t, [t.node_id(n) for n in names]).values
+    v = distance_matrix(t, [t.node_id(n) for n in names])
     expected = np.array([
         [0, 1, 1, 1, 1],
         [1, 0, 2 / 3, 2 / 3, 2 / 3],

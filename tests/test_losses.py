@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_kl_loss
+from oracles import batch_scale, bf_kl_loss, bf_sim_loss, pair_weight
 from semhash.data import RngState, beta_sample
 from semhash.errors import BatchTooSmall, LabelOutOfRange
-from semhash.losses import (
-    SimLossConfig,
-    batch_scale,
-    cls_loss,
-    kl_loss,
-    pair_weight,
-    sim_loss,
-    total_loss,
-)
+from semhash.losses import SimLossConfig, cls_loss, kl_loss, sim_loss, total_loss
 from semhash.model import ClassifierParams, init_classifier
 
 
@@ -35,6 +27,9 @@ def fd_grad(fn, z, step=1e-6):
         zm[idx] -= step
         g[idx] = (fn(zp) - fn(zm)) / (2.0 * step)
     return g
+
+
+# pair_weight and batch_scale are the oracle pieces bf_sim_loss is built on
 
 
 class TestPairWeight:
@@ -79,7 +74,7 @@ class TestBatchScale:
         assert batch_scale(m, 1e-8) == pytest.approx(total / count, rel=1e-14)
 
     def test_batch_too_small(self):
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(ValueError):
             batch_scale(np.zeros((1, 1)), 1e-8)
 
 
@@ -150,6 +145,32 @@ class TestSimLoss:
     def test_batch_too_small(self):
         with pytest.raises(BatchTooSmall):
             sim_loss(np.array([[0.5]]), np.zeros((1, 1)), SimLossConfig())
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b=st.integers(2, 9),
+        k=st.integers(1, 9),
+        repeats=st.booleans(),
+        cfg=st.sampled_from([SimLossConfig(), SimLossConfig(gamma=0.5, rho=0.0),
+                             SimLossConfig(gamma=2.0, rho=3.5, tau_floor=0.5)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_oracle(self, seed, b, k, repeats, cfg):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0.0, 1.0, (b, k))
+        # repeated rows give zero Manhattan distances, and when every row is
+        # one row tau_z is floored; the label distances have no ties, so no
+        # residual sits exactly at the kink of |.|
+        d = symmetric_distances(rng, b)
+        if repeats:
+            z = z[rng.integers(0, max(1, b // 2), b)]
+        value, grad = sim_loss(z, d, cfg)
+        want_value, want_grad = bf_sim_loss(z, d, cfg)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        # entries whose pair terms cancel to ~0 are held to 1e-12 of a term's
+        # scale, 1 / (B * tau_z)
+        tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
 
 
 class TestKlLoss:

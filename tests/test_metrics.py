@@ -12,7 +12,9 @@ from semhash.errors import (
     LengthMismatch,
     NoRelevantItems,
     NonFiniteInput,
+    NotALeaf,
     ShapeMismatch,
+    UnknownNode,
 )
 from semhash.hashing import build_index, pack_bits
 from semhash.metrics import (
@@ -27,8 +29,16 @@ from semhash.metrics import (
     relevance,
 )
 
-from conftest import MAPMINER_TEXT, WORDNET_LIKE_TEXT
-from oracles import bf_ahp_at_k, bf_ap, bf_evaluate, bf_hamming, bf_hp_at_k
+from conftest import MAPMINER_TEXT, WORDNET_LIKE_TEXT, taxonomy_from_parents, tree_parent_lists
+from oracles import (
+    bf_ahp_at_k,
+    bf_ap,
+    bf_evaluate,
+    bf_hamming,
+    bf_hp_at_k,
+    bf_lca,
+    sorted_hp_curve,
+)
 from semhash.hierarchy import parse_taxonomy
 
 # immutable; shared across hypothesis examples
@@ -114,6 +124,40 @@ class TestAhpAtK:
         ranked = [leaf(t, n) for n in ("dog", "eagle", "cat", "tree", "piano", "idea")]
         rels = [relevance(t, q, lab) for lab in ranked]
         assert ahp_at_k(ranked, q, 5, t) == pytest.approx(bf_ahp_at_k(rels, 5), rel=1e-12)
+
+
+@given(tree_parent_lists, st.data())
+@settings(max_examples=100, deadline=None)
+def test_hp_and_ahp_match_sorted_oracle_bitwise(parents, data):
+    # random trees have leaves at mixed depths; rankings repeat labels
+    t = taxonomy_from_parents(parents)
+    ranked = data.draw(st.lists(st.sampled_from(t.leaves()), min_size=1, max_size=12))
+    q = data.draw(st.sampled_from(t.leaves()))
+    parent_of = [t.parent(i) for i in range(len(t))]
+    depth_of = [t.depth(i) for i in range(len(t))]
+    rels = [1.0 - t.node_height(bf_lca(parent_of, depth_of, q, lab)) / t.height for lab in ranked]
+    curve = sorted_hp_curve(rels, len(ranked))
+    for k in range(1, len(ranked) + 1):
+        assert hp_at_k(ranked, q, k, t) == curve[k - 1]
+        assert ahp_at_k(ranked, q, k, t) == math.fsum(curve[:k]) / k
+
+
+def test_bad_labels_reported_pair_by_pair(five_node_tax):
+    # the first (query, item) pair holding an unknown id or a non-leaf decides
+    # the error; within a pair, an unknown id comes first
+    t = five_node_tax
+    a, a1, a2 = t.node_id("A"), t.node_id("a1"), t.node_id("a2")
+    for ranked, q, error in [
+        ([a, 99], a1, NotALeaf),
+        ([99, a], a1, UnknownNode),
+        ([99], a, UnknownNode),
+        ([a2, 99], a, NotALeaf),
+    ]:
+        for fn in (hp_at_k, ahp_at_k):
+            with pytest.raises(error):
+                fn(ranked, q, len(ranked), t)
+        with pytest.raises(KTooLarge):  # the cutoff is checked first
+            hp_at_k(ranked, q, len(ranked) + 1, t)
 
 
 class TestAveragePrecision:

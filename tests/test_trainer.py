@@ -326,7 +326,7 @@ class TestTrain:
 
         layers, head, records = bf_train(
             enc0.layers, (clf0.weights, clf0.biases), ds.features.astype(np.float64), class_idx,
-            distance_matrix(tax, universe).values, cfg.batch_size, cfg.epochs,
+            distance_matrix(tax, universe), cfg.batch_size, cfg.epochs,
             shuffle_rng.generator.permutation,
             lambda shape: beta_sample(cfg.alpha, cfg.beta, shape, target_rng),
             loss, (cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps),
