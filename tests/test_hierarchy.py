@@ -73,6 +73,42 @@ class TestParse:
         assert t.name(t.root) == "a"
 
 
+def _lca_distance(t, node):
+    """Distance of a leaf pair whose lowest common ancestor is ``node``."""
+    return t.node_height(node) / max(t.height, 1)
+
+
+class TestLca:
+    """The LCA that distance_matrix finds, read back through its height."""
+
+    def test_identity(self, five_node_tax, wordnet_like_tax):
+        for t in (five_node_tax, wordnet_like_tax):
+            for leaf in t.leaves():
+                v = distance_matrix(t, [leaf, leaf])
+                np.testing.assert_array_equal(v, np.full((2, 2), _lca_distance(t, leaf)))
+
+    def test_five_node_cases(self, five_node_tax):
+        t = five_node_tax
+        a1, a2, b1 = (t.node_id(n) for n in ("a1", "a2", "b1"))
+        v = distance_matrix(t, [a1, a2, b1])
+        assert v[0, 1] == v[1, 0] == _lca_distance(t, t.node_id("A"))
+        assert v[0, 2] == v[2, 1] == _lca_distance(t, t.node_id("root"))
+
+    @given(tree_parent_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ancestor_set_oracle(self, parents):
+        t = taxonomy_from_parents(parents)
+        parent_of = {n.id: n.parent for n in t.nodes}
+        depth_of = {n.id: t.depth(n.id) for n in t.nodes}
+        rng = np.random.default_rng(len(parents))
+        leaves = t.leaves()
+        for _ in range(10):
+            a, b = (int(x) for x in rng.choice(leaves, 2))
+            expected = _lca_distance(t, bf_lca(parent_of, depth_of, a, b))
+            assert semantic_distance(t, a, b) == expected
+            assert distance_matrix(t, [b, a])[0, 1] == expected
+
+
 class TestSemanticDistance:
     def test_zero_on_self(self, five_node_tax):
         t = five_node_tax
