@@ -12,7 +12,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 
 from semhash.benchmark import (
     VARIANT_CONFIGS,
@@ -38,6 +37,8 @@ def main(argv=None) -> int:
     parser.add_argument("--k-max", type=int, default=100)
     parser.add_argument("--out", help="optional CSV output path")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     taxonomy = balanced_taxonomy((4, 4, 2))
     rows = []
@@ -52,9 +53,7 @@ def main(argv=None) -> int:
         if args.also_code_length:
             jobs.append((args.variants[0], args.also_code_length))
         for variant, code_length in jobs:
-            cfg = replace(
-                benchmark_config(variant, seed, code_length=code_length, epochs=args.epochs)
-            )
+            cfg = benchmark_config(variant, seed, code_length=code_length, epochs=args.epochs)
             started = time.perf_counter()
             score = run_variant(taxonomy, dataset, cfg, variant, k_max=args.k_max)
             elapsed = time.perf_counter() - started

@@ -8,7 +8,6 @@ feature-space distances correlate with semantic distances.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,12 +16,10 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidShapeParam,
-    MalformedFile,
     ShapeMismatch,
     UnknownLabel,
-    VersionMismatch,
 )
-from .hierarchy import Taxonomy, read_text, write_atomic
+from .hierarchy import Taxonomy, file_header, read_file, read_text, write_atomic
 
 FEATURES_MAGIC = b"SHRF"
 FEATURES_VERSION = 1
@@ -163,29 +160,18 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
         raise ShapeMismatch(f"features must be 2-D, got shape {features.shape}")
-    n, d = features.shape
     write_atomic(
         path,
-        FEATURES_MAGIC,
-        struct.pack("<III", FEATURES_VERSION, n, d),
+        file_header(FEATURES_MAGIC, FEATURES_VERSION, *features.shape),
         np.ascontiguousarray(features, dtype="<f4"),
     )
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    header = struct.calcsize("<4sIII")
-    if len(raw) < header:
-        raise MalformedFile(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n, d = struct.unpack_from("<4sIII", raw)
-    if magic != FEATURES_MAGIC:
-        raise MalformedFile(f"{path}: bad magic {magic!r}")
-    if version != FEATURES_VERSION:
-        raise VersionMismatch(f"{path}: unsupported version {version}")
-    expected = header + 4 * n * d
-    if len(raw) != expected:
-        raise MalformedFile(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4", offset=header).reshape(n, d).astype(np.float32)
+    (n, d), take, done = read_file(path, FEATURES_MAGIC, FEATURES_VERSION, 2)
+    features = take("<f4", n * d)
+    done()
+    return features.reshape(n, d).astype(np.float32)
 
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:

@@ -8,7 +8,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,9 +20,8 @@ from .errors import (
     MalformedFile,
     NonFiniteInput,
     ShapeMismatch,
-    VersionMismatch,
 )
-from .hierarchy import write_atomic
+from .hierarchy import file_header, read_file, write_atomic
 from .model import _embedding_values
 
 INDEX_MAGIC = b"SHRI"
@@ -77,12 +75,14 @@ def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
 
 
 def binarize(z, threshold: float = 0.5) -> list[HashCode]:
-    """Threshold each embedding coordinate: bit = 1 iff value >= threshold."""
+    """Threshold each embedding coordinate: bit = 1 iff value >= threshold; NaN/inf raise."""
     if not math.isfinite(threshold):
         raise NonFiniteInput(f"threshold must be finite, got {threshold}")
     values = _embedding_values(z)
     if values.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("embeddings contain NaN or inf")
     words = _pack(values >= threshold)
     return [HashCode(words=tuple(row), code_length=values.shape[1]) for row in words.tolist()]
 
@@ -182,47 +182,33 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     return [(int(index.ids[i]), int(dists[i])) for i in _rank_by_id(dists, index.ids)[:k]]
 
 
+def _index_entry(code_length: int) -> np.dtype:
+    """One index file entry: u64 id, u32 label, then the code's u64 words."""
+    return np.dtype([("id", "<u8"), ("label", "<u4"), ("words", "<u8", (_n_words(code_length),))])
+
+
 def save_index(path: str | Path, index: HashIndex) -> None:
-    w = _n_words(index.code_length)
-    entry = np.dtype([("id", "<u8"), ("label", "<u4"), ("words", "<u8", (w,))])
     if np.any(index.ids < 0) or np.any(index.labels < 0) or np.any(index.labels >= 2**32):
         raise ShapeMismatch("ids must be non-negative and labels must fit in 32 bits")
-    records = np.empty(len(index), dtype=entry)
+    records = np.empty(len(index), dtype=_index_entry(index.code_length))
     records["id"] = index.ids
     records["label"] = index.labels
     records["words"] = index.words
     write_atomic(
-        path,
-        INDEX_MAGIC,
-        struct.pack("<III", INDEX_VERSION, index.code_length, len(index)),
-        records,
+        path, file_header(INDEX_MAGIC, INDEX_VERSION, index.code_length, len(index)), records
     )
 
 
 def load_index(path: str | Path) -> HashIndex:
-    raw = Path(path).read_bytes()
-    header = struct.calcsize("<4sIII")
-    if len(raw) < header:
-        raise MalformedFile(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, code_length, count = struct.unpack_from("<4sIII", raw)
-    if magic != INDEX_MAGIC:
-        raise MalformedFile(f"{path}: bad magic {magic!r}")
-    if version != INDEX_VERSION:
-        raise VersionMismatch(f"{path}: unsupported version {version}")
+    (code_length, count), take, done = read_file(path, INDEX_MAGIC, INDEX_VERSION, 2)
     if code_length < 1:
         raise MalformedFile(f"{path}: invalid code length {code_length}")
-    w = _n_words(code_length)
-    entry = np.dtype([("id", "<u8"), ("label", "<u4"), ("words", "<u8", (w,))])
-    expected = header + count * entry.itemsize
-    if len(raw) != expected:
-        raise MalformedFile(
-            f"{path}: expected {expected} bytes, found {len(raw)} (offset {header})"
-        )
-    records = np.frombuffer(raw, dtype=entry, offset=header)
+    records = take(_index_entry(code_length), count)
+    done()
     if np.any(records["id"] >= 2**63):
         raise MalformedFile(f"{path}: sample id {records['id'].max()} is not below 2**63")
     return HashIndex(
-        words=records["words"].reshape(count, w),
+        words=records["words"],
         ids=records["id"].astype(np.int64),
         labels=records["label"].astype(np.int64),
         code_length=code_length,

@@ -86,8 +86,9 @@ def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.nd
     resid = manh / tau_z - d / tau_y
     value = float((np.abs(resid) * w).sum()) / (b * b)
 
-    coeff = w * np.sign(resid)  # symmetric
-    grad = 2.0 * np.einsum("bp,bpk->bk", coeff, sgn) / (b * b * tau_z)
+    coeff = w * np.sign(resid)
+    # z_b enters pair (b, p) with sign +sgn and pair (p, b) with -sgn = +sgn^T
+    grad = np.einsum("bp,bpk->bk", coeff + coeff.T, sgn) / (b * b * tau_z)
     if raw_tau_z > cfg.tau_floor:
         # tau_z moves with the embeddings unless the floor clamps it
         weighted_manh = float((coeff * manh).sum())

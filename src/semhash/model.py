@@ -8,8 +8,6 @@ central finite differences.
 """
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -17,15 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .data import RngState
-from .errors import (
-    MalformedFile,
-    NonDeterministicLoss,
-    NonFiniteInput,
-    ShapeMismatch,
-    StaleCache,
-    VersionMismatch,
-)
-from .hierarchy import write_atomic
+from .errors import NonDeterministicLoss, NonFiniteInput, ShapeMismatch, StaleCache
+from .hierarchy import file_header, read_file, write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1
@@ -261,25 +252,16 @@ def gradient_check(
 def checkpoint_bytes(encoder: EncoderParams, classifier: ClassifierParams) -> bytes:
     if classifier.code_length != encoder.code_length:
         raise ShapeMismatch("classifier K != encoder K")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(
-        struct.pack(
-            "<IIIII",
-            CHECKPOINT_VERSION,
-            encoder.in_dim,
-            encoder.code_length,
-            classifier.n_classes,
-            len(encoder.layers),
-        )
-    )
+
+    def f8(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a, dtype="<f8")
+
+    fields = (encoder.in_dim, encoder.code_length, classifier.n_classes, len(encoder.layers))
+    chunks = [file_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *fields)]
     for w, b in encoder.layers:
-        buf.write(struct.pack("<I", w.shape[0]))
-        buf.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(classifier.weights, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(classifier.biases, dtype="<f8").tobytes())
-    return buf.getvalue()
+        chunks += [w.shape[0].to_bytes(4, "little"), f8(w), f8(b)]
+    chunks += [f8(classifier.weights), f8(classifier.biases)]
+    return b"".join(chunks)
 
 
 def save_checkpoint(path: str | Path, encoder: EncoderParams, classifier: ClassifierParams) -> None:
@@ -287,41 +269,18 @@ def save_checkpoint(path: str | Path, encoder: EncoderParams, classifier: Classi
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, ClassifierParams]:
-    raw = Path(path).read_bytes()
-    header = struct.calcsize("<4sIIIII")
-    if len(raw) < header:
-        raise MalformedFile(f"{path}: truncated header")
-    magic, version, in_dim, code_length, n_classes, n_layers = struct.unpack_from(
-        "<4sIIIII", raw
-    )
-    if magic != CHECKPOINT_MAGIC:
-        raise MalformedFile(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"{path}: unsupported version {version}")
-
-    offset = header
+    fields, take, done = read_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4)
+    in_dim, code_length, n_classes, n_layers = fields
     layers = []
     prev = in_dim
-    for i in range(n_layers):
-        if offset + 4 > len(raw):
-            raise MalformedFile(f"{path}: truncated at layer {i}")
-        (out_dim,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        need = 8 * (out_dim * prev + out_dim)
-        if offset + need > len(raw):
-            raise MalformedFile(f"{path}: truncated at layer {i}")
-        w = np.frombuffer(raw, dtype="<f8", count=out_dim * prev, offset=offset)
-        offset += 8 * out_dim * prev
-        b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=offset)
-        offset += 8 * out_dim
-        layers.append((w.reshape(out_dim, prev).copy(), b.copy()))
+    for _ in range(n_layers):
+        out_dim = int(take("<u4", 1)[0])
+        w = take("<f8", out_dim * prev).reshape(out_dim, prev)
+        layers.append((w.copy(), take("<f8", out_dim).copy()))
         prev = out_dim
-    need = 8 * (n_classes * code_length + n_classes)
-    if offset + need != len(raw):
-        raise MalformedFile(f"{path}: expected {offset + need} bytes, found {len(raw)}")
-    cw = np.frombuffer(raw, dtype="<f8", count=n_classes * code_length, offset=offset)
-    offset += 8 * n_classes * code_length
-    cb = np.frombuffer(raw, dtype="<f8", count=n_classes, offset=offset)
+    cw = take("<f8", n_classes * code_length).reshape(n_classes, code_length)
+    cb = take("<f8", n_classes)
+    done()
     encoder = EncoderParams(layers=layers, code_length=code_length)
-    classifier = ClassifierParams(weights=cw.reshape(n_classes, code_length).copy(), biases=cb.copy())
+    classifier = ClassifierParams(weights=cw.copy(), biases=cb.copy())
     return encoder, classifier

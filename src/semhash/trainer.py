@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, RngState, beta_sample
-from .errors import ConfigError, DivergedLoss, NotALeaf, ShapeMismatch, UnknownLabel
+from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
 from .losses import SimLossConfig, total_loss
 from .model import (
@@ -216,9 +216,6 @@ def train(
     n = dataset.n_samples
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
-    for label in dataset.label_universe:
-        if not taxonomy.is_leaf(int(label)):
-            raise NotALeaf(f"label universe entry {label} is not a leaf")
     universe = [int(l) for l in dataset.label_universe]
     class_of = {label: i for i, label in enumerate(universe)}
     try:

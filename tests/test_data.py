@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -189,6 +190,18 @@ class TestDatasetFiles:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.label_universe == ds.label_universe
+
+    def test_hand_built_fixture_bytes(self, tmp_path):
+        # N=2, D=3, float32 rows written row-major after the 16-byte header
+        values = [[0.5, -1.25, 2.0], [3.0, 0.0, -0.75]]
+        raw = b"SHRF" + struct.pack("<III", 1, 2, 3) + struct.pack("<6f", *values[0], *values[1])
+        path = tmp_path / "hand.features"
+        write_features(path, np.array(values, dtype=np.float32))
+        assert path.read_bytes() == raw
+        path.write_bytes(raw)
+        back = read_features(path)
+        assert back.dtype == np.float32
+        assert back.tolist() == values
 
     def test_truncated_features(self, tmp_path):
         path = tmp_path / "bad.features"

@@ -9,6 +9,7 @@ from semhash.errors import (
     EmptyIndex,
     LengthMismatch,
     MalformedFile,
+    NonFiniteInput,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -54,6 +55,13 @@ class TestBinarize:
         codes = binarize(np.ones((1, 5)))
         assert codes[0].words[0] == 0b11111
         assert codes[0].code_length == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            binarize(np.array([[bad, 0.7]]))
+        with pytest.raises(NonFiniteInput):
+            binarize(np.array([[0.2, 0.7], [0.4, bad]]), threshold=0.3)
 
 
 class TestPacking:

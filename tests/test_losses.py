@@ -151,17 +151,19 @@ class TestSimLoss:
         b=st.integers(2, 9),
         k=st.integers(1, 9),
         repeats=st.booleans(),
+        symmetric=st.booleans(),
         cfg=st.sampled_from([SimLossConfig(), SimLossConfig(gamma=0.5, rho=0.0),
                              SimLossConfig(gamma=2.0, rho=3.5, tau_floor=0.5)]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_per_pair_oracle(self, seed, b, k, repeats, cfg):
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_pair_oracle(self, seed, b, k, repeats, symmetric, cfg):
         rng = np.random.default_rng(seed)
         z = rng.uniform(0.0, 1.0, (b, k))
         # repeated rows give zero Manhattan distances, and when every row is
         # one row tau_z is floored; the label distances have no ties, so no
-        # residual sits exactly at the kink of |.|
-        d = symmetric_distances(rng, b)
+        # residual sits exactly at the kink of |.|.  With d_bp != d_pb, pairs
+        # (b, p) and (p, b) weigh z_b differently.
+        d = symmetric_distances(rng, b) if symmetric else rng.uniform(0.0, 1.0, (b, b))
         if repeats:
             z = z[rng.integers(0, max(1, b // 2), b)]
         value, grad = sim_loss(z, d, cfg)
@@ -171,6 +173,15 @@ class TestSimLoss:
         # scale, 1 / (B * tau_z)
         tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
+
+    def test_asymmetric_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        z = rng.uniform(0.05, 0.95, (4, 3))
+        d = rng.uniform(0.0, 1.0, (4, 4))
+        cfg = SimLossConfig()
+        _, grad = sim_loss(z, d, cfg)
+        numeric = fd_grad(lambda q: sim_loss(q, d, cfg)[0], z)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-8)
 
 
 class TestKlLoss:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from semhash.model import (
     ClassifierParams,
     _sigmoid,
     EncoderParams,
+    checkpoint_bytes,
     classifier_forward,
     encoder_backward,
     encoder_forward,
@@ -270,6 +273,31 @@ class TestCheckpoint:
             np.testing.assert_array_equal(b, b2)
         np.testing.assert_array_equal(clf.weights, clf2.weights)
         np.testing.assert_array_equal(clf.biases, clf2.biases)
+
+    def test_hand_built_fixture_bytes(self, tmp_path):
+        # D=2 -> 3 -> K=2 encoder and a C=2 head: header, then per layer the
+        # u32 out-dim, float64 weights (out x in, row-major) and biases, then
+        # the head's weights and biases
+        w1, b1 = [[0.5, -1.0], [2.0, 0.25], [-0.125, 3.0]], [0.0, 1.5, -2.0]
+        w2, b2 = [[1.0, 2.0, 3.0], [-4.0, 5.0, -6.0]], [0.75, -0.5]
+        cw, cb = [[0.25, -0.25], [8.0, 16.0]], [1.0, -1.0]
+        raw = (
+            b"SHRW" + struct.pack("<IIIII", 1, 2, 2, 2, 2)
+            + struct.pack("<I", 3) + struct.pack("<6d", *w1[0], *w1[1], *w1[2]) + struct.pack("<3d", *b1)
+            + struct.pack("<I", 2) + struct.pack("<6d", *w2[0], *w2[1]) + struct.pack("<2d", *b2)
+            + struct.pack("<4d", *cw[0], *cw[1]) + struct.pack("<2d", *cb)
+        )
+        enc = EncoderParams(
+            layers=[(np.array(w1), np.array(b1)), (np.array(w2), np.array(b2))], code_length=2
+        )
+        clf = ClassifierParams(weights=np.array(cw), biases=np.array(cb))
+        assert checkpoint_bytes(enc, clf) == raw
+        path = tmp_path / "hand.checkpoint"
+        path.write_bytes(raw)
+        enc2, clf2 = load_checkpoint(path)
+        assert enc2.code_length == 2
+        assert [(w.tolist(), b.tolist()) for w, b in enc2.layers] == [(w1, b1), (w2, b2)]
+        assert (clf2.weights.tolist(), clf2.biases.tolist()) == (cw, cb)
 
     def test_truncated_file(self, tmp_path):
         enc = make_encoder(9)

@@ -1,0 +1,40 @@
+"""Smoke tests for ``scripts/run_benchmark.py``, the variant comparison script."""
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_benchmark", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SMALL = ["--epochs", "1", "--per-class", "5", "--k-max", "10", "--also-code-length", "0"]
+
+
+def test_one_seed_writes_one_row_per_variant(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert load_script().main(["--seeds", "1", *SMALL, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["variant"], r["code_length"]) for r in rows] == [
+        ("0", v, "16") for v in ("shrewd", "sim_only", "cls_only", "shred")
+    ]
+    assert f"wrote 4 rows to {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_seeds_below_one_is_a_usage_error(tmp_path, capsys, seeds):
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--seeds", seeds, *SMALL, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: --seeds must be >= 1, got {seeds}")
+    assert not out.exists()

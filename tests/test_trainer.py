@@ -9,7 +9,7 @@ import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, beta_sample, generate_synthetic
-from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch
+from semhash.errors import ConfigError, DivergedLoss, NotALeaf, ShapeMismatch, UnknownNode
 from semhash.hierarchy import distance_matrix
 from semhash.losses import total_loss
 from semhash.model import (
@@ -250,6 +250,20 @@ class TestTrain:
         cfg2 = TrainConfig(**{**cfg.__dict__, "batch_size": 8})
         with pytest.raises(ConfigError):
             train(cfg2, small, tax)
+
+    def test_universe_with_internal_node_rejected(self):
+        tax, ds, cfg = tiny_setup()
+        bad = type(ds)(features=ds.features, labels=ds.labels,
+                       label_universe=[*ds.label_universe, tax.root])
+        with pytest.raises(NotALeaf):
+            train(cfg, bad, tax)
+
+    def test_universe_with_out_of_range_id_rejected(self):
+        tax, ds, cfg = tiny_setup()
+        bad = type(ds)(features=ds.features, labels=ds.labels,
+                       label_universe=[*ds.label_universe, len(tax)])
+        with pytest.raises(UnknownNode):
+            train(cfg, bad, tax)
 
     def test_diverged_loss_aborts_with_step_info(self, monkeypatch):
         tax, ds, cfg = tiny_setup()
