@@ -32,7 +32,7 @@ from .hashing import HashCode, binarize, build_index, load_index, query_topk, sa
 from .hierarchy import load_taxonomy, read_text, write_atomic
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
-from .trainer import apply_variant, parse_config, train
+from .trainer import VARIANTS, apply_variant, parse_config, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -102,14 +102,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = parse_config(read_text(args.config))
-    if args.seed is not None:
-        if args.seed != config.seed:
-            _warn(f"--seed {args.seed} overrides config seed {config.seed}")
-        config = replace(config, seed=args.seed)
-    if args.epochs is not None:
-        if args.epochs != config.epochs:
-            _warn(f"--epochs {args.epochs} overrides config epochs {config.epochs}")
-        config = replace(config, epochs=args.epochs)
+    for name in ("seed", "epochs"):
+        flag, value = getattr(args, name), getattr(config, name)
+        if flag is not None:
+            if flag != value:
+                _warn(f"--{name} {flag} overrides config {name} {value}")
+            config = replace(config, **{name: flag})
     if args.variant is not None:
         config, warning = apply_variant(config, args.variant)
         if warning:
@@ -136,19 +134,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_index(prefix: Path, embeddings: np.ndarray, labels: np.ndarray, threshold: float) -> Path:
+    """Save PREFIX.index of the float32 values that PREFIX.embeddings holds, so that
+    ``index`` on those embeddings reproduces ``encode``'s index."""
+    codes = binarize(embeddings.astype(np.float64), threshold=threshold)
+    index_path = prefix.with_name(prefix.name + ".index")
+    save_index(index_path, build_index(codes, np.arange(len(embeddings)), labels))
+    return index_path
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.features, args.labels, taxonomy)
     encoder, _ = load_checkpoint(args.checkpoint)
     batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
-    codes = binarize(batch, threshold=args.threshold)
-    index = build_index(codes, np.arange(dataset.n_samples), dataset.labels)
+    embeddings = batch.values.astype(np.float32)
 
     prefix = Path(args.out)
+    index_path = _write_index(prefix, embeddings, dataset.labels, args.threshold)
     emb_path = prefix.with_name(prefix.name + ".embeddings")
-    index_path = prefix.with_name(prefix.name + ".index")
-    write_features(emb_path, batch.values.astype(np.float32))
-    save_index(index_path, index)
+    write_features(emb_path, embeddings)
     _write_manifest(
         prefix,
         "encode",
@@ -163,11 +168,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.embeddings, args.labels, taxonomy)
-    codes = binarize(dataset.features.astype(np.float64), threshold=args.threshold)
-    index = build_index(codes, np.arange(dataset.n_samples), dataset.labels)
     prefix = Path(args.out)
-    index_path = prefix.with_name(prefix.name + ".index")
-    save_index(index_path, index)
+    index_path = _write_index(prefix, dataset.features, dataset.labels, args.threshold)
     _write_manifest(
         prefix,
         "index",
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--variant", choices=("shrewd", "shred"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
@@ -307,8 +309,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DivergedLoss as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (SemhashError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SemhashError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

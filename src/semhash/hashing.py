@@ -207,9 +207,12 @@ def load_index(path: str | Path) -> HashIndex:
     done()
     if np.any(records["id"] >= 2**63):
         raise MalformedFile(f"{path}: sample id {records['id'].max()} is not below 2**63")
-    return HashIndex(
-        words=records["words"],
-        ids=records["id"].astype(np.int64),
-        labels=records["label"].astype(np.int64),
-        code_length=code_length,
-    )
+    try:  # a repeated id or a set padding bit
+        return HashIndex(
+            words=records["words"],
+            ids=records["id"].astype(np.int64),
+            labels=records["label"].astype(np.int64),
+            code_length=code_length,
+        )
+    except ShapeMismatch as exc:
+        raise MalformedFile(f"{path}: {exc}") from None

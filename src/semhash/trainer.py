@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -61,13 +61,14 @@ class TrainConfig:
             raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        for name in ("learning_rate", "adam_eps", "gamma", "alpha", "beta", "tau_floor"):
+        for name in ("learning_rate", "adam_eps", "alpha", "beta"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.rho < 0 or self.lambda1 < 0 or self.lambda2 < 0 or self.lambda_sim < 0:
+        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda_sim < 0:
             raise ConfigError("loss weights must be non-negative")
+        self.sim_config()  # SimLossConfig checks the similarity-loss settings
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "shrewd" and self.lambda2 != 0:
@@ -79,15 +80,9 @@ class TrainConfig:
         return SimLossConfig(gamma=self.gamma, rho=self.rho, tau_floor=self.tau_floor)
 
 
-_INT_KEYS = {"code_length", "batch_size", "epochs", "seed"}
-_FLOAT_KEYS = {
-    "lambda_sim", "lambda1", "lambda2", "gamma", "rho", "alpha", "beta",
-    "learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "tau_floor",
-}
-
-
 def parse_config(text: str) -> TrainConfig:
-    """Parse "key = value" lines; unknown keys are an error."""
+    """Parse "key = value" lines; the keys are TrainConfig's fields, typed by their defaults."""
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -99,21 +94,18 @@ def parse_config(text: str) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-                if not math.isfinite(values[key]):
-                    raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
-            elif key == "hidden_sizes":
+            if kind is tuple:  # a comma list of ints
                 values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "variant":
-                values[key] = value
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                values[key] = kind(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value for {key}: {value!r}") from None
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
     return TrainConfig(**values)
 
 
@@ -282,18 +274,12 @@ def train(
 
 
 def apply_variant(config: TrainConfig, variant: str) -> tuple[TrainConfig, Optional[str]]:
-    """Force a variant onto a config; returns (config, warning or None)."""
+    """Force a variant and its lambda2 onto a config; returns (config, warning or None)."""
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    # shrewd drops the classification term; shred keeps a positive lambda2, else uses 1.0
+    lambda2 = 0.0 if variant == "shrewd" else (1.0 if config.lambda2 <= 0 else config.lambda2)
     warning = None
-    if variant == "shrewd":
-        if config.lambda2 != 0:
-            warning = f"variant 'shrewd' forces lambda2 = 0 (config had {config.lambda2})"
-        config = replace(config, lambda2=0.0, variant="shrewd")
-    else:
-        if config.lambda2 <= 0:
-            warning = "variant 'shred' requires lambda2 > 0; using 1.0"
-            config = replace(config, lambda2=1.0, variant="shred")
-        else:
-            config = replace(config, variant="shred")
-    return config, warning
+    if lambda2 != config.lambda2:
+        warning = f"variant {variant!r} sets lambda2 = {lambda2} (config had {config.lambda2})"
+    return replace(config, lambda2=lambda2, variant=variant), warning

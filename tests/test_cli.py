@@ -18,9 +18,10 @@ import semhash.cli as cli_mod
 from semhash.cli import main
 from semhash.data import write_features
 from semhash.errors import DivergedLoss
-from semhash.hashing import binarize, build_index, save_index
+from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
 from semhash.hierarchy import parse_taxonomy
-from semhash.trainer import TrainConfig, format_config
+from semhash.model import ClassifierParams, EncoderParams, save_checkpoint
+from semhash.trainer import VARIANTS, TrainConfig, format_config
 
 TAX_TEXT = "\n".join(
     ["root animal", "root object"]
@@ -248,6 +249,82 @@ class TestPipeline:
                                "report.json", "hp_curve.csv")
             })
         assert results[0] == results[1]
+
+
+def test_index_at_encode_threshold_reproduces_encode_index(workdir):
+    # every embedding is 0.5 - 1e-10 in float64 and exactly 0.5 once saved as
+    # float32; both commands threshold the saved value, so every bit is set
+    assert gen_data(workdir) == 0
+    bias = np.full(4, np.log((0.5 - 1e-10) / (0.5 + 1e-10)))
+    save_checkpoint(
+        workdir / "half.checkpoint",
+        EncoderParams(layers=[(np.zeros((4, 12)), bias)], code_length=4),
+        ClassifierParams(weights=np.zeros((8, 4)), biases=np.zeros(8)),
+    )
+    data = ["--labels", str(workdir / "data.labels"), "--taxonomy", str(workdir / "tax.txt")]
+    assert main(["encode", "--checkpoint", str(workdir / "half.checkpoint"),
+                 "--features", str(workdir / "data.features"), *data,
+                 "--out", str(workdir / "half")]) == 0
+    assert main(["index", "--embeddings", str(workdir / "half.embeddings"), *data,
+                 "--out", str(workdir / "re"), "--threshold", "0.5"]) == 0
+    assert (workdir / "re.index").read_bytes() == (workdir / "half.index").read_bytes()
+    assert load_index(workdir / "half.index").words.tolist() == [[15]] * 48
+
+
+def test_train_variant_choices_are_the_trainer_variants(capsys):
+    parser = cli_mod.build_parser()
+    argv = ["train", "--config", "c", "--features", "f", "--labels", "l", "--taxonomy", "t",
+            "--out", "o", "--variant"]
+    assert [parser.parse_args(argv + [name]).variant for name in VARIANTS] == list(VARIANTS)
+    for name in ("cls_only", "sim_only", "SHRED", ""):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [name])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["query", "eval"])
+@pytest.mark.parametrize("mutation", ["duplicate id", "padding bit"])
+def test_bad_index_entry_is_one_error_line_naming_the_file(workdir, capsys, command, mutation):
+    run_pipeline(workdir)
+    path = workdir / "run.index"
+    raw = bytearray(path.read_bytes())
+    entries = np.frombuffer(raw, dtype=_index_entry(8), offset=16)  # K = 8: one word each
+    if mutation == "duplicate id":
+        entries["id"][1] = entries["id"][0]
+    else:
+        entries["words"][0, 0] |= np.uint64(1 << 63)
+    path.write_bytes(raw)
+    capsys.readouterr()
+    if command == "query":
+        rc = main(["query", "--index", str(path), "--query-id", "2"])
+    else:
+        rc = main(["eval", "--index", str(path), "--taxonomy", str(workdir / "tax.txt"),
+                   "--k-max", "5", "--out", str(workdir / "bad")])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert not any(workdir.glob("bad.*"))
+
+
+def test_gen_data_out_of_memory_is_one_error_line(workdir):
+    # the child lowers only its own address-space limit to 2 GiB, so the
+    # 149 GiB feature matrix fails to allocate before any page is touched
+    pytest.importorskip("resource")
+    (workdir / "two.txt").write_text("root a\nroot b\n")
+    code = ("import resource, sys; from semhash.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "sys.exit(main(sys.argv[1:]))")
+    src = Path(semhash.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code, "gen-data", "--taxonomy", str(workdir / "two.txt"),
+         "--per-class", "1000000", "--dim", "10000", "--seed", "1", "--out", str(workdir / "g")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    lines = out.stderr.splitlines()
+    assert out.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error:") and "allocate" in lines[0]
+    assert not any(workdir.glob("g.*"))
 
 
 def test_eval_rejects_index_with_duplicate_ids(workdir, capsys):

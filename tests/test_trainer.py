@@ -20,6 +20,7 @@ from semhash.model import (
     init_encoder,
 )
 from semhash.trainer import (
+    VARIANTS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -145,6 +146,22 @@ CONFIG_LINE = st.one_of(
 )
 
 
+INT_KEYS = ["code_length", "batch_size", "epochs", "seed"]
+FLOAT_KEYS = [
+    "lambda_sim", "lambda1", "lambda2", "gamma", "rho", "alpha", "beta",
+    "learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "tau_floor",
+]
+
+
+def non_default(f):
+    """A valid value of TrainConfig field ``f`` other than its default."""
+    if isinstance(f.default, str):
+        return next(v for v in VARIANTS if v != f.default)
+    if isinstance(f.default, tuple):
+        return f.default[:1]
+    return f.default + 1 if isinstance(f.default, int) else f.default / 2
+
+
 class TestConfig:
     def test_roundtrip_through_text(self):
         cfg = TrainConfig(code_length=8, hidden_sizes=(32, 16), lambda2=0.0, variant="shrewd",
@@ -182,12 +199,58 @@ class TestConfig:
         assert isinstance(cfg, TrainConfig)
         assert parse_config(format_config(cfg)) == cfg
 
+    def test_schema_is_the_field_defaults(self):
+        # a key's type is its default's type: int, float, a tuple of ints or str
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+        assert sorted(k for k, t in kinds.items() if t is int) == sorted(INT_KEYS)
+        assert sorted(k for k, t in kinds.items() if t is float) == sorted(FLOAT_KEYS)
+        assert {k: t for k, t in kinds.items() if t not in (int, float)} == {
+            "hidden_sizes": tuple, "variant": str,
+        }
+
+    @pytest.mark.parametrize("f", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+    def test_every_key_round_trips_a_non_default_value(self, f):
+        value = non_default(f)
+        cfg = TrainConfig(**{"lambda2": 0.0} if f.name == "variant" else {}, **{f.name: value})
+        assert value != f.default
+        parsed = parse_config(format_config(cfg))
+        assert parsed == cfg
+        assert type(getattr(parsed, f.name)) is type(f.default)
+
+    @pytest.mark.parametrize("key, value", [(key, "1.5") for key in INT_KEYS] + [
+        (key, value) for key in FLOAT_KEYS for value in ("nan", "inf")
+    ])
+    def test_bad_number_is_a_config_error_naming_its_line(self, key, value):
+        with pytest.raises(ConfigError, match=f"^line 2: .*{key}"):
+            parse_config(f"# one bad value\n{key} = {value}\nseed = 1\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 0.0), ("gamma", -0.1), ("rho", -1e-9), ("tau_floor", 0.0), ("tau_floor", -1.0),
+    ])
+    def test_similarity_settings_are_checked(self, key, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{key: value})
+        with pytest.raises(ConfigError):
+            parse_config(f"{key} = {value}\n")
+
+    def test_rho_zero_is_allowed(self):
+        assert TrainConfig(rho=0.0).sim_config().rho == 0.0
+
     def test_apply_variant_forces_lambda2(self):
         cfg = TrainConfig()
         forced, warning = apply_variant(cfg, "shrewd")
         assert forced.lambda2 == 0.0
         assert forced.variant == "shrewd"
         assert warning is not None
+
+    @pytest.mark.parametrize("variant, lambda2, forced", [
+        ("shrewd", 0.5, 0.0), ("shrewd", 0.0, 0.0), ("shred", 0.5, 0.5), ("shred", 0.0, 1.0),
+    ])
+    def test_apply_variant_warns_only_when_lambda2_changes(self, variant, lambda2, forced):
+        cfg = TrainConfig(lambda2=lambda2, variant="shred" if lambda2 else "shrewd")
+        out, warning = apply_variant(cfg, variant)
+        assert (out.variant, out.lambda2) == (variant, forced)
+        assert (warning is None) == (lambda2 == forced)
 
 
 def tiny_setup(seed=0, epochs=4):
