@@ -39,21 +39,17 @@ class RngState:
     reproducible.
     """
 
-    seed: int
     generator: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngState":
         if not 0 <= int(seed) < 2**128:
             raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
-        return cls(seed=int(seed), generator=np.random.Generator(np.random.Philox(key=int(seed))))
+        return cls(np.random.Generator(np.random.Philox(key=int(seed))))
 
     def split(self, n: int) -> list["RngState"]:
         bg = self.generator.bit_generator
-        return [
-            RngState(seed=self.seed, generator=np.random.Generator(bg.jumped(i + 1)))
-            for i in range(n)
-        ]
+        return [RngState(np.random.Generator(bg.jumped(i + 1))) for i in range(n)]
 
 
 @dataclass
@@ -194,8 +190,4 @@ def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:
 def load_dataset(features_path: str | Path, labels_path: str | Path, t: Taxonomy) -> Dataset:
     features = read_features(features_path)
     labels = read_labels(labels_path, t)
-    if features.shape[0] != labels.shape[0]:
-        raise ShapeMismatch(
-            f"{features.shape[0]} feature rows but {labels.shape[0]} labels"
-        )
     return Dataset(features=features, labels=labels, label_universe=t.leaves())

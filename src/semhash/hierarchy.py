@@ -137,10 +137,6 @@ class Taxonomy:
         self._check_id(node_id)
         return self._node_height[node_id]
 
-    def is_leaf(self, node_id: int) -> bool:
-        self._check_id(node_id)
-        return not self._children[node_id]
-
     def leaves(self) -> list[int]:
         """Leaf node ids in id order."""
         return [node.id for node in self.nodes if not self._children[node.id]]

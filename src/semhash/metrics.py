@@ -187,36 +187,23 @@ def _score(
     rel_table = 1.0 - distance_matrix(t, label_ids.tolist())
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
-    # the ideal top-k_max relevance prefix sums, one per (query label, label
-    # of its own entry or none), from the histogram of item labels
-    n_labels = len(label_ids)
-    own_rows = np.full(n_queries, n_labels)
-    own_rows[has_own] = item_rows[own_col[has_own]]
-    histogram = np.bincount(item_rows, minlength=n_labels)
-    ideal_keys, ideal_of_query = np.unique(
-        query_rows * (n_labels + 1) + own_rows, return_inverse=True
-    )
-    ideal = np.empty((len(ideal_keys), k_max))
-    for i, key in enumerate(ideal_keys.tolist()):
-        label, own = divmod(key, n_labels + 1)
-        counts = histogram.copy()
-        if own < n_labels:
-            counts[own] -= 1
-        desc = np.argsort(rel_table[label])[::-1]
-        ideal[i] = np.cumsum(np.repeat(rel_table[label, desc], counts[desc])[:k_max])
-
     block = max(1, _BLOCK_BYTES // (8 * n_items))
     hp_rows = np.empty((n_queries, k_max))
     aps: list[float] = []
     for start in range(0, n_queries, block):
         rows = slice(start, start + block)
-        dists = distances(rows)[:, by_id]
         mine = np.flatnonzero(has_own[rows])
-        dists[mine, own_col[rows][mine]] = sentinel
+        own = own_col[rows][mine]
+        ideal = rel_table[query_rows[rows]][:, item_rows]  # the candidates' relevances
+        ideal[mine, own] = 0.0  # relevances are >= 0, so this never changes the k_max largest
+        ideal.sort(axis=1)
+        ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
+        dists = distances(rows)[:, by_id]
+        dists[mine, own] = sentinel
         ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
         q_rows = query_rows[rows, None]
         got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
-        hp_rows[rows] = _hp(got, ideal[ideal_of_query[rows]])
+        hp_rows[rows] = _hp(got, ideal)
         hits = ranked_rows == q_rows
         hits[mine, -1] = False  # the query's own entry, ranked last
         aps.extend(_ap(row) for row in hits)

@@ -177,7 +177,14 @@ class TestDatasetFiles:
         f, l = tmp_path / "d.features", tmp_path / "d.labels"
         write_features(f, np.zeros((2, 2), dtype=np.float32))
         l.write_text("a1\n")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="^2 feature rows but 1 labels$"):
+            load_dataset(f, l, five_node_tax)
+
+    def test_zero_row_features_are_an_empty_dataset(self, tmp_path, five_node_tax):
+        f, l = tmp_path / "d.features", tmp_path / "d.labels"
+        write_features(f, np.zeros((0, 2), dtype=np.float32))
+        l.write_text("a1\n")
+        with pytest.raises(ShapeMismatch, match="^dataset must contain at least one sample$"):
             load_dataset(f, l, five_node_tax)
 
     def test_generate_save_load_roundtrip(self, tmp_path, wordnet_like_tax):

@@ -412,11 +412,11 @@ class TestBlockedScorer:
         n = len(ids)
         block_of(per_block, n, n)
         index = build_index([pack_bits(row) for row in bits], ids, labels)
-        k_max = int(rng.integers(1, n))
-        got = evaluate(index, None, WORDNET_LIKE, k_max, per_query=True)
-        want = bf_evaluate(hamming_dists(bits, bits), ids, labels, ids, labels,
-                           wordnet_relevance, k_max)
-        assert_same_report(got, want, "hamming")
+        for k_max in (int(rng.integers(1, n)), n - 1):  # n - 1: every candidate
+            got = evaluate(index, None, WORDNET_LIKE, k_max, per_query=True)
+            want = bf_evaluate(hamming_dists(bits, bits), ids, labels, ids, labels,
+                               wordnet_relevance, k_max)
+            assert_same_report(got, want, "hamming")
 
     @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
     def test_manhattan_leave_one_out_matches_oracle(self, block_of, seed, k, per_block):
@@ -425,11 +425,11 @@ class TestBlockedScorer:
         block_of(per_block, n, n)
         # grid values over repeated rows: many exact L1 ties
         values = bits * 0.5 + rng.integers(0, 2, size=bits.shape) * 0.25
-        k_max = int(rng.integers(1, n))
-        got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
-        want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
-                           ids, labels, wordnet_relevance, k_max)
-        assert_same_report(got, want, "manhattan")
+        for k_max in (int(rng.integers(1, n)), n - 1):  # n - 1: every candidate
+            got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
+            want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                               ids, labels, wordnet_relevance, k_max)
+            assert_same_report(got, want, "manhattan")
 
     @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
     def test_separate_queries_present_and_absent(self, block_of, seed, k, per_block):
@@ -445,11 +445,12 @@ class TestBlockedScorer:
         q_labels = rng.choice(LEAVES, size=len(q_ids))
         queries = build_index([pack_bits(row) for row in q_bits], q_ids, q_labels)
         block_of(per_block, n, len(q_ids))
-        k_max = int(rng.integers(1, n + (len(present) == 0)))
-        got = evaluate(index, queries, WORDNET_LIKE, k_max, per_query=True)
-        want = bf_evaluate(hamming_dists(bits, q_bits), ids, labels, q_ids, q_labels,
-                           wordnet_relevance, k_max)
-        assert_same_report(got, want, "hamming")
+        largest = n - 1 + (len(present) == 0)  # n when no query id is an item
+        for k_max in (int(rng.integers(1, largest + 1)), largest):
+            got = evaluate(index, queries, WORDNET_LIKE, k_max, per_query=True)
+            want = bf_evaluate(hamming_dists(bits, q_bits), ids, labels, q_ids, q_labels,
+                               wordnet_relevance, k_max)
+            assert_same_report(got, want, "hamming")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_overflowing_distances_match_oracle(self, seed):
