@@ -10,7 +10,10 @@ change results.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,9 +23,13 @@ from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, 
 from .hashing import HashIndex, _check_unique_ids, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
 
-# bytes of one block's b x N int64 rank rows; eval's working set is at most
-# three such blocks
+# bytes of the b x N int64 rank rows of all blocks in flight, one block per
+# thread; each thread's working set is at most three of its blocks
 _BLOCK_BYTES = 1 << 20
+# threads that score query blocks: the caller's and at most one worker
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
+)
 
 
 @dataclass
@@ -184,30 +191,45 @@ def _score(
     label_ids, label_rows = np.unique(
         np.concatenate([query_labels, item_labels]), return_inverse=True
     )
-    rel_table = 1.0 - distance_matrix(t, label_ids.tolist())
+    rel_table = distance_matrix(t, label_ids.tolist())
+    np.subtract(1.0, rel_table, out=rel_table)
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
-    block = max(1, _BLOCK_BYTES // (8 * n_items))
+    block = max(1, _BLOCK_BYTES // (8 * n_items * _WORKERS))
     hp_rows = np.empty((n_queries, k_max))
-    aps: list[float] = []
-    for start in range(0, n_queries, block):
-        rows = slice(start, start + block)
-        mine = np.flatnonzero(has_own[rows])
-        own = own_col[rows][mine]
-        ideal = rel_table[query_rows[rows]][:, item_rows]  # the candidates' relevances
-        ideal[mine, own] = 0.0  # relevances are >= 0, so this never changes the k_max largest
-        ideal.sort(axis=1)
-        ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
-        dists = distances(rows)[:, by_id]
-        dists[mine, own] = sentinel
-        ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
-        q_rows = query_rows[rows, None]
-        got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
-        hp_rows[rows] = _hp(got, ideal)
-        hits = ranked_rows == q_rows
-        hits[mine, -1] = False  # the query's own entry, ranked last
-        aps.extend(_ap(row) for row in hits)
-        del dists, ranked_rows  # at most one block's arrays are alive at a time
+
+    def score_blocks(starts: range) -> list[float]:
+        """Fill the blocks' ``hp_rows`` rows; their APs in query order."""
+        aps: list[float] = []
+        for start in starts:
+            rows = slice(start, start + block)
+            mine = np.flatnonzero(has_own[rows])
+            own = own_col[rows][mine]
+            ideal = rel_table[query_rows[rows]][:, item_rows]  # the candidates' relevances
+            ideal[mine, own] = 0.0  # relevances are >= 0, so this never changes the k_max largest
+            ideal.sort(axis=1)
+            ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
+            dists = distances(rows)[:, by_id]
+            dists[mine, own] = sentinel
+            ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
+            q_rows = query_rows[rows, None]
+            got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
+            hp_rows[rows] = _hp(got, ideal)
+            hits = ranked_rows == q_rows
+            hits[mine, -1] = False  # the query's own entry, ranked last
+            aps.extend(_ap(row) for row in hits)
+            del dists, ranked_rows  # at most one block's arrays per thread are alive
+        return aps
+
+    starts = range(0, n_queries, block)
+    if _WORKERS == 1 or len(starts) == 1:
+        aps = score_blocks(starts)
+    else:  # this thread scores the first half, one worker the rest
+        half = (len(starts) + 1) // 2
+        with ThreadPoolExecutor(1) as worker:  # joined on exit, also when a share raises
+            # numpy's error state is a contextvar, which a new thread does not inherit
+            rest = worker.submit(contextvars.copy_context().run, score_blocks, starts[half:])
+            aps = score_blocks(starts[:half]) + rest.result()
 
     hp_curve = [
         (k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)
@@ -267,10 +289,10 @@ def evaluate_embeddings(
     if not np.isfinite(values).all():
         raise NonFiniteInput("embeddings contain NaN or inf")
     _check_unique_ids(ids)
-    diff = np.empty_like(values)
 
     def distances(rows: slice) -> np.ndarray:
         queries = values[rows]
+        diff = np.empty_like(values)  # per call: each thread needs its own
         out = np.empty((len(queries), len(values)))
         for vec, row in zip(queries, out):
             np.subtract(values, vec, out=diff)

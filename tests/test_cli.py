@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import semhash
 import semhash.cli as cli_mod
+import semhash.metrics as metrics_mod
 from semhash.cli import main
 from semhash.data import write_features
 from semhash.errors import DivergedLoss
@@ -325,6 +327,31 @@ def test_gen_data_out_of_memory_is_one_error_line(workdir):
     assert out.returncode == 1
     assert len(lines) == 1 and lines[0].startswith("error:") and "allocate" in lines[0]
     assert not any(workdir.glob("g.*"))
+
+
+def test_eval_out_of_memory_on_the_worker_thread_is_one_error_line(workdir, capsys, monkeypatch):
+    run_pipeline(workdir)
+    capsys.readouterr()
+    real = metrics_mod.hamming_to_all
+
+    def short_of_memory(index, words):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 1.00 GiB")
+        return real(index, words)
+
+    monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+    monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 1)  # one-query blocks
+    monkeypatch.setattr(metrics_mod, "hamming_to_all", short_of_memory)
+    threads_before = threading.active_count()
+    rc = main([
+        "eval", "--index", str(workdir / "run.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "10", "--out", str(workdir / "oom"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: Unable to allocate 1.00 GiB"]
+    assert threading.active_count() == threads_before
+    assert not any(workdir.glob("oom.*"))
 
 
 def test_eval_rejects_index_with_duplicate_ids(workdir, capsys):

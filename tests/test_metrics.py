@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -400,39 +403,44 @@ KERNEL_CASES = [
 
 class TestBlockedScorer:
     @pytest.fixture
-    def block_of(self, monkeypatch):
-        """Size eval blocks to ``per_block`` queries over ``n`` items (None: all)."""
-        def set_block(per_block, n_items, n_queries):
-            monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n_items * (per_block or n_queries))
-        return set_block
+    def layouts(self, monkeypatch):
+        """Yield once per thread count, with blocks of ``per_block`` queries (None: all)."""
+        def each_layout(per_block, n_items, n_queries):
+            for workers in (1, 2):
+                monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+                monkeypatch.setattr(
+                    metrics_mod, "_BLOCK_BYTES", 8 * n_items * workers * (per_block or n_queries)
+                )
+                yield workers
+        return each_layout
 
     @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
-    def test_hamming_leave_one_out_matches_oracle(self, block_of, seed, k, per_block):
+    def test_hamming_leave_one_out_matches_oracle(self, layouts, seed, k, per_block):
         rng, bits, ids, labels = kernel_case(seed, k)
         n = len(ids)
-        block_of(per_block, n, n)
         index = build_index([pack_bits(row) for row in bits], ids, labels)
         for k_max in (int(rng.integers(1, n)), n - 1):  # n - 1: every candidate
-            got = evaluate(index, None, WORDNET_LIKE, k_max, per_query=True)
             want = bf_evaluate(hamming_dists(bits, bits), ids, labels, ids, labels,
                                wordnet_relevance, k_max)
-            assert_same_report(got, want, "hamming")
+            for _ in layouts(per_block, n, n):
+                got = evaluate(index, None, WORDNET_LIKE, k_max, per_query=True)
+                assert_same_report(got, want, "hamming")
 
     @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
-    def test_manhattan_leave_one_out_matches_oracle(self, block_of, seed, k, per_block):
+    def test_manhattan_leave_one_out_matches_oracle(self, layouts, seed, k, per_block):
         rng, bits, ids, labels = kernel_case(seed, k)
         n = len(ids)
-        block_of(per_block, n, n)
         # grid values over repeated rows: many exact L1 ties
         values = bits * 0.5 + rng.integers(0, 2, size=bits.shape) * 0.25
         for k_max in (int(rng.integers(1, n)), n - 1):  # n - 1: every candidate
-            got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
             want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
                                ids, labels, wordnet_relevance, k_max)
-            assert_same_report(got, want, "manhattan")
+            for _ in layouts(per_block, n, n):
+                got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
+                assert_same_report(got, want, "manhattan")
 
     @pytest.mark.parametrize("seed,k,per_block", KERNEL_CASES)
-    def test_separate_queries_present_and_absent(self, block_of, seed, k, per_block):
+    def test_separate_queries_present_and_absent(self, layouts, seed, k, per_block):
         rng, bits, ids, labels = kernel_case(seed, k)
         n = len(ids)
         index = build_index([pack_bits(row) for row in bits], ids, labels)
@@ -444,13 +452,86 @@ class TestBlockedScorer:
         q_bits = q_bits[rng.integers(0, len(q_bits), len(q_ids))]
         q_labels = rng.choice(LEAVES, size=len(q_ids))
         queries = build_index([pack_bits(row) for row in q_bits], q_ids, q_labels)
-        block_of(per_block, n, len(q_ids))
         largest = n - 1 + (len(present) == 0)  # n when no query id is an item
         for k_max in (int(rng.integers(1, largest + 1)), largest):
-            got = evaluate(index, queries, WORDNET_LIKE, k_max, per_query=True)
             want = bf_evaluate(hamming_dists(bits, q_bits), ids, labels, q_ids, q_labels,
                                wordnet_relevance, k_max)
-            assert_same_report(got, want, "hamming")
+            for _ in layouts(per_block, n, len(q_ids)):
+                got = evaluate(index, queries, WORDNET_LIKE, k_max, per_query=True)
+                assert_same_report(got, want, "hamming")
+
+    def test_worker_sees_the_callers_error_state(self, layouts):
+        # every query's row overflows: each one is 1e308 or more from an extreme item
+        values = np.repeat(np.array([1e308, -1e308, 0.0, 1e308, 0.0, -1e308, 0.0])[:, None], 2, 1)
+        n = len(values)
+        ids, labels = np.arange(n), np.resize(LEAVES, n)
+        reports = []
+        for _ in layouts(1, n, n):
+            with warnings.catch_warnings(), np.errstate(over="ignore"):
+                warnings.simplefilter("error")
+                reports.append(
+                    evaluate_embeddings(values, ids, labels, WORDNET_LIKE, n - 1, per_query=True)
+                )
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                evaluate_embeddings(values, ids, labels, WORDNET_LIKE, n - 1)
+        serial, threaded = reports
+        assert threaded.to_json_dict() == serial.to_json_dict()
+        assert threaded.hp_curve_csv() == serial.hp_curve_csv()
+
+    @pytest.mark.parametrize("failing_thread", ["caller", "worker"])
+    def test_a_failing_share_is_raised_after_the_worker_is_joined(self, monkeypatch, failing_thread):
+        class ShareFailed(Exception):
+            pass
+
+        n = 6
+        ids, labels = np.arange(n), np.resize(LEAVES, n)
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n * 2)  # 1-query blocks
+
+        def distances(rows):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing_thread == "caller"):
+                raise ShareFailed(rows.start)
+            return np.zeros((1, n))
+
+        threads_before = threading.active_count()
+        with pytest.raises(ShareFailed):
+            metrics_mod._score(distances, math.nan, ids, labels, ids, labels, WORDNET_LIKE, 2,
+                               False, "manhattan")
+        assert threading.active_count() == threads_before
+
+    def test_one_block_starts_no_thread(self, monkeypatch, five_node_tax):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        t = five_node_tax
+        a1, a2, b1 = (t.node_id(name) for name in ("a1", "a2", "b1"))
+        assert hp_at_k([a1, b1, a2], a1, 2, t) == pytest.approx(2.0 / 3.0)
+        assert ahp_at_k([a1, b1, a2], a1, 3, t) == pytest.approx((1.0 + 2.0 / 3.0 + 1.0) / 3.0)
+        index = build_index([pack_bits([0]), pack_bits([1]), pack_bits([1])], [4, 5, 6], [a1, a2, b1])
+        assert evaluate(index, None, t, k_max=2).n_queries == 3
+        assert evaluate_embeddings([[0.0], [1.0], [1.0]], [4, 5, 6], [a1, a2, b1], t, 2).n_queries == 3
+
+    def test_short_switch_interval_keeps_the_bits(self, layouts):
+        rng, bits, ids, labels = kernel_case(1, 65)
+        n = len(ids)
+        values = bits * 0.5 + rng.integers(0, 2, size=bits.shape) * 0.25
+        index = build_index([pack_bits(row) for row in bits], ids, labels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [
+                (evaluate(index, None, WORDNET_LIKE, n - 1, per_query=True),
+                 evaluate_embeddings(values, ids, labels, WORDNET_LIKE, n - 1, per_query=True))
+                for _ in layouts(1, n, n)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for serial, threaded in zip(*reports):
+            assert threaded.to_json_dict() == serial.to_json_dict()
+            assert repr(threaded.per_query) == repr(serial.per_query)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_overflowing_distances_match_oracle(self, seed):
