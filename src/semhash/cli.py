@@ -209,6 +209,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             values, index.ids, index.labels, taxonomy, args.k_max, per_query=args.per_query
         )
         inputs.append(Path(args.embeddings))
+    elif args.embeddings is not None:
+        raise SemhashError("--embeddings requires --no-binarize")
     else:
         report = evaluate(index, None, taxonomy, args.k_max, per_query=args.per_query)
 
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--no-binarize", action="store_true",
                    help="rank saved continuous embeddings by Manhattan distance instead")
-    p.add_argument("--embeddings", help="embeddings file (required with --no-binarize)")
+    p.add_argument("--embeddings", help="embeddings file (only with --no-binarize, which requires it)")
     p.add_argument("--per-query", action="store_true")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -54,11 +54,10 @@ class RngState:
 
 @dataclass
 class Dataset:
-    """Feature matrix with leaf-label ids and the ordered label universe."""
+    """Feature matrix with leaf-label ids."""
 
     features: np.ndarray  # N x D float32
     labels: np.ndarray  # N leaf node ids
-    label_universe: list[int]
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float32)
@@ -72,10 +71,6 @@ class Dataset:
             raise ShapeMismatch(f"{n} feature rows but {self.labels.shape[0]} labels")
         if not np.all(np.isfinite(self.features)):
             raise ShapeMismatch("features contain non-finite values")
-        universe = set(self.label_universe)
-        unknown = set(int(v) for v in self.labels) - universe
-        if unknown:
-            raise UnknownLabel(f"labels {sorted(unknown)} not in label universe")
 
     @property
     def n_samples(self) -> int:
@@ -133,12 +128,8 @@ def generate_synthetic(
     # a finite but huge spread overflows; that is reported below by name
     with np.errstate(over="ignore", invalid="ignore"):
         # breadth-first from the root, children in id order, so draws are ordered
-        queue = [t.root]
-        while queue:
-            node = queue.pop(0)
-            for child in t.children(node):
-                means[child] = means[node] + diffusion * gen.standard_normal(dim)
-                queue.append(child)
+        for node in t.order[1:]:
+            means[node] = means[t.parent(node)] + diffusion * gen.standard_normal(dim)
         for i, leaf in enumerate(leaves):
             block = slice(i * per_class, (i + 1) * per_class)
             features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
@@ -149,7 +140,7 @@ def generate_synthetic(
         raise InvalidShapeParam(f"diffusion {diffusion} overflows the float32 node means")
     if not np.isfinite(features).all():
         raise InvalidShapeParam(f"noise {noise} overflows the float32 features")
-    return Dataset(features=features, labels=labels, label_universe=leaves)
+    return Dataset(features=features, labels=labels)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
@@ -190,4 +181,4 @@ def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:
 def load_dataset(features_path: str | Path, labels_path: str | Path, t: Taxonomy) -> Dataset:
     features = read_features(features_path)
     labels = read_labels(labels_path, t)
-    return Dataset(features=features, labels=labels, label_universe=t.leaves())
+    return Dataset(features=features, labels=labels)

@@ -153,7 +153,7 @@ def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
     ``words`` is one code as a row of W packed ``uint64`` words (the result
     has N entries) or a block of b codes as a b x W array (the result is b x N).
     The distances are of the smallest unsigned type that holds ``K + 1``, so
-    a caller can mark an entry with the out-of-range distance ``K + 1``.
+    a caller can mark an entry with a value above K, such as the type's maximum.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim not in (1, 2) or words.shape[-1:] != index.words.shape[1:]:

@@ -39,6 +39,7 @@ class Taxonomy:
     """Rooted label tree, checked and tabulated in one pass over ``nodes`` (ids 0..n-1).
 
     The pass reports a cycle before it counts roots.  ``root``, ``height``,
+    ``order`` (the nodes breadth-first from the root, children in id order),
     ``leaf_labels`` and the depth and height tables are derived, not given.
     Immutable after construction; safe for concurrent reads.
     """
@@ -46,6 +47,7 @@ class Taxonomy:
     nodes: list[TaxonomyNode]
     root: int = field(init=False)
     height: int = field(init=False)
+    order: list[int] = field(init=False)
     leaf_labels: dict[str, int] = field(init=False)
 
     _parent: list[Optional[int]] = field(init=False, repr=False)
@@ -69,32 +71,35 @@ class Taxonomy:
                     raise UnknownNode(f"parent id {node.parent} out of range")
                 self._children[node.parent].append(node.id)
 
-        # depth along parent chains; meeting a node still in progress (-2) is a cycle
-        self._depth = [-1] * n
-        for i in range(n):
-            trail = []
-            j: Optional[int] = i
-            while j is not None and self._depth[j] < 0:
-                if self._depth[j] == -2:
-                    raise CycleDetected(f"cycle through node {self.nodes[j].name!r}")
-                self._depth[j] = -2
-                trail.append(j)
+        # breadth-first from the parentless nodes, children in id order; the
+        # loop also visits the children it appends
+        roots = [i for i in range(n) if self._parent[i] is None]
+        self.order = roots[:]
+        self._depth = [0 if p is None else -1 for p in self._parent]
+        for i in self.order:
+            for c in self._children[i]:
+                self._depth[c] = self._depth[i] + 1
+                self.order.append(c)
+        if len(self.order) < n:
+            # the pass never reaches a node on a cycle or below one; walking
+            # up from the smallest such id meets the cycle where a node repeats
+            j, trail = self._depth.index(-1), set()
+            while j not in trail:
+                trail.add(j)
                 j = self._parent[j]
-            base = -1 if j is None else self._depth[j]
-            for step, node_id in enumerate(reversed(trail), start=1):
-                self._depth[node_id] = base + step
+            raise CycleDetected(f"cycle through node {self.nodes[j].name!r}")
 
         # without a cycle every chain ends at a parentless node, so n >= 1
         # nodes have at least one
-        roots = [i for i in range(n) if self._parent[i] is None]
         if len(roots) > 1:
             names = ", ".join(self.nodes[r].name for r in roots)
             raise MultipleRoots(f"multiple roots: {names}")
         self.root = roots[0]
 
-        # height = max edge count down to a descendant leaf
+        # height = max edge count down to a descendant leaf; reversed, the
+        # order visits every node after its children
         self._node_height = [0] * n
-        for i in sorted(range(n), key=lambda k: self._depth[k], reverse=True):
+        for i in reversed(self.order):
             if self._children[i]:
                 self._node_height[i] = 1 + max(self._node_height[c] for c in self._children[i])
         self.height = self._node_height[self.root]
@@ -124,10 +129,6 @@ class Taxonomy:
     def parent(self, node_id: int) -> Optional[int]:
         self._check_id(node_id)
         return self._parent[node_id]
-
-    def children(self, node_id: int) -> list[int]:
-        self._check_id(node_id)
-        return list(self._children[node_id])
 
     def depth(self, node_id: int) -> int:
         self._check_id(node_id)

@@ -102,7 +102,7 @@ def _score_ranking(
         t._check_leaves([query_label, label])
     positions = np.arange(n)
     return _score(
-        lambda rows: positions[None, :], n, positions, np.asarray(ranked_labels, dtype=np.int64),
+        lambda rows: positions[None, :], positions, np.asarray(ranked_labels, dtype=np.int64),
         np.array([-1]), np.array([query_label]), t, k_max, False, "given",
     )
 
@@ -158,7 +158,6 @@ def manhattan_ranking(
 
 def _score(
     distances: Callable[[slice], np.ndarray],
-    sentinel: float,
     item_ids: np.ndarray,
     item_labels: np.ndarray,
     query_ids: np.ndarray,
@@ -173,9 +172,9 @@ def _score(
     ``distances(rows)`` gives the distances from the queries in ``rows`` to
     every item, one row per query.  Ids are unique on each side, so a query
     that is also an item has one candidate fewer: itself.  Its own entry gets
-    the ``sentinel`` distance, which a stable sort puts after every distance
-    (``K + 1`` for Hamming, NaN for Manhattan, after even an overflowed inf
-    sum), so it ranks last and is dropped.
+    a distance that a stable sort puts after every other (NaN in a float row,
+    after even an overflowed inf sum; the dtype's maximum in an integer row,
+    which holds counts below it), so it ranks last and is dropped.
     """
     n_queries, n_items = len(query_ids), len(item_ids)
     if n_queries == 0:
@@ -210,7 +209,7 @@ def _score(
             ideal.sort(axis=1)
             ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
             dists = distances(rows)[:, by_id]
-            dists[mine, own] = sentinel
+            dists[mine, own] = np.nan if dists.dtype.kind == "f" else np.iinfo(dists.dtype).max
             ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
             q_rows = query_rows[rows, None]
             got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
@@ -266,7 +265,6 @@ def evaluate(
         raise LengthMismatch("query and index code lengths differ")
     return _score(
         lambda rows: hamming_to_all(index, queries.words[rows]),
-        index.code_length + 1,
         index.ids, index.labels, queries.ids, queries.labels,
         t, k_max, per_query, "hamming",
     )
@@ -300,6 +298,4 @@ def evaluate_embeddings(
             diff.sum(axis=1, out=row)
         return out
 
-    return _score(
-        distances, math.nan, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan"
-    )
+    return _score(distances, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan")

@@ -14,15 +14,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import RngState
+from .data import _OPEN_HI, _OPEN_LO, RngState
 from .errors import NonDeterministicLoss, NonFiniteInput, ShapeMismatch, StaleCache
 from .hierarchy import file_header, read_file, write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1
-
-_SIG_LO = np.finfo(np.float64).tiny
-_SIG_HI = 1.0 - np.finfo(np.float64).epsneg
 
 
 @dataclass
@@ -133,7 +130,7 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(s))
     out = np.where(s >= 0, 1.0, e)
     out /= 1.0 + e
-    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    return np.clip(out, _OPEN_LO, _OPEN_HI, out=out)
 
 
 def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:

@@ -98,8 +98,8 @@ def parse_config(text: str) -> TrainConfig:
         if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if kind is tuple:  # a comma list of ints
-                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            if kind is tuple:  # a comma list of ints, or nothing for none
+                values[key] = tuple(int(v) for v in value.split(",")) if value else ()
             else:
                 values[key] = kind(value)
         except ValueError:
@@ -208,17 +208,17 @@ def train(
     n = dataset.n_samples
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
-    universe = [int(l) for l in dataset.label_universe]
-    class_of = {label: i for i, label in enumerate(universe)}
+    leaves = taxonomy.leaves()  # the head's classes
+    class_of = {label: i for i, label in enumerate(leaves)}
     try:
         class_idx = np.array([class_of[int(l)] for l in dataset.labels], dtype=np.int64)
     except KeyError as exc:
-        raise UnknownLabel(f"dataset label {exc} missing from the label universe") from None
+        raise UnknownLabel(f"dataset label {exc} is not a leaf of the taxonomy") from None
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
-    dist = distance_matrix(taxonomy, universe)
+    dist = distance_matrix(taxonomy, leaves)
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
-    classifier = init_classifier(config.code_length, len(universe), init_rng)
+    classifier = init_classifier(config.code_length, len(leaves), init_rng)
     # the encoder and head become views into one buffer that Adam updates in place
     flat = _flatten(encoder, classifier)
     buf = np.concatenate([p.ravel() for p in flat])

@@ -50,7 +50,7 @@ def bf_parse_taxonomy(text):
     Returns the name of the first error class under the documented
     precedence (line format, empty input, per-edge second parent or
     self-edge in file order, cycle, extra root), or
-    ``(root name, height, leaf names, depth by name)``.
+    ``(root name, height, leaf names, depth by name, node height by name)``.
     """
     edges = []
     for raw in text.splitlines():
@@ -91,7 +91,35 @@ def bf_parse_taxonomy(text):
         return "MultipleRoots"
     depth = {name: len(ancestors[name]) for name in names}
     leaves = {name for name in names if name not in parent_of.values()}
-    return roots[0], max(depth.values()), leaves, depth
+    # a node's height is its longest path down to a descendant
+    node_height = {
+        name: max((depth[d] - depth[name] for d in names if name in ancestors[d]), default=0)
+        for name in names
+    }
+    return roots[0], max(depth.values()), leaves, depth, node_height
+
+
+def bf_generate_synthetic(t, per_class, dim, diffusion, noise, rng):
+    """``(features, labels)`` of ``generate_synthetic`` from a FIFO queue of nodes.
+
+    Node means are drawn breadth-first from the root, children in id order,
+    then each leaf's samples in leaf id order.  Arguments are not checked.
+    """
+    n = len(t.nodes)
+    children = [[node.id for node in t.nodes if node.parent == i] for i in range(n)]
+    leaves = [i for i in range(n) if not children[i]]
+    gen = rng.generator
+    means = np.zeros((n, dim))
+    queue = [next(node.id for node in t.nodes if node.parent is None)]
+    while queue:
+        node = queue.pop(0)
+        for child in children[node]:
+            means[child] = means[node] + diffusion * gen.standard_normal(dim)
+            queue.append(child)
+    features = np.concatenate(
+        [means[leaf] + noise * gen.standard_normal((per_class, dim)) for leaf in leaves]
+    )
+    return features.astype(np.float32), np.repeat(leaves, per_class)
 
 
 def serialize_taxonomy(t) -> str:

@@ -235,6 +235,18 @@ class TestPipeline:
         assert rc == 1
         assert "--embeddings" in capsys.readouterr().err
 
+    def test_embeddings_require_no_binarize(self, workdir, capsys):
+        # a Hamming eval would not read the embeddings it was given
+        run_pipeline(workdir)
+        rc = main([
+            "eval", "--index", str(workdir / "run.index"), "--taxonomy", str(workdir / "tax.txt"),
+            "--k-max", "5", "--out", str(workdir / "c3"),
+            "--embeddings", str(workdir / "run.embeddings"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --embeddings requires --no-binarize\n"
+        assert not list(workdir.glob("c3*"))
+
     def test_full_pipeline_idempotent(self, tmp_path):
         results = []
         for name in ("p1", "p2"):

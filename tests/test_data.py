@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from semhash.data import (
-    Dataset,
     RngState,
     beta_sample,
     generate_synthetic,
@@ -23,9 +22,9 @@ from semhash.errors import (
     UnknownLabel,
     VersionMismatch,
 )
-from semhash.hierarchy import distance_matrix
+from semhash.hierarchy import distance_matrix, parse_taxonomy
 
-from oracles import ks_statistic_uniform, spearman
+from oracles import bf_generate_synthetic, ks_statistic_uniform, spearman
 
 
 class TestRngState:
@@ -106,6 +105,20 @@ class TestGenerateSynthetic:
         d2 = generate_synthetic(wordnet_like_tax, rng=RngState.from_seed(7), **kw)
         np.testing.assert_array_equal(d1.features, d2.features)
         np.testing.assert_array_equal(d1.labels, d2.labels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("text", [
+        "r z\nz y\nr a\na q\nr b\nq m\nb c",  # breadth-first order is not id order
+        "r a\nr b\na c\nb d\nc e\nd f\nb g\na h",
+    ])
+    def test_matches_queue_oracle(self, text, seed):
+        t = parse_taxonomy(text)
+        assert t.order != list(range(len(t)))
+        kw = dict(per_class=3, dim=5, diffusion=1.0, noise=0.3)
+        ds = generate_synthetic(t, rng=RngState.from_seed(seed), **kw)
+        features, labels = bf_generate_synthetic(t, rng=RngState.from_seed(seed), **kw)
+        assert ds.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
 
     def test_class_mean_distances_track_semantic_distances(self):
         # balanced three-level tree: lca height is monotone in leaf-to-leaf
@@ -196,7 +209,6 @@ class TestDatasetFiles:
         back = load_dataset(f, l, wordnet_like_tax)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.label_universe == ds.label_universe
 
     def test_hand_built_fixture_bytes(self, tmp_path):
         # N=2, D=3, float32 rows written row-major after the 16-byte header
@@ -231,8 +243,3 @@ class TestDatasetFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
             read_features(path)
-
-
-def test_dataset_validates_membership(five_node_tax):
-    with pytest.raises(UnknownLabel):
-        Dataset(features=np.zeros((1, 2)), labels=np.array([99]), label_universe=[0, 1])

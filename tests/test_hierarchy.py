@@ -15,7 +15,13 @@ from semhash.errors import (
     SemhashError,
     UnknownNode,
 )
-from semhash.hierarchy import distance_matrix, parse_taxonomy, semantic_distance
+from semhash.hierarchy import (
+    Taxonomy,
+    TaxonomyNode,
+    distance_matrix,
+    parse_taxonomy,
+    semantic_distance,
+)
 from semhash.metrics import relevance
 
 from conftest import random_taxonomy, taxonomy_from_parents, tree_parent_lists
@@ -41,6 +47,31 @@ class TestParse:
     def test_longer_cycle_with_root_present(self):
         with pytest.raises(CycleDetected):
             parse_taxonomy("root x\na b\nb c\nc a")
+
+    @pytest.mark.parametrize("text, name", [
+        ("root x\na b\nb c\nc a", "a"),
+        ("c a\na b\nb c", "c"),
+        ("t u\nc3 t\nc1 c2\nc2 c3\nc3 c1", "c3"),  # from a node below the cycle
+        ("x y\ny x\nr s", "x"),  # a cycle is reported before extra roots
+        ("a b\nb a\nc d\nd c", "a"),
+    ])
+    def test_cycle_names_the_first_node_met_twice(self, text, name):
+        # walking up from the smallest id that no root reaches
+        with pytest.raises(CycleDetected, match=f"^cycle through node '{name}'$"):
+            parse_taxonomy(text)
+
+    def test_cycle_walk_starts_below_the_cycle(self):
+        # t (id 0) hangs off the cycle of parent links c1 -> c3 -> c2 -> c1;
+        # the walk up from t meets c3 twice, not c1, the smallest id on it
+        parents = {"t": 3, "c1": 3, "c2": 1, "c3": 2}
+        nodes = [TaxonomyNode(i, name, p) for i, (name, p) in enumerate(parents.items())]
+        with pytest.raises(CycleDetected, match="^cycle through node 'c3'$"):
+            Taxonomy(nodes)
+
+    def test_order_is_breadth_first_with_children_in_id_order(self):
+        t = parse_taxonomy("r z\nz y\nr a\na q\nr b\nq m\nb c")
+        assert [t.name(i) for i in t.order] == ["r", "z", "a", "b", "y", "q", "c", "m"]
+        assert sorted(t.order) == list(range(len(t)))
 
     def test_multiple_parents(self):
         with pytest.raises(MultipleParents):
@@ -281,8 +312,9 @@ def test_parse_matches_oracle(text):
         assert type(exc).__name__ == expected
         return
     assert not isinstance(expected, str), f"accepted, oracle says {expected}"
-    root, height, leaves, depth = expected
+    root, height, leaves, depth, node_height = expected
     assert t.name(t.root) == root
     assert t.height == height
     assert set(t.leaf_labels) == leaves
     assert {node.name: t.depth(node.id) for node in t.nodes} == depth
+    assert {node.name: t.node_height(node.id) for node in t.nodes} == node_height

@@ -496,8 +496,8 @@ class TestBlockedScorer:
 
         threads_before = threading.active_count()
         with pytest.raises(ShareFailed):
-            metrics_mod._score(distances, math.nan, ids, labels, ids, labels, WORDNET_LIKE, 2,
-                               False, "manhattan")
+            metrics_mod._score(distances, ids, labels, ids, labels, WORDNET_LIKE, 2, False,
+                               "manhattan")
         assert threading.active_count() == threads_before
 
     def test_one_block_starts_no_thread(self, monkeypatch, five_node_tax):

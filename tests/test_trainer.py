@@ -9,7 +9,7 @@ import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, beta_sample, generate_synthetic
-from semhash.errors import ConfigError, DivergedLoss, NotALeaf, ShapeMismatch, UnknownNode
+from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 from semhash.hierarchy import distance_matrix
 from semhash.losses import total_loss
 from semhash.model import (
@@ -189,6 +189,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hidden sizes"):
             TrainConfig(hidden_sizes=hidden)
 
+    @pytest.mark.parametrize("value", ["16,,32", ",16", "16,", ",", "16, ,32"])
+    def test_hidden_sizes_with_an_empty_item_is_a_config_error_naming_its_line(self, value):
+        with pytest.raises(ConfigError, match="^line 2: invalid value for hidden_sizes"):
+            parse_config(f"seed = 1\nhidden_sizes = {value}\n")
+
+    @pytest.mark.parametrize("value, sizes", [("", ()), ("16", (16,)), (" 16 , 32 ", (16, 32))])
+    def test_hidden_sizes_list(self, value, sizes):
+        # an empty value is a linear encoder, as format_config writes it
+        assert parse_config(f"hidden_sizes = {value}\n").hidden_sizes == sizes
+
     @given(text=st.lists(CONFIG_LINE, max_size=8).map("\n".join))
     @settings(max_examples=400, deadline=None)
     def test_fuzzed_text_gives_a_config_or_config_error(self, text):
@@ -308,25 +318,26 @@ class TestTrain:
 
     def test_dataset_smaller_than_batch_rejected(self):
         tax, ds, cfg = tiny_setup()
-        small = type(ds)(features=ds.features[:4], labels=ds.labels[:4],
-                         label_universe=ds.label_universe)
+        small = type(ds)(features=ds.features[:4], labels=ds.labels[:4])
         cfg2 = TrainConfig(**{**cfg.__dict__, "batch_size": 8})
         with pytest.raises(ConfigError):
             train(cfg2, small, tax)
 
-    def test_universe_with_internal_node_rejected(self):
+    def test_label_on_internal_node_rejected(self):
+        # the head's classes are the taxonomy's leaves, so a label on any
+        # other node has no class
         tax, ds, cfg = tiny_setup()
-        bad = type(ds)(features=ds.features, labels=ds.labels,
-                       label_universe=[*ds.label_universe, tax.root])
-        with pytest.raises(NotALeaf):
-            train(cfg, bad, tax)
+        labels = ds.labels.copy()
+        labels[-1] = tax.parent(int(labels[0]))
+        with pytest.raises(UnknownLabel, match=f"^dataset label {labels[-1]} is not a leaf"):
+            train(cfg, type(ds)(features=ds.features, labels=labels), tax)
 
-    def test_universe_with_out_of_range_id_rejected(self):
+    def test_label_with_unknown_id_rejected(self):
         tax, ds, cfg = tiny_setup()
-        bad = type(ds)(features=ds.features, labels=ds.labels,
-                       label_universe=[*ds.label_universe, len(tax)])
-        with pytest.raises(UnknownNode):
-            train(cfg, bad, tax)
+        labels = ds.labels.copy()
+        labels[3] = len(tax)
+        with pytest.raises(UnknownLabel, match=f"^dataset label {len(tax)} is not a leaf"):
+            train(cfg, type(ds)(features=ds.features, labels=labels), tax)
 
     def test_diverged_loss_aborts_with_step_info(self, monkeypatch):
         tax, ds, cfg = tiny_setup()
@@ -389,7 +400,7 @@ class TestTrain:
         cfg, _ = apply_variant(cfg, variant)
         encoder, classifier, log = train(cfg, ds, tax)
 
-        universe = [int(label) for label in ds.label_universe]
+        universe = tax.leaves()
         class_idx = np.array([universe.index(int(label)) for label in ds.labels])
         init_rng, shuffle_rng, target_rng = RngState.from_seed(cfg.seed).split(3)
         enc0 = init_encoder(ds.dim, cfg.hidden_sizes, cfg.code_length, init_rng)
