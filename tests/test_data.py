@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from semhash.data import (
+    Dataset,
     RngState,
     beta_sample,
     generate_synthetic,
@@ -23,6 +24,7 @@ from semhash.errors import (
     VersionMismatch,
 )
 from semhash.hierarchy import distance_matrix, parse_taxonomy
+from semhash.trainer import TrainConfig, train
 
 from oracles import bf_generate_synthetic, ks_statistic_uniform, spearman
 
@@ -243,3 +245,13 @@ class TestDatasetFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
             read_features(path)
+
+
+def test_dataset_validates_membership(five_node_tax):
+    # membership in the class list (the taxonomy's leaves) is checked where
+    # the classes are used: train's leaf-class lookup
+    ds = Dataset(features=np.zeros((2, 2)), labels=np.array([five_node_tax.leaves()[0], 99]))
+    cfg = TrainConfig(code_length=4, hidden_sizes=(), batch_size=2, epochs=1,
+                      learning_rate=1e-3, seed=0)
+    with pytest.raises(UnknownLabel, match="^dataset label 99 is not a leaf"):
+        train(cfg, ds, five_node_tax)

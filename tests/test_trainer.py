@@ -332,7 +332,9 @@ class TestTrain:
         with pytest.raises(UnknownLabel, match=f"^dataset label {labels[-1]} is not a leaf"):
             train(cfg, type(ds)(features=ds.features, labels=labels), tax)
 
-    def test_label_with_unknown_id_rejected(self):
+    def test_universe_with_out_of_range_id_rejected(self):
+        # the class universe is the taxonomy's leaves; an id past the last
+        # node arrives as a dataset label and has no class
         tax, ds, cfg = tiny_setup()
         labels = ds.labels.copy()
         labels[3] = len(tax)
