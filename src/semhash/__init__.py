@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from . import benchmark, data, hashing, hierarchy, losses, metrics, model, trainer
+from . import benchmark, data, files, hashing, hierarchy, losses, metrics, model, trainer
 from .data import Dataset, RngState, beta_sample, generate_synthetic, load_dataset
 from .hashing import HashCode, HashIndex, binarize, build_index, hamming, query_topk
 from .hierarchy import Taxonomy, distance_matrix, parse_taxonomy, semantic_distance

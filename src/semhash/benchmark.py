@@ -82,7 +82,7 @@ def run_variant(
     k_max: int = 100,
 ) -> VariantScore:
     encoder, _, _ = train(config, dataset, taxonomy)
-    batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+    batch, _ = encoder_forward(encoder, dataset.features)
     ids = np.arange(dataset.n_samples)
     index = build_index(binarize(batch), ids, dataset.labels)
     binary = evaluate(index, None, taxonomy, k_max)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -28,8 +27,9 @@ from .data import (
     write_labels,
 )
 from .errors import DivergedLoss, SemhashError, ShapeMismatch
+from .files import read_text, write_atomic, write_json
 from .hashing import HashCode, binarize, build_index, load_index, query_topk, save_index
-from .hierarchy import load_taxonomy, read_text, write_atomic
+from .hierarchy import load_taxonomy
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
 from .trainer import VARIANTS, apply_variant, parse_config, train
@@ -65,7 +65,7 @@ def _write_manifest(
         "outputs": [str(p) for p in outputs],
     }
     path = prefix.with_name(prefix.name + ".manifest.json")
-    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -137,7 +137,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _write_index(prefix: Path, embeddings: np.ndarray, labels: np.ndarray, threshold: float) -> Path:
     """Save PREFIX.index of the float32 values that PREFIX.embeddings holds, so that
     ``index`` on those embeddings reproduces ``encode``'s index."""
-    codes = binarize(embeddings.astype(np.float64), threshold=threshold)
+    codes = binarize(embeddings, threshold=threshold)
     index_path = prefix.with_name(prefix.name + ".index")
     save_index(index_path, build_index(codes, np.arange(len(embeddings)), labels))
     return index_path
@@ -147,7 +147,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.features, args.labels, taxonomy)
     encoder, _ = load_checkpoint(args.checkpoint)
-    batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+    batch, _ = encoder_forward(encoder, dataset.features)
     embeddings = batch.values.astype(np.float32)
 
     prefix = Path(args.out)
@@ -217,10 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
     report_path = prefix.with_name(prefix.name + ".report.json")
     curve_path = prefix.with_name(prefix.name + ".hp_curve.csv")
-    write_atomic(
-        report_path,
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    write_json(report_path, report.to_json_dict())
     write_atomic(curve_path, report.hp_curve_csv())
     _write_manifest(
         prefix,

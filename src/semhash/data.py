@@ -19,7 +19,8 @@ from .errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from .hierarchy import Taxonomy, file_header, read_file, read_text, write_atomic
+from .files import file_header, read_file, read_text, write_atomic
+from .hierarchy import Taxonomy
 
 FEATURES_MAGIC = b"SHRF"
 FEATURES_VERSION = 1
@@ -83,8 +84,8 @@ class Dataset:
 
 def beta_sample(alpha: float, beta: float, shape: tuple[int, int], rng: RngState) -> np.ndarray:
     """I.i.d. Beta(alpha, beta) draws, clamped into the open interval (0, 1)."""
-    if alpha <= 0 or beta <= 0:
-        raise InvalidShapeParam(f"alpha and beta must be positive, got {alpha}, {beta}")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails both
+        raise InvalidShapeParam(f"alpha and beta must be finite and positive, got {alpha}, {beta}")
     sample = rng.generator.beta(alpha, beta, size=shape)
     return np.clip(sample, _OPEN_LO, _OPEN_HI, out=sample)
 

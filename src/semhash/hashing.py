@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .hierarchy import file_header, read_file, write_atomic
+from .files import file_header, read_file, write_atomic
 from .model import _embedding_values
 
 INDEX_MAGIC = b"SHRI"
@@ -68,10 +68,13 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size < 1:
         raise ShapeMismatch("bits must be a non-empty 1-D sequence")
-    return HashCode(words=tuple(_pack(bits[None, :])[0].tolist()), code_length=bits.size)
+    as_bool = bits.astype(bool)
+    if np.count_nonzero(bits != as_bool):  # only 0 and 1 equal their truth value
+        raise ShapeMismatch("bits must be 0 or 1")
+    return HashCode(words=tuple(_pack(as_bool[None, :])[0].tolist()), code_length=bits.size)
 
 
 def binarize(z, threshold: float = 0.5) -> list[HashCode]:
@@ -112,6 +115,8 @@ class HashIndex:
         self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.code_length < 1:
+            raise ShapeMismatch(f"code length must be >= 1, got {self.code_length}")
         if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"words shape {self.words.shape} incompatible with K={self.code_length}"
@@ -201,13 +206,11 @@ def save_index(path: str | Path, index: HashIndex) -> None:
 
 def load_index(path: str | Path) -> HashIndex:
     (code_length, count), take, done = read_file(path, INDEX_MAGIC, INDEX_VERSION, 2)
-    if code_length < 1:
-        raise MalformedFile(f"{path}: invalid code length {code_length}")
     records = take(_index_entry(code_length), count)
     done()
     if np.any(records["id"] >= 2**63):
         raise MalformedFile(f"{path}: sample id {records['id'].max()} is not below 2**63")
-    try:  # a repeated id or a set padding bit
+    try:  # a code length of 0, a repeated id or a set padding bit
         return HashIndex(
             words=records["words"],
             ids=records["id"].astype(np.int64),

@@ -7,8 +7,6 @@ height of the root, which yields a normalized ultrametric on the leaves.
 """
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,8 +21,8 @@ from .errors import (
     MultipleRoots,
     NotALeaf,
     UnknownNode,
-    VersionMismatch,
 )
+from .files import read_text
 
 
 @dataclass(frozen=True)
@@ -187,78 +185,6 @@ def parse_taxonomy(text: str) -> Taxonomy:
         parent_of[c] = p
 
     return Taxonomy([TaxonomyNode(i, name, parent_of.get(i)) for i, name in enumerate(ids)])
-
-
-def read_text(path: str | Path) -> str:
-    """Contents of a UTF-8 text input file; ``MalformedFile`` if not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise MalformedFile(f"{path}: not UTF-8 text") from None
-
-
-def write_atomic(path: str | Path, *chunks) -> None:
-    """Replace ``path`` with ``chunks`` written in turn, without a partial file.
-
-    Each chunk is text (written as UTF-8) or a bytes-like object such as a
-    contiguous array, written as is without a copy.  The chunks go to a
-    temporary file beside ``path`` that ``os.replace`` then renames over it,
-    so an interrupted write leaves the previous file whole.  The new file has
-    the default permissions, and a symlink at ``path`` is replaced, not
-    written through.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):  # name the file the caller asked for
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
-
-
-def file_header(magic: bytes, version: int, *fields: int) -> bytes:
-    """A binary file's header: ``magic``, then ``version`` and ``fields`` as little-endian u32."""
-    return magic + struct.pack(f"<{1 + len(fields)}I", version, *fields)
-
-
-def read_file(path: str | Path, magic: bytes, version: int, n_fields: int):
-    """``(fields, take, done)`` of a file written as ``file_header(...)`` + payload.
-
-    ``take(dtype, count)`` is the next ``count`` payload items as a read-only
-    array.  A short header, another magic, a payload shorter than the takes or
-    bytes left at ``done()`` raise ``MalformedFile``; another version
-    ``VersionMismatch``.
-    """
-    raw = Path(path).read_bytes()
-    offset = len(magic) + 4 * (1 + n_fields)
-    if len(raw) < offset:
-        raise MalformedFile(f"{path}: truncated header ({len(raw)} bytes)")
-    if not raw.startswith(magic):
-        raise MalformedFile(f"{path}: bad magic {raw[: len(magic)]!r}")
-    found, *fields = struct.unpack_from(f"<{1 + n_fields}I", raw, len(magic))
-    if found != version:
-        raise VersionMismatch(f"{path}: unsupported version {found}")
-
-    def take(dtype, count: int) -> np.ndarray:
-        nonlocal offset
-        dtype = np.dtype(dtype)
-        end = offset + dtype.itemsize * count
-        if end > len(raw):
-            raise MalformedFile(f"{path}: truncated at {len(raw)} bytes, expected at least {end}")
-        items = np.frombuffer(raw, dtype, count, offset)
-        offset = end
-        return items
-
-    def done() -> None:
-        if offset != len(raw):
-            raise MalformedFile(f"{path}: expected {offset} bytes, found {len(raw)}")
-
-    return fields, take, done
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:

@@ -33,9 +33,11 @@ class SimLossConfig:
     tau_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0 or self.rho < 0 or self.tau_floor <= 0:
+        # chained so that NaN, which fails every comparison, is rejected too
+        if not (0 < self.gamma < math.inf and 0 <= self.rho < math.inf
+                and 0 < self.tau_floor < math.inf):
             raise ConfigError(
-                f"need gamma > 0, rho >= 0, tau_floor > 0; got {self}"
+                f"need finite gamma > 0, rho >= 0, tau_floor > 0; got {self}"
             )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import _OPEN_HI, _OPEN_LO, RngState
 from .errors import NonDeterministicLoss, NonFiniteInput, ShapeMismatch, StaleCache
-from .hierarchy import file_header, read_file, write_atomic
+from .files import file_header, read_file, write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1

@@ -53,6 +53,10 @@ class TrainConfig:
     variant: str = "shred"
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so every float setting is checked here first
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.code_length < 1:

@@ -623,11 +623,11 @@ class HalfThenFail:
 @pytest.fixture
 def failing_writes(monkeypatch):
     """Make every artifact write stop midway with ``exc``."""
-    import semhash.hierarchy as hierarchy_mod
+    import semhash.files as files_mod
 
     def install(exc):
         monkeypatch.setattr(
-            hierarchy_mod, "open", lambda path, mode: HalfThenFail(path, mode, exc), raising=False
+            files_mod, "open", lambda path, mode: HalfThenFail(path, mode, exc), raising=False
         )
     return install
 
@@ -645,11 +645,11 @@ def test_interrupted_write_keeps_the_previous_file(workdir, failing_writes, exc,
     writers = {
         "run.checkpoint": lambda p: semhash.model.save_checkpoint(
             p, *semhash.model.load_checkpoint(workdir / "run.checkpoint")),
-        "run.log.csv": lambda p: semhash.hierarchy.write_atomic(p, "step\n"),
+        "run.log.csv": lambda p: semhash.files.write_atomic(p, "step\n"),
         "run.embeddings": lambda p: write_features(p, np.zeros((2, 3))),
         "data.labels": lambda p: semhash.data.write_labels(p, t.leaves(), t),
         "run.index": lambda p: save_index(p, semhash.hashing.load_index(workdir / "run.index")),
-        "run.manifest.json": lambda p: semhash.hierarchy.write_atomic(p, b"{}"),
+        "run.manifest.json": lambda p: semhash.files.write_atomic(p, b"{}"),
     }
     with pytest.raises(type(exc)):
         writers[name](workdir / name)

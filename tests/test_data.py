@@ -91,6 +91,14 @@ class TestBetaSample:
         with pytest.raises(InvalidShapeParam):
             beta_sample(0.1, -1.0, (2, 2), RngState.from_seed(0))
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0),
+    ])
+    def test_non_finite_shape_params(self, alpha, beta):
+        # numpy draws all-NaN targets for these
+        with pytest.raises(InvalidShapeParam, match="finite"):
+            beta_sample(alpha, beta, (2, 2), RngState.from_seed(0))
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_duplicates_within_class(self, five_node_tax):

@@ -1,9 +1,11 @@
 """The binary container shared by the features, index and checkpoint files.
 
 Each file is a 4-byte magic, a u32 version, u32 header fields and a payload
-whose length the header fixes exactly; ``hierarchy.read_file`` is the one
-reader of that container.
+whose length the header fixes exactly; ``files.read_file`` is the one
+reader of that container, and ``files.write_atomic`` writes every file.
 """
+import math
+import os
 import struct
 
 import numpy as np
@@ -11,8 +13,8 @@ import pytest
 
 from semhash.data import read_features, write_features
 from semhash.errors import MalformedFile, VersionMismatch
+from semhash.files import file_header, read_file, write_atomic, write_json
 from semhash.hashing import HashIndex, load_index, save_index
-from semhash.hierarchy import file_header, read_file
 from semhash.model import ClassifierParams, EncoderParams, load_checkpoint, save_checkpoint
 
 
@@ -110,3 +112,30 @@ class TestReadFile:
             read_file(path, b"TEST", 1, 1)
         with pytest.raises(MalformedFile, match="truncated header"):
             read_file(path, b"TEST", 2, 2)
+
+
+class TestWrites:
+    def test_symlink_is_replaced_and_its_target_keeps_its_bytes(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(b"old")
+        target.chmod(0o600)
+        link = tmp_path / "out"
+        link.symlink_to(target)
+        default = tmp_path / "default"
+        default.write_bytes(b"")  # a new file's permissions under this umask
+        write_atomic(link, "new")
+        assert not link.is_symlink()
+        assert link.read_bytes() == b"new"
+        assert target.read_bytes() == b"old"
+        assert os.stat(link).st_mode & 0o777 == os.stat(default).st_mode & 0o777
+        assert os.stat(target).st_mode & 0o777 == 0o600
+
+    def test_json_is_sorted_indented_and_ends_in_a_newline(self, tmp_path):
+        write_json(tmp_path / "x.json", {"b": [1, 2.5], "a": None})
+        assert (tmp_path / "x.json").read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_rejects_non_finite_numbers_and_writes_nothing(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"a": value})
+        assert list(tmp_path.iterdir()) == []

@@ -72,6 +72,15 @@ class TestPacking:
         assert unpack_bits(code).tolist() == bits
         assert pack_bits(unpack_bits(code)) == code
 
+    @pytest.mark.parametrize("bits", [[2, 3], [0, 2], [0.5], [-1], [1, np.nan], [np.inf], [None]])
+    def test_values_other_than_0_and_1_rejected(self, bits):
+        with pytest.raises(ShapeMismatch, match="0 or 1"):
+            pack_bits(bits)
+
+    @pytest.mark.parametrize("bits", [[True, False], [1.0, 0.0], np.array([0, 1], dtype=np.int8)])
+    def test_bool_and_float_bits_pack_like_ints(self, bits):
+        assert pack_bits(bits) == pack_bits([int(b) for b in bits])
+
     def test_padding_invariant_enforced(self):
         with pytest.raises(ShapeMismatch):
             HashCode(words=(0b1000000,), code_length=5)
@@ -191,6 +200,12 @@ class TestHammingToAll:
         assert got.tolist() == [[bf_hamming(row, q) for row in bits] for q in bits[:2]]
 
 
+class TestHashIndex:
+    def test_zero_code_length_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="code length"):
+            HashIndex(np.zeros((2, 0), np.uint64), [0, 1], [0, 0], 0)
+
+
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -240,6 +255,14 @@ class TestIndexFile:
         assert idx.ids.tolist() == [5]
         assert idx.labels.tolist() == [3]
         assert unpack_bits(idx.codes()[0]).tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_zero_code_length_is_malformed(self, tmp_path, count):
+        raw = b"SHRI" + struct.pack("<III", 1, 0, count) + struct.pack("<QI", 5, 3) * count
+        path = tmp_path / "k0.index"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedFile, match="k0.index: .*code length"):
+            load_index(path)
 
     def test_id_not_below_2_to_the_63_is_malformed(self, tmp_path):
         # one entry whose u64 id would wrap to -1 as a signed id

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import batch_scale, bf_kl_loss, bf_sim_loss, pair_weight
 from semhash.data import RngState, beta_sample
-from semhash.errors import BatchTooSmall, LabelOutOfRange
+from semhash.errors import BatchTooSmall, ConfigError, LabelOutOfRange
 from semhash.losses import SimLossConfig, cls_loss, kl_loss, sim_loss, total_loss
 from semhash.model import ClassifierParams, init_classifier
 
@@ -50,6 +50,14 @@ class TestPairWeight:
         assert 0.0 < w1 <= 1.0
         if d1 <= d2:
             assert w1 >= w2
+
+
+@pytest.mark.parametrize("key", ["gamma", "rho", "tau_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_similarity_setting_is_a_config_error(key, value):
+    # NaN fails every range comparison, and tau_floor = inf would switch the term off
+    with pytest.raises(ConfigError, match="need finite"):
+        SimLossConfig(**{key: value})
 
 
 class TestBatchScale:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -242,6 +243,12 @@ class TestConfig:
             TrainConfig(**{key: value})
         with pytest.raises(ConfigError):
             parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_setting_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            TrainConfig(**{key: value})
 
     def test_rho_zero_is_allowed(self):
         assert TrainConfig(rho=0.0).sim_config().rho == 0.0
