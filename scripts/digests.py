@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of a fixed set of semhash outputs, as one JSON object.
+
+Two source trees give equal JSON exactly when these outputs are byte-identical:
+
+- ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
+  at seeds 0 and 1 (one epoch each), and of a B=64, K=64 run;
+- ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
+  Hamming and Manhattan eval at eval_1k size, on one and on two threads;
+- ``cli/...``: every file and the stdout of ``gen-data -> train -> encode ->
+  index -> eval -> eval --no-binarize -> query``, with the work directory
+  masked in the manifests;
+- ``synthetic/...``: ``generate_synthetic`` features and labels for three
+  taxonomies, one whose breadth-first order differs from its id order.
+
+semhash is imported from ``PYTHONPATH``, so one copy of this script can digest
+any tree, for example the base of a change and its head:
+
+    PYTHONPATH=src python3 scripts/digests.py > head.json
+
+It takes about 8 s on a 2-core x86-64 machine.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import semhash.metrics
+from semhash.benchmark import balanced_taxonomy, benchmark_config, make_benchmark_dataset
+from semhash.cli import main as cli_main
+from semhash.data import RngState, generate_synthetic
+from semhash.hashing import binarize, build_index
+from semhash.hierarchy import parse_taxonomy
+from semhash.metrics import evaluate, evaluate_embeddings
+from semhash.model import encoder_forward, init_encoder
+from semhash.trainer import TrainConfig, train
+
+K_MAX = 100
+
+
+def _sha(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def _report_json(report) -> str:
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def train_digests() -> dict[str, str]:
+    out = {}
+    taxonomy = balanced_taxonomy((4, 4, 2))
+    for seed in (0, 1):
+        dataset = make_benchmark_dataset(taxonomy, seed)
+        runs = {v: benchmark_config(v, seed, epochs=1) for v in ("shrewd", "sim_only", "cls_only", "shred")}
+        runs["b64k64"] = TrainConfig(code_length=64, hidden_sizes=(256, 128), batch_size=64,
+                                     epochs=2, seed=seed, variant="shred")
+        for name, config in runs.items():
+            _, _, log = train(config, dataset, taxonomy)
+            out[f"train/{name}/s{seed}/params_digest"] = log.params_digest
+            out[f"train/{name}/s{seed}/log.csv"] = _sha(log.to_csv())
+    return out
+
+
+def eval_digests() -> dict[str, str]:
+    taxonomy = balanced_taxonomy((10, 10, 10))
+    dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
+    encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
+    batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+    ids = np.arange(dataset.n_samples)
+    index = build_index(binarize(batch), ids, dataset.labels)
+    out = {}
+    saved = semhash.metrics._WORKERS
+    try:
+        for workers in (1, 2):
+            semhash.metrics._WORKERS = workers
+            reports = {
+                "hamming": evaluate(index, None, taxonomy, K_MAX, per_query=True),
+                "manhattan": evaluate_embeddings(
+                    batch.values, ids, dataset.labels, taxonomy, K_MAX, per_query=True
+                ),
+            }
+            for kind, report in reports.items():
+                out[f"eval/{kind}/w{workers}/report.json"] = _sha(_report_json(report))
+                out[f"eval/{kind}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
+    finally:
+        semhash.metrics._WORKERS = saved
+    return out
+
+
+def balanced_taxonomy_edges(branching: tuple[int, ...]) -> list[tuple[str, str]]:
+    t = balanced_taxonomy(branching)
+    return [(t.name(t.parent(node)), t.name(node)) for node in t.order[1:]]
+
+
+def cli_digests() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "tax.txt").write_text(
+            "\n".join(f"{p} {c}" for p, c in balanced_taxonomy_edges((4, 4, 2))) + "\n"
+        )
+        (d / "train.cfg").write_text(
+            "code_length = 64\nhidden_sizes = 256,128\nbatch_size = 64\nepochs = 3\n"
+            "learning_rate = 0.001\nseed = 0\nvariant = shred\n"
+        )
+        data = ["--features", f"{d}/data.features", "--labels", f"{d}/data.labels",
+                "--taxonomy", f"{d}/tax.txt"]
+        commands = {
+            "gen-data": ["gen-data", "--taxonomy", f"{d}/tax.txt", "--per-class", "50",
+                         "--dim", "128", "--seed", "0", "--out", f"{d}/data"],
+            "train": ["train", "--config", f"{d}/train.cfg", *data, "--out", f"{d}/run"],
+            "encode": ["encode", "--checkpoint", f"{d}/run.checkpoint", *data, "--out", f"{d}/run"],
+            "index": ["index", "--embeddings", f"{d}/run.embeddings", "--labels", f"{d}/data.labels",
+                      "--taxonomy", f"{d}/tax.txt", "--out", f"{d}/low", "--threshold", "0.4"],
+            "eval-hamming": ["eval", "--index", f"{d}/run.index", "--taxonomy", f"{d}/tax.txt",
+                             "--k-max", str(K_MAX), "--out", f"{d}/bin", "--per-query"],
+            "eval-manhattan": ["eval", "--index", f"{d}/run.index", "--taxonomy", f"{d}/tax.txt",
+                               "--k-max", str(K_MAX), "--out", f"{d}/cont", "--per-query",
+                               "--no-binarize", "--embeddings", f"{d}/run.embeddings"],
+            **{f"query-{q}": ["query", "--index", f"{d}/run.index", "--query-id", str(q), "--k", "10"]
+               for q in (0, 777, 1599)},
+        }
+        for name, argv in commands.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(argv)
+            out[f"cli/{name}/stdout"] = _sha(f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+        for path in sorted(d.iterdir()):
+            raw = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                raw = raw.replace(str(d).encode("utf-8"), b"WORKDIR")
+            out[f"cli/{path.name}"] = _sha(raw)
+    return out
+
+
+def synthetic_digests() -> dict[str, str]:
+    taxonomies = {
+        "balanced": balanced_taxonomy((4, 4, 2)),
+        "uneven": parse_taxonomy("root A\nroot B\nA a1\nA a2\nB b1\nB b2\nb2 deep"),
+        # ids in first-appearance order: the leaves and B come before the root
+        "reordered": parse_taxonomy("B b1\nA a2\nA a1\nroot A\nroot B\nB b2"),
+    }
+    out = {}
+    for name, taxonomy in taxonomies.items():
+        dataset = generate_synthetic(taxonomy, per_class=5, dim=9, diffusion=1.0, noise=0.5,
+                                     rng=RngState.from_seed(3))
+        out[f"synthetic/{name}/features"] = _sha(np.ascontiguousarray(dataset.features).tobytes())
+        out[f"synthetic/{name}/labels"] = _sha(np.ascontiguousarray(dataset.labels).tobytes())
+    return out
+
+
+def digests() -> dict[str, str]:
+    return {**train_digests(), **eval_digests(), **cli_digests(), **synthetic_digests()}
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -156,10 +156,10 @@ def write_features(path: str | Path, features: np.ndarray) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    (n, d), take, done = read_file(path, FEATURES_MAGIC, FEATURES_VERSION, 2)
-    features = take("<f4", n * d)
-    done()
-    return features.reshape(n, d).astype(np.float32)
+    with read_file(path, FEATURES_MAGIC, FEATURES_VERSION, 2) as ((n, d), take):
+        if d < 1:  # every row would map to the same code
+            raise ShapeMismatch(f"feature dimension must be >= 1, got {d}")
+        return take("<f4", n * d).reshape(n, d).astype(np.float32)
 
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:

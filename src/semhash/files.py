@@ -1,14 +1,19 @@
-"""The file layer: UTF-8 text inputs, atomic writes, strict JSON and the binary container."""
+"""The file layer: UTF-8 text inputs, atomic writes, strict JSON and the binary container.
+
+A binary file's reader checks its content by building the value's type
+inside ``read_file``'s block.
+"""
 from __future__ import annotations
 
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile, VersionMismatch
+from .errors import MalformedFile, NonFiniteInput, ShapeMismatch, VersionMismatch
 
 
 def read_text(path: str | Path) -> str:
@@ -53,13 +58,15 @@ def file_header(magic: bytes, version: int, *fields: int) -> bytes:
     return magic + struct.pack(f"<{1 + len(fields)}I", version, *fields)
 
 
+@contextmanager
 def read_file(path: str | Path, magic: bytes, version: int, n_fields: int):
-    """``(fields, take, done)`` of a file written as ``file_header(...)`` + payload.
+    """``with`` block over a file written as ``file_header(...)`` + payload: ``(fields, take)``.
 
     ``take(dtype, count)`` is the next ``count`` payload items as a read-only
     array.  A short header, another magic, a payload shorter than the takes or
-    bytes left at ``done()`` raise ``MalformedFile``; another version
-    ``VersionMismatch``.
+    bytes left when the block ends raise ``MalformedFile``; another version
+    ``VersionMismatch``.  A ``ShapeMismatch`` or ``NonFiniteInput`` raised in
+    the block, by the type it builds, becomes a ``MalformedFile`` naming the file.
     """
     raw = Path(path).read_bytes()
     offset = len(magic) + 4 * (1 + n_fields)
@@ -81,8 +88,9 @@ def read_file(path: str | Path, magic: bytes, version: int, n_fields: int):
         offset = end
         return items
 
-    def done() -> None:
-        if offset != len(raw):
-            raise MalformedFile(f"{path}: expected {offset} bytes, found {len(raw)}")
-
-    return fields, take, done
+    try:
+        yield fields, take
+    except (ShapeMismatch, NonFiniteInput) as exc:
+        raise MalformedFile(f"{path}: {exc}") from None
+    if offset != len(raw):
+        raise MalformedFile(f"{path}: expected {offset} bytes, found {len(raw)}")

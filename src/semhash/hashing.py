@@ -14,13 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyIndex,
-    LengthMismatch,
-    MalformedFile,
-    NonFiniteInput,
-    ShapeMismatch,
-)
+from .errors import EmptyIndex, LengthMismatch, NonFiniteInput, ShapeMismatch
 from .files import file_header, read_file, write_atomic
 from .model import _embedding_values
 
@@ -96,6 +90,14 @@ def hamming(a: HashCode, b: HashCode) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
+def _in_range(values, name: str, bits: int) -> np.ndarray:
+    """``values`` as ``int64`` if each is an integer in [0, 2**bits); else ``ShapeMismatch``."""
+    array = np.asarray(values)  # Python ints beyond int64 give a float or object array
+    if array.size and (array.dtype.kind not in "iu" or array.min() < 0 or int(array.max()) >> bits):
+        raise ShapeMismatch(f"{name} must be integers in [0, 2**{bits})")
+    return array.astype(np.int64, copy=False)
+
+
 def _check_unique_ids(ids: np.ndarray) -> None:
     values, counts = np.unique(ids, return_counts=True)
     if np.any(counts > 1):
@@ -104,7 +106,7 @@ def _check_unique_ids(ids: np.ndarray) -> None:
 
 @dataclass
 class HashIndex:
-    """Searchable collection of codes with parallel sample ids and labels."""
+    """Searchable codes with parallel unique sample ids in [0, 2**63) and labels in [0, 2**32)."""
 
     words: np.ndarray  # N x W uint64
     ids: np.ndarray  # N
@@ -113,8 +115,8 @@ class HashIndex:
 
     def __post_init__(self) -> None:
         self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.ids = _in_range(self.ids, "sample ids", 63)
+        self.labels = _in_range(self.labels, "labels", 32)
         if self.code_length < 1:
             raise ShapeMismatch(f"code length must be >= 1, got {self.code_length}")
         if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
@@ -149,7 +151,7 @@ def build_index(
         if c.code_length != k:
             raise LengthMismatch("all codes in an index must share one code length")
     words = np.array([c.words for c in codes], dtype=np.uint64)
-    return HashIndex(words=words, ids=np.asarray(ids), labels=np.asarray(labels), code_length=k)
+    return HashIndex(words=words, ids=ids, labels=labels, code_length=k)
 
 
 def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
@@ -193,8 +195,6 @@ def _index_entry(code_length: int) -> np.dtype:
 
 
 def save_index(path: str | Path, index: HashIndex) -> None:
-    if np.any(index.ids < 0) or np.any(index.labels < 0) or np.any(index.labels >= 2**32):
-        raise ShapeMismatch("ids must be non-negative and labels must fit in 32 bits")
     records = np.empty(len(index), dtype=_index_entry(index.code_length))
     records["id"] = index.ids
     records["label"] = index.labels
@@ -205,17 +205,6 @@ def save_index(path: str | Path, index: HashIndex) -> None:
 
 
 def load_index(path: str | Path) -> HashIndex:
-    (code_length, count), take, done = read_file(path, INDEX_MAGIC, INDEX_VERSION, 2)
-    records = take(_index_entry(code_length), count)
-    done()
-    if np.any(records["id"] >= 2**63):
-        raise MalformedFile(f"{path}: sample id {records['id'].max()} is not below 2**63")
-    try:  # a code length of 0, a repeated id or a set padding bit
-        return HashIndex(
-            words=records["words"],
-            ids=records["id"].astype(np.int64),
-            labels=records["label"].astype(np.int64),
-            code_length=code_length,
-        )
-    except ShapeMismatch as exc:
-        raise MalformedFile(f"{path}: {exc}") from None
+    with read_file(path, INDEX_MAGIC, INDEX_VERSION, 2) as ((code_length, count), take):
+        records = take(_index_entry(code_length), count)
+        return HashIndex(records["words"], records["id"], records["label"], code_length)

@@ -24,7 +24,7 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class EncoderParams:
-    """Ordered (weights, biases) pairs; weights are out x in."""
+    """Ordered (weights, biases) pairs; weights are out x in, every width at least 1."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     code_length: int
@@ -34,7 +34,7 @@ class EncoderParams:
             raise ShapeMismatch("encoder needs at least one layer")
         prev_out = None
         for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0] or 0 in w.shape:
                 raise ShapeMismatch(f"layer {i}: weights {w.shape} / biases {b.shape}")
             if prev_out is not None and w.shape[1] != prev_out:
                 raise ShapeMismatch(
@@ -55,7 +55,7 @@ class EncoderParams:
 
 @dataclass
 class ClassifierParams:
-    """Linear head on the continuous embeddings: logits = z W^T + b."""
+    """Linear head on the continuous embeddings: logits = z W^T + b, with C, K >= 1."""
 
     weights: np.ndarray  # C x K
     biases: np.ndarray  # C
@@ -63,7 +63,7 @@ class ClassifierParams:
     def __post_init__(self) -> None:
         if self.weights.ndim != 2 or self.biases.ndim != 1:
             raise ShapeMismatch("classifier weights must be 2-D, biases 1-D")
-        if self.weights.shape[0] != self.biases.shape[0]:
+        if self.weights.shape[0] != self.biases.shape[0] or 0 in self.weights.shape:
             raise ShapeMismatch(
                 f"classifier weights {self.weights.shape} / biases {self.biases.shape}"
             )
@@ -266,18 +266,16 @@ def save_checkpoint(path: str | Path, encoder: EncoderParams, classifier: Classi
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, ClassifierParams]:
-    fields, take, done = read_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4)
-    in_dim, code_length, n_classes, n_layers = fields
-    layers = []
-    prev = in_dim
-    for _ in range(n_layers):
-        out_dim = int(take("<u4", 1)[0])
-        w = take("<f8", out_dim * prev).reshape(out_dim, prev)
-        layers.append((w.copy(), take("<f8", out_dim).copy()))
-        prev = out_dim
-    cw = take("<f8", n_classes * code_length).reshape(n_classes, code_length)
-    cb = take("<f8", n_classes)
-    done()
-    encoder = EncoderParams(layers=layers, code_length=code_length)
-    classifier = ClassifierParams(weights=cw.copy(), biases=cb.copy())
-    return encoder, classifier
+    with read_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4) as (fields, take):
+        in_dim, code_length, n_classes, n_layers = fields
+        layers = []
+        prev = in_dim
+        for _ in range(n_layers):
+            out_dim = int(take("<u4", 1)[0])
+            w = take("<f8", out_dim * prev).reshape(out_dim, prev)
+            layers.append((w.copy(), take("<f8", out_dim).copy()))
+            prev = out_dim
+        cw = take("<f8", n_classes * code_length).reshape(n_classes, code_length)
+        cb = take("<f8", n_classes)
+        encoder = EncoderParams(layers=layers, code_length=code_length)
+        return encoder, ClassifierParams(weights=cw.copy(), biases=cb.copy())

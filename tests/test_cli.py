@@ -20,6 +20,7 @@ import semhash.metrics as metrics_mod
 from semhash.cli import main
 from semhash.data import write_features
 from semhash.errors import DivergedLoss
+from semhash.files import file_header
 from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
 from semhash.hierarchy import parse_taxonomy
 from semhash.model import ClassifierParams, EncoderParams, save_checkpoint
@@ -394,6 +395,44 @@ def test_query_rejects_index_id_not_below_2_to_the_63(workdir, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
     assert "big.index" in err[0]
     assert captured.out == ""
+
+
+def one_error_line_naming(captured, path) -> bool:
+    err = captured.err.splitlines()
+    return captured.out == "" and len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("widths, n_classes", [
+    ((12, 0, 8), 8),  # a zero-width hidden layer
+    ((12, 16, 8), 0),  # no classes
+    ((12, 16, 0), 8),  # K = 0
+])
+def test_encode_rejects_a_zero_width_checkpoint(workdir, capsys, widths, n_classes):
+    # zero weights written by hand: u32 out-dim, weights and biases per layer, then the head
+    in_dim, *outs = widths
+    raw = file_header(b"SHRW", 1, in_dim, outs[-1], n_classes, len(outs))
+    for fan_in, out in zip(widths, outs):
+        raw += struct.pack("<I", out) + bytes(8 * (out * fan_in + out))
+    checkpoint = workdir / "zero.checkpoint"
+    checkpoint.write_bytes(raw + bytes(8 * (n_classes * outs[-1] + n_classes)))
+    assert gen_data(workdir) == 0
+    capsys.readouterr()
+    rc = main(["encode", "--checkpoint", str(checkpoint), "--features", str(workdir / "data.features"),
+               "--labels", str(workdir / "data.labels"), "--taxonomy", str(workdir / "tax.txt"),
+               "--out", str(workdir / "enc")])
+    assert rc == 1 and one_error_line_naming(capsys.readouterr(), checkpoint)
+    assert not any(workdir.glob("enc.*"))
+
+
+def test_train_rejects_zero_width_features(workdir, capsys):
+    features = workdir / "flat.features"
+    write_features(features, np.zeros((40, 0), dtype=np.float32))
+    (workdir / "flat.labels").write_text("cat\n" * 20 + "car\n" * 20)
+    rc = main(["train", "--config", str(workdir / "train.cfg"), "--features", str(features),
+               "--labels", str(workdir / "flat.labels"), "--taxonomy", str(workdir / "tax.txt"),
+               "--out", str(workdir / "m")])
+    assert rc == 1 and one_error_line_naming(capsys.readouterr(), features)
+    assert not any(workdir.glob("m.*"))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -232,6 +232,13 @@ class TestDatasetFiles:
         assert back.dtype == np.float32
         assert back.tolist() == values
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_width_features_are_malformed_and_name_the_file(self, tmp_path, n):
+        path = tmp_path / "flat.features"
+        write_features(path, np.zeros((n, 0), dtype=np.float32))
+        with pytest.raises(MalformedFile, match="flat.features: feature dimension must be >= 1"):
+            read_features(path)
+
     def test_truncated_features(self, tmp_path):
         path = tmp_path / "bad.features"
         write_features(path, np.zeros((3, 3), dtype=np.float32))

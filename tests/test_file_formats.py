@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from semhash.data import read_features, write_features
-from semhash.errors import MalformedFile, VersionMismatch
+from semhash.errors import MalformedFile, NonFiniteInput, ShapeMismatch, VersionMismatch
 from semhash.files import file_header, read_file, write_atomic, write_json
 from semhash.hashing import HashIndex, load_index, save_index
 from semhash.model import ClassifierParams, EncoderParams, load_checkpoint, save_checkpoint
@@ -83,12 +83,11 @@ class TestReadFile:
     def test_fields_and_takes_round_trip(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(file_header(b"TEST", 7, 2, 3) + struct.pack("<2I", 5, 6) + struct.pack("<d", 0.5))
-        fields, take, done = read_file(path, b"TEST", 7, 2)
-        assert fields == [2, 3]
-        assert take("<u4", 2).tolist() == [5, 6]
-        assert take("<f8", 0).tolist() == []
-        assert take(np.dtype("<f8"), 1).tolist() == [0.5]
-        done()
+        with read_file(path, b"TEST", 7, 2) as (fields, take):
+            assert fields == [2, 3]
+            assert take("<u4", 2).tolist() == [5, 6]
+            assert take("<f8", 0).tolist() == []
+            assert take(np.dtype("<f8"), 1).tolist() == [0.5]
 
     def test_header_is_magic_then_little_endian_u32s(self):
         assert file_header(b"TEST", 1, 2, 2**32 - 1) == b"TEST" + bytes([1, 0, 0, 0, 2, 0, 0, 0]) + b"\xff" * 4
@@ -96,22 +95,49 @@ class TestReadFile:
     def test_short_take_and_left_over_bytes_are_malformed(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(file_header(b"TEST", 1) + bytes(12))
-        _, take, done = read_file(path, b"TEST", 1, 0)
-        with pytest.raises(MalformedFile, match="x.bin"):
-            take("<f8", 2)
-        take("<f8", 1)
-        with pytest.raises(MalformedFile, match="x.bin"):
-            done()
+        with pytest.raises(MalformedFile, match="x.bin"):  # 4 bytes left when the block ends
+            with read_file(path, b"TEST", 1, 0) as (_, take):
+                with pytest.raises(MalformedFile, match="x.bin"):
+                    take("<f8", 2)
+                take("<f8", 1)
 
     def test_magic_then_version(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(file_header(b"TEST", 2, 0))
         with pytest.raises(MalformedFile, match="bad magic"):
-            read_file(path, b"TSET", 2, 1)
+            with read_file(path, b"TSET", 2, 1):
+                pass
         with pytest.raises(VersionMismatch, match="version 2"):
-            read_file(path, b"TEST", 1, 1)
+            with read_file(path, b"TEST", 1, 1):
+                pass
         with pytest.raises(MalformedFile, match="truncated header"):
-            read_file(path, b"TEST", 2, 2)
+            with read_file(path, b"TEST", 2, 2):
+                pass
+
+    @pytest.mark.parametrize("error", [ShapeMismatch, NonFiniteInput])
+    def test_a_type_check_in_the_block_is_malformed_and_names_the_file(self, tmp_path, error):
+        path = tmp_path / "x.bin"
+        path.write_bytes(file_header(b"TEST", 1) + bytes(8))
+        with pytest.raises(MalformedFile, match=r"x\.bin: bad value$") as caught:
+            with read_file(path, b"TEST", 1, 0) as (_, take):
+                take("<f8", 1)
+                raise error("bad value")
+        assert type(caught.value) is MalformedFile
+
+    def test_other_errors_pass_unchanged_and_skip_the_length_check(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(file_header(b"TEST", 1) + bytes(12))  # no block below takes all 12 bytes
+        with pytest.raises(MalformedFile, match="truncated at") as from_take:
+            with read_file(path, b"TEST", 1, 0) as (_, take):
+                take("<f8", 2)
+        with pytest.raises(ValueError, match="^not a file error$") as other:
+            with read_file(path, b"TEST", 1, 0) as (_, take):
+                take("<f8", 1)
+                raise ValueError("not a file error")
+        assert type(from_take.value) is MalformedFile and type(other.value) is ValueError
+        with pytest.raises(MalformedFile, match=r"x\.bin: can't$"):
+            with read_file(path, b"TEST", 1, 0):  # a raised block: nothing taken, no length error
+                raise ShapeMismatch("can't")
 
 
 class TestWrites:

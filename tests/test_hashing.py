@@ -286,3 +286,41 @@ def test_build_index_rejects_empty():
 def test_build_index_rejects_duplicate_ids():
     with pytest.raises(ShapeMismatch):
         build_index([pack_bits([1]), pack_bits([0]), pack_bits([1])], [0, 0, 1], [0, 0, 1])
+
+
+@pytest.mark.parametrize("ids, labels", [
+    ([2**63, 5], [0, 0]),  # a float64 array, in which 2**63 - 1 would round to 2**63
+    ([2**64, 5], [0, 0]),  # an object array
+    ([-1, 5], [0, 0]),
+    (np.array([2**63, 5], dtype=np.uint64), [0, 0]),
+    ([4, 5], [-1, 0]),
+    ([4, 5], [0, 2**32]),
+])
+def test_build_index_rejects_what_an_index_file_cannot_hold(ids, labels):
+    with pytest.raises(ShapeMismatch, match="must be integers in"):
+        build_index([pack_bits([1]), pack_bits([0])], ids, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 64, 65, 130]),
+    entries=st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(-1, 2**32), st.integers(0, 2**64 - 1)),
+        max_size=5,
+    ),
+)
+def test_every_index_that_constructs_round_trips_through_its_file(tmp_path_factory, k, entries):
+    ids = np.array([e[0] for e in entries], dtype=np.int64)
+    labels = np.array([e[1] for e in entries], dtype=np.int64)
+    words = np.tile(np.array([e[2] for e in entries], dtype=np.uint64)[:, None], (1, (k + 63) // 64))
+    words[:, -1] &= np.uint64(2**64 - 1 if k % 64 == 0 else (1 << k % 64) - 1)  # padding bits zero
+    try:
+        index = HashIndex(words, ids, labels, k)
+    except ShapeMismatch:  # an id or label out of range, or a repeated id
+        return
+    path = tmp_path_factory.mktemp("index") / "x.index"
+    save_index(path, index)
+    back = load_index(path)
+    assert back.code_length == k
+    for got, want in ((back.words, words), (back.ids, ids), (back.labels, labels)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

@@ -314,6 +314,19 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile):
             load_checkpoint(path)
 
+    def test_content_error_is_malformed_and_names_the_file(self, tmp_path):
+        raw = checkpoint_bytes(make_encoder(9), init_classifier(4, 6, RngState.from_seed(10)))
+        path = tmp_path / "nan.checkpoint"
+        for extra in (b"", b"\0"):  # the content error comes before the extra byte's
+            path.write_bytes(raw[:-8] + struct.pack("<d", np.nan) + extra)  # the head's last bias
+            with pytest.raises(MalformedFile, match="nan.checkpoint: classifier has non-finite"):
+                load_checkpoint(path)
+        bad_k = bytearray(raw)
+        bad_k[12:16] = struct.pack("<I", 3)  # the header's K; the last layer is 4 wide
+        path.write_bytes(bytes(bad_k))
+        with pytest.raises(MalformedFile, match="nan.checkpoint: final layer out-dim 4 != code length 3"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         enc = make_encoder(9)
         clf = init_classifier(4, 6, RngState.from_seed(10))
@@ -324,6 +337,19 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("in_dim, hidden, k", [(0, 3, 2), (2, 0, 2), (2, 3, 0)])
+def test_zero_width_encoder_is_a_shape_mismatch(in_dim, hidden, k):
+    layers = [(np.zeros((hidden, in_dim)), np.zeros(hidden)), (np.zeros((k, hidden)), np.zeros(k))]
+    with pytest.raises(ShapeMismatch, match="weights"):
+        EncoderParams(layers=layers, code_length=k)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)])  # no classes, K = 0
+def test_zero_width_classifier_is_a_shape_mismatch(shape):
+    with pytest.raises(ShapeMismatch, match="classifier weights"):
+        ClassifierParams(weights=np.zeros(shape), biases=np.zeros(shape[0]))
 
 
 def test_init_respects_fan_bound():
