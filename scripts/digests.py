@@ -6,7 +6,9 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
   at seeds 0 and 1 (one epoch each), and of a B=64, K=64 run;
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
-  Hamming and Manhattan eval at eval_1k size, on one and on two threads;
+  Hamming and Manhattan eval at eval_1k size, and of Manhattan eval on
+  quarter-grid values, whose distances tie also across ``k_max``, and on
+  values whose distances overflow to inf, each on one and on two threads;
 - ``cli/...``: every file and the stdout of ``gen-data -> train -> encode ->
   index -> eval -> eval --no-binarize -> query``, with the work directory
   masked in the manifests;
@@ -94,6 +96,31 @@ def eval_digests() -> dict[str, str]:
     return out
 
 
+def tie_digests() -> dict[str, str]:
+    taxonomy = balanced_taxonomy((4, 4, 2))
+    rng = np.random.default_rng(0)
+    n = 300
+    ids = rng.permutation(10 * n)[:n]
+    labels = rng.choice(taxonomy.leaves(), size=n)
+    inputs = {
+        "grid": rng.integers(0, 3, size=(n, 4)) * 0.25,  # 9 distinct distances
+        "overflow": rng.choice([-1e308, 0.0, 1e308], size=(n, 2)),
+    }
+    out = {}
+    saved = semhash.metrics._WORKERS
+    try:
+        for workers in (1, 2):
+            semhash.metrics._WORKERS = workers
+            for kind, values in inputs.items():
+                with np.errstate(over="ignore"):
+                    report = evaluate_embeddings(values, ids, labels, taxonomy, K_MAX, per_query=True)
+                out[f"eval/manhattan-{kind}/w{workers}/report.json"] = _sha(_report_json(report))
+                out[f"eval/manhattan-{kind}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
+    finally:
+        semhash.metrics._WORKERS = saved
+    return out
+
+
 def balanced_taxonomy_edges(branching: tuple[int, ...]) -> list[tuple[str, str]]:
     t = balanced_taxonomy(branching)
     return [(t.name(t.parent(node)), t.name(node)) for node in t.order[1:]]
@@ -157,7 +184,8 @@ def synthetic_digests() -> dict[str, str]:
 
 
 def digests() -> dict[str, str]:
-    return {**train_digests(), **eval_digests(), **cli_digests(), **synthetic_digests()}
+    return {**train_digests(), **eval_digests(), **tie_digests(), **cli_digests(),
+            **synthetic_digests()}
 
 
 if __name__ == "__main__":

@@ -146,8 +146,8 @@ def generate_synthetic(
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2:
-        raise ShapeMismatch(f"features must be 2-D, got shape {features.shape}")
+    if features.ndim != 2 or features.shape[1] < 1:  # read_features rejects an N x 0 file
+        raise ShapeMismatch(f"features must be N x D with D >= 1, got shape {features.shape}")
     write_atomic(
         path,
         file_header(FEATURES_MAGIC, FEATURES_VERSION, *features.shape),

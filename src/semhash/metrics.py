@@ -20,10 +20,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
-from .hashing import HashIndex, _check_unique_ids, _rank_by_id, hamming_to_all
+from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, distance_matrix, semantic_distance
 
-# bytes of the b x N int64 rank rows of all blocks in flight, one block per
+# bytes of all b x N blocks in flight at 8 bytes an entry, one block per
 # thread; each thread's working set is at most three of its blocks
 _BLOCK_BYTES = 1 << 20
 # threads that score query blocks: the caller's and at most one worker
@@ -83,12 +83,35 @@ def _hp(got: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return np.where(ideal > 0, got / np.maximum(ideal, 1e-300), 1.0)
 
 
-def _ap(hit_mask: np.ndarray) -> float:
-    """AP of one complete ranking with binary relevance; nan without a hit."""
-    hits = np.flatnonzero(hit_mask)
+def _ap(hits: np.ndarray) -> float:
+    """AP of one complete ranking from its hits' ascending 0-based ranks; nan without a hit."""
     if hits.size == 0:
         return math.nan
     return math.fsum((np.arange(hits.size) + 1.0) / (hits + 1.0)) / hits.size
+
+
+def _rank_floats(dists: np.ndarray, hits: np.ndarray, k_max: int) -> tuple[np.ndarray, list]:
+    """Each float row's top ``k_max`` columns and its ``hits``' ascending ranks, by (value, column).
+
+    From one value sort per row (NaN last): a value tied across the k_max-th keeps its smallest
+    columns in the top set, and a hit ranks after the smaller values and the equal ones before it.
+    """
+    srt = np.sort(dists, axis=1)
+    near = dists <= srt[:, k_max - 1, None]
+    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > k_max):
+        tied = np.flatnonzero(dists[i] == srt[i, k_max - 1])
+        near[i, tied[k_max - np.searchsorted(srt[i], srt[i, k_max - 1]) :]] = False
+    top = (np.flatnonzero(near) % dists.shape[1]).reshape(-1, k_max)
+    order = np.argsort(np.take_along_axis(dists, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    ranks = []
+    for row, row_srt, cols in zip(dists, srt, map(np.flatnonzero, hits)):
+        hit = row[cols]
+        rank = np.searchsorted(row_srt, hit, "left")
+        for j in np.flatnonzero(np.searchsorted(row_srt, hit, "right") - rank > 1):
+            rank[j] += np.count_nonzero(row[: cols[j]] == hit[j])
+        ranks.append(np.sort(rank))
+    return top, ranks
 
 
 def _score_ranking(
@@ -128,7 +151,7 @@ def ahp_at_k(
 
 def average_precision(ranked_labels: Sequence[int], query_label: int) -> float:
     """AP with binary same-class relevance over a complete ranking."""
-    ap = _ap(np.asarray(ranked_labels) == query_label)
+    ap = _ap(np.flatnonzero(np.asarray(ranked_labels) == query_label))
     if math.isnan(ap):
         raise NoRelevantItems(f"no item shares label {query_label}")
     return ap
@@ -172,9 +195,9 @@ def _score(
     ``distances(rows)`` gives the distances from the queries in ``rows`` to
     every item, one row per query.  Ids are unique on each side, so a query
     that is also an item has one candidate fewer: itself.  Its own entry gets
-    a distance that a stable sort puts after every other (NaN in a float row,
-    after even an overflowed inf sum; the dtype's maximum in an integer row,
-    which holds counts below it), so it ranks last and is dropped.
+    a distance that sorts after every other (NaN in a float row, after even
+    an overflowed inf sum; the dtype's maximum in an integer row, which holds
+    counts below it), so it ranks last and is dropped.
     """
     n_queries, n_items = len(query_ids), len(item_ids)
     if n_queries == 0:
@@ -187,9 +210,7 @@ def _score(
         raise KTooLarge(f"k_max={k_max} outside [1, {min_candidates}]")
 
     # one relevance lookup per (query label, item label) pair
-    label_ids, label_rows = np.unique(
-        np.concatenate([query_labels, item_labels]), return_inverse=True
-    )
+    label_ids, label_rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
     rel_table = distance_matrix(t, label_ids.tolist())
     np.subtract(1.0, rel_table, out=rel_table)
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
@@ -197,9 +218,9 @@ def _score(
     block = max(1, _BLOCK_BYTES // (8 * n_items * _WORKERS))
     hp_rows = np.empty((n_queries, k_max))
 
-    def score_blocks(starts: range) -> list[float]:
-        """Fill the blocks' ``hp_rows`` rows; their APs in query order."""
-        aps: list[float] = []
+    def score_blocks(starts: range) -> list[tuple[float, float]]:
+        """Fill the blocks' ``hp_rows`` rows; their (AP, AHP) pairs in query order."""
+        scores: list[tuple[float, float]] = []
         for start in starts:
             rows = slice(start, start + block)
             mine = np.flatnonzero(has_own[rows])
@@ -210,30 +231,33 @@ def _score(
             ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
             dists = distances(rows)[:, by_id]
             dists[mine, own] = np.nan if dists.dtype.kind == "f" else np.iinfo(dists.dtype).max
-            ranked_rows = item_rows[np.argsort(dists, axis=1, kind="stable")]
             q_rows = query_rows[rows, None]
-            got = np.cumsum(rel_table[q_rows, ranked_rows[:, :k_max]], axis=1)
-            hp_rows[rows] = _hp(got, ideal)
-            hits = ranked_rows == q_rows
-            hits[mine, -1] = False  # the query's own entry, ranked last
-            aps.extend(_ap(row) for row in hits)
-            del dists, ranked_rows  # at most one block's arrays per thread are alive
-        return aps
+            if dists.dtype.kind == "f":  # only the top k_max and the hits are ranked
+                hits = item_rows == q_rows
+                hits[mine, own] = False
+                top, hit_ranks = _rank_floats(dists, hits, k_max)
+            else:  # a stable sort of integers is a radix sort, cheaper than ranking their many ties
+                top = np.argsort(dists, axis=1, kind="stable")
+                hits = item_rows[top] == q_rows
+                hits[mine, -1] = False  # the query's own entry, ranked last
+                hit_ranks = map(np.flatnonzero, hits)
+            hp = hp_rows[rows] = _hp(np.cumsum(rel_table[q_rows, item_rows[top[:, :k_max]]], 1), ideal)
+            scores.extend(zip(map(_ap, hit_ranks), (math.fsum(row) / k_max for row in hp.tolist())))
+            del dists, top, hits  # at most one block's arrays per thread are alive
+        return scores
 
     starts = range(0, n_queries, block)
     if _WORKERS == 1 or len(starts) == 1:
-        aps = score_blocks(starts)
+        scores = score_blocks(starts)
     else:  # this thread scores the first half, one worker the rest
         half = (len(starts) + 1) // 2
         with ThreadPoolExecutor(1) as worker:  # joined on exit, also when a share raises
             # numpy's error state is a contextvar, which a new thread does not inherit
             rest = worker.submit(contextvars.copy_context().run, score_blocks, starts[half:])
-            aps = score_blocks(starts[:half]) + rest.result()
+            scores = score_blocks(starts[:half]) + rest.result()
+    aps, ahp_per_query = zip(*scores)
 
-    hp_curve = [
-        (k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)
-    ]
-    ahp_per_query = [math.fsum(row) / k_max for row in hp_rows]
+    hp_curve = [(k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)]
     mahp = math.fsum(ahp_per_query) / n_queries
     ap_values = [ap for ap in aps if not math.isnan(ap)]
     map_value = math.fsum(ap_values) / len(ap_values) if ap_values else math.nan
@@ -280,8 +304,8 @@ def evaluate_embeddings(
 ) -> MetricsReport:
     """Leave-one-out evaluation of continuous embeddings under Manhattan ranking."""
     values = np.asarray(values, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    ids = _in_range(ids, "sample ids", 63)  # the index's rule for its ids and labels
+    labels_arr = _in_range(labels, "labels", 32)
     if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
     if not np.isfinite(values).all():

@@ -18,7 +18,7 @@ import semhash
 import semhash.cli as cli_mod
 import semhash.metrics as metrics_mod
 from semhash.cli import main
-from semhash.data import write_features
+from semhash.data import FEATURES_MAGIC, FEATURES_VERSION, write_features
 from semhash.errors import DivergedLoss
 from semhash.files import file_header
 from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
@@ -426,7 +426,7 @@ def test_encode_rejects_a_zero_width_checkpoint(workdir, capsys, widths, n_class
 
 def test_train_rejects_zero_width_features(workdir, capsys):
     features = workdir / "flat.features"
-    write_features(features, np.zeros((40, 0), dtype=np.float32))
+    features.write_bytes(file_header(FEATURES_MAGIC, FEATURES_VERSION, 40, 0))  # 40 x 0, no payload
     (workdir / "flat.labels").write_text("cat\n" * 20 + "car\n" * 20)
     rc = main(["train", "--config", str(workdir / "train.cfg"), "--features", str(features),
                "--labels", str(workdir / "flat.labels"), "--taxonomy", str(workdir / "tax.txt"),

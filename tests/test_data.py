@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from semhash.data import (
+    FEATURES_MAGIC,
+    FEATURES_VERSION,
     Dataset,
     RngState,
     beta_sample,
@@ -23,6 +25,7 @@ from semhash.errors import (
     UnknownLabel,
     VersionMismatch,
 )
+from semhash.files import file_header
 from semhash.hierarchy import distance_matrix, parse_taxonomy
 from semhash.trainer import TrainConfig, train
 
@@ -235,9 +238,20 @@ class TestDatasetFiles:
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_width_features_are_malformed_and_name_the_file(self, tmp_path, n):
         path = tmp_path / "flat.features"
-        write_features(path, np.zeros((n, 0), dtype=np.float32))
+        path.write_bytes(file_header(FEATURES_MAGIC, FEATURES_VERSION, n, 0))  # n x 0, no payload
         with pytest.raises(MalformedFile, match="flat.features: feature dimension must be >= 1"):
             read_features(path)
+
+    def test_zero_width_features_are_not_written(self, tmp_path):
+        path = tmp_path / "flat.features"
+        with pytest.raises(ShapeMismatch, match=r"features must be N x D with D >= 1, got shape \(3, 0\)"):
+            write_features(path, np.zeros((3, 0), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []  # not even a temporary file
+        write_features(path, np.ones((2, 1), dtype=np.float32))
+        before = path.read_bytes()
+        with pytest.raises(ShapeMismatch):
+            write_features(path, np.zeros((0, 0), dtype=np.float32))
+        assert path.read_bytes() == before
 
     def test_truncated_features(self, tmp_path):
         path = tmp_path / "bad.features"

@@ -313,6 +313,19 @@ class TestEvaluateEmbeddings:
         with pytest.raises(NonFiniteInput):
             evaluate_embeddings(values, [0, 1, 2], [t.node_id("a1")] * 3, t, k_max=1)
 
+    @pytest.mark.parametrize("ids, float_labels, name", [
+        ([0.0, 1.5, 2.0], False, "sample ids"),  # was truncated to 1
+        ([0, -5, 2], False, "sample ids"),  # was reported as query -5
+        ([0, 1, 2**63], False, "sample ids"),
+        ([0, 1, 2], True, "labels"),  # was truncated
+    ])
+    def test_rejects_ids_and_labels_an_index_rejects(self, five_node_tax, ids, float_labels, name):
+        t = five_node_tax
+        a1 = t.node_id("a1")
+        labels = [a1 + 0.5 if float_labels else a1] * 3
+        with pytest.raises(ShapeMismatch, match=f"^{name} must be integers"):
+            evaluate_embeddings(np.zeros((3, 2)), ids, labels, t, k_max=1)
+
 
 class TestMeanAp:
     def test_exact_matches_ranked_first(self, five_node_tax):
@@ -546,6 +559,73 @@ class TestBlockedScorer:
             want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
                                ids, labels, wordnet_relevance, n - 1)
         assert_same_report(got, want, "manhattan")
+
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    def test_manhattan_ties_match_oracle_at_every_k_max(self, layouts, per_block):
+        # query 10 (at 0) ranks 20, 3, 7, 12, 1, 5, 8, 30: its hit 7 ties with non-hits at a
+        # smaller and a larger id, its hits 5 and 8 tie with each other and with the non-hit 1,
+        # and k_max 2, 3, 5 and 6 split a tie; 20 and 30 are alone on their leaves: no hit
+        items = {12: (1.0, 1), 30: (3.0, 3), 5: (2.0, 0), 10: (0.0, 0), 1: (2.0, 1),
+                 8: (2.0, 0), 3: (1.0, 1), 20: (0.5, 2), 7: (1.0, 0)}
+        ids = np.array(list(items))
+        values = np.array([[items[i][0], 0.0] for i in ids])
+        labels = np.array([LEAVES[items[i][1]] for i in ids])
+        n = len(ids)
+        for k_max in range(1, n):
+            want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                               ids, labels, wordnet_relevance, k_max)
+            for _ in layouts(per_block, n, n):
+                got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
+                assert_same_report(got, want, "manhattan")
+        ap = {qid: q_ap for qid, q_ap, _ in got.per_query}
+        assert ap[10] == math.fsum([1 / 3, 2 / 6, 3 / 7]) / 3  # hits at ranks 3, 6 and 7
+        assert math.isnan(ap[30]) and got.map_skipped_queries == 2  # 30 and 20
+        assert got.to_json_dict()["per_query"][list(ids).index(30)]["ap"] is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflowed_rows_match_oracle_in_every_layout(self, layouts, seed):
+        # finite values whose distances overflow to inf and tie there, also across k_max
+        rng = np.random.default_rng(seed)
+        n = 14
+        values = rng.choice([-1e308, 0.0, 1e308], size=(n, 2))
+        ids = rng.permutation(3 * n)[:n]
+        labels = rng.choice(LEAVES[:4], size=n)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.abs(values - values[0]).sum(axis=1)).sum() > 1
+            for k_max in (1, int(rng.integers(2, n - 1)), n - 1):
+                want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                                   ids, labels, wordnet_relevance, k_max)
+                for per_block in (1, 3, None):
+                    for _ in layouts(per_block, n, n):
+                        got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max,
+                                                  per_query=True)
+                        assert_same_report(got, want, "manhattan")
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), dim=st.integers(1, 3),
+           workers=st.sampled_from([1, 2]), per_block=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_embeddings_match_oracle_and_the_integer_sort(self, seed, n, dim, workers,
+                                                               per_block):
+        # quarter-grid values: exact L1 ties everywhere; in quarters the same distances are
+        # integers, which take the full stable sort
+        rng = np.random.default_rng(seed)
+        quarters = rng.integers(0, 3, size=(n, dim))
+        values = quarters * 0.25
+        ids = rng.permutation(3 * n)[:n]
+        labels = rng.choice(LEAVES[:3], size=n)
+        k_max = int(rng.integers(1, n))
+        want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
+                           ids, labels, wordnet_relevance, k_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "_WORKERS", workers)
+            mp.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n * workers * per_block)
+            got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
+            integer = metrics_mod._score(
+                lambda rows: np.abs(quarters[rows, None] - quarters[None]).sum(axis=2),
+                ids, labels, ids, labels, WORDNET_LIKE, k_max, True, "manhattan",
+            )
+        assert_same_report(got, want, "manhattan")
+        assert_same_report(integer, want, "manhattan")
 
     def test_absent_query_ranks_every_item(self, five_node_tax):
         t = five_node_tax
