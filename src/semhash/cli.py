@@ -11,7 +11,7 @@ import argparse
 import functools
 import hashlib
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -32,16 +32,12 @@ from .hashing import HashCode, binarize, build_index, load_index, query_topk, sa
 from .hierarchy import load_taxonomy
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
-from .trainer import VARIANTS, apply_variant, parse_config, train
+from .trainer import parse_config, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _sha256(path: Path) -> str:
@@ -102,17 +98,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = parse_config(read_text(args.config))
-    for name in ("seed", "epochs"):
-        flag, value = getattr(args, name), getattr(config, name)
-        if flag is not None:
-            if flag != value:
-                _warn(f"--{name} {flag} overrides config {name} {value}")
-            config = replace(config, **{name: flag})
-    if args.variant is not None:
-        config, warning = apply_variant(config, args.variant)
-        if warning:
-            _warn(warning)
-
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.features, args.labels, taxonomy)
     encoder, classifier, log = train(config, dataset, taxonomy)
@@ -257,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="embed a dataset and build its binary index")

@@ -8,6 +8,7 @@ feature-space distances correlate with semantic distances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,11 @@ _OPEN_LO = np.finfo(np.float64).tiny
 _OPEN_HI = 1.0 - np.finfo(np.float64).epsneg
 
 
+def is_int(value) -> bool:
+    """True for an integer (Python or numpy), False for a bool, a float or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RngState:
     """Deterministic counter-based random stream (Philox).
@@ -44,8 +50,8 @@ class RngState:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngState":
-        if not 0 <= int(seed) < 2**128:
-            raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
+        if not is_int(seed) or not 0 <= seed < 2**128:
+            raise ConfigError(f"seed must lie in [0, 2**128) and be an integer, got {seed!r}")
         return cls(np.random.Generator(np.random.Philox(key=int(seed))))
 
     def split(self, n: int) -> list["RngState"]:

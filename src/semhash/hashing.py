@@ -90,12 +90,12 @@ def hamming(a: HashCode, b: HashCode) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
-def _in_range(values, name: str, bits: int) -> np.ndarray:
-    """``values`` as ``int64`` if each is an integer in [0, 2**bits); else ``ShapeMismatch``."""
+def _in_range(values, name: str, bits: int, dtype=np.int64) -> np.ndarray:
+    """``values`` as ``dtype`` if each is an integer in [0, 2**bits); else ``ShapeMismatch``."""
     array = np.asarray(values)  # Python ints beyond int64 give a float or object array
     if array.size and (array.dtype.kind not in "iu" or array.min() < 0 or int(array.max()) >> bits):
         raise ShapeMismatch(f"{name} must be integers in [0, 2**{bits})")
-    return array.astype(np.int64, copy=False)
+    return array.astype(dtype, copy=False)
 
 
 def _check_unique_ids(ids: np.ndarray) -> None:
@@ -114,7 +114,7 @@ class HashIndex:
     code_length: int
 
     def __post_init__(self) -> None:
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        self.words = np.ascontiguousarray(_in_range(self.words, "code words", 64, np.uint64))
         self.ids = _in_range(self.ids, "sample ids", 63)
         self.labels = _in_range(self.labels, "labels", 32)
         if self.code_length < 1:

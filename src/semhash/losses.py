@@ -153,14 +153,16 @@ def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
 def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy under softmax, with max-subtraction for stability."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ShapeMismatch(f"logits must be B x C, got {logits.shape}")
     b, c = logits.shape
+    if b == 0:
+        raise BatchTooSmall("classification loss needs B >= 1, got 0")
     if labels.shape != (b,):
         raise ShapeMismatch(f"{b} logit rows but labels shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise LabelOutOfRange(f"labels must lie in [0, {c})")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
+        raise LabelOutOfRange(f"labels must be integers in [0, {c})")
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, RngState, beta_sample
+from .data import Dataset, RngState, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
 from .losses import SimLossConfig, total_loss
@@ -53,16 +52,20 @@ class TrainConfig:
     variant: str = "shred"
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison below, so every float setting is checked here first
+        # each setting has its default's type, and NaN fails every comparison below,
+        # so the integer and finite float settings are checked here first
         for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if type(f.default) is int and not is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.code_length < 1:
             raise ConfigError(f"code_length must be >= 1, got {self.code_length}")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+        if not all(is_int(h) and h >= 1 for h in self.hidden_sizes):
+            raise ConfigError(f"hidden sizes must be integers >= 1, got {self.hidden_sizes}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         for name in ("learning_rate", "adam_eps", "alpha", "beta"):
@@ -276,14 +279,3 @@ def train(
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()
     return encoder, classifier, log
 
-
-def apply_variant(config: TrainConfig, variant: str) -> tuple[TrainConfig, Optional[str]]:
-    """Force a variant and its lambda2 onto a config; returns (config, warning or None)."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    # shrewd drops the classification term; shred keeps a positive lambda2, else uses 1.0
-    lambda2 = 0.0 if variant == "shrewd" else (1.0 if config.lambda2 <= 0 else config.lambda2)
-    warning = None
-    if lambda2 != config.lambda2:
-        warning = f"variant {variant!r} sets lambda2 = {lambda2} (config had {config.lambda2})"
-    return replace(config, lambda2=lambda2, variant=variant), warning

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from semhash.files import file_header
 from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
 from semhash.hierarchy import parse_taxonomy
 from semhash.model import ClassifierParams, EncoderParams, save_checkpoint
-from semhash.trainer import VARIANTS, TrainConfig, format_config
+from semhash.trainer import TrainConfig, format_config
 
 TAX_TEXT = "\n".join(
     ["root animal", "root object"]
@@ -117,21 +119,6 @@ class TestTrain:
         steps = [int(row.split(",")[0]) for row in lines[1:]]
         assert steps == list(range(1, len(steps) + 1))
 
-    def test_variant_flag_forces_lambda2_with_warning(self, workdir, capsys):
-        gen_data(workdir)
-        rc = main([
-            "train", "--config", str(workdir / "train.cfg"),
-            "--features", str(workdir / "data.features"),
-            "--labels", str(workdir / "data.labels"),
-            "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
-            "--variant", "shrewd",
-        ])
-        assert rc == 0
-        assert "lambda2" in capsys.readouterr().err
-        manifest = json.loads((workdir / "m.manifest.json").read_text())
-        assert manifest["config"]["lambda2"] == 0.0
-        assert manifest["config"]["variant"] == "shrewd"
-
     def test_rerun_same_seed_identical_checkpoint(self, workdir):
         gen_data(workdir)
         for name in ("m1", "m2"):
@@ -142,18 +129,6 @@ class TestTrain:
                 "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / name),
             ])
         assert (workdir / "m1.checkpoint").read_bytes() == (workdir / "m2.checkpoint").read_bytes()
-
-    def test_seed_flag_overrides_with_warning(self, workdir, capsys):
-        gen_data(workdir)
-        rc = main([
-            "train", "--config", str(workdir / "train.cfg"),
-            "--features", str(workdir / "data.features"),
-            "--labels", str(workdir / "data.labels"),
-            "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
-            "--seed", "99",
-        ])
-        assert rc == 0
-        assert "overrides config seed" in capsys.readouterr().err
 
     def test_diverged_loss_exits_3(self, workdir, monkeypatch, capsys):
         gen_data(workdir)
@@ -284,17 +259,6 @@ def test_index_at_encode_threshold_reproduces_encode_index(workdir):
                  "--out", str(workdir / "re"), "--threshold", "0.5"]) == 0
     assert (workdir / "re.index").read_bytes() == (workdir / "half.index").read_bytes()
     assert load_index(workdir / "half.index").words.tolist() == [[15]] * 48
-
-
-def test_train_variant_choices_are_the_trainer_variants(capsys):
-    parser = cli_mod.build_parser()
-    argv = ["train", "--config", "c", "--features", "f", "--labels", "l", "--taxonomy", "t",
-            "--out", "o", "--variant"]
-    assert [parser.parse_args(argv + [name]).variant for name in VARIANTS] == list(VARIANTS)
-    for name in ("cls_only", "sim_only", "SHRED", ""):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv + [name])
-        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["query", "eval"])
@@ -468,7 +432,6 @@ def test_train_bad_config_value_is_one_error_line(workdir, capsys, key, value):
 @pytest.mark.parametrize("command, key, value", [
     ("train", "seed", "-1"),
     ("train", "seed", str(2**128)),
-    ("train", "--seed", "-1"),
     ("train", "hidden_sizes", "-3"),
     ("train", "hidden_sizes", "0"),
     ("gen-data", "--seed", "-1"),
@@ -487,22 +450,43 @@ def test_bad_seed_or_hidden_size_is_one_error_line(workdir, capsys, command, key
             "--labels", str(workdir / "data.labels"),
             "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m"),
         ]
-        if key.startswith("--"):
-            argv += [key, value]
-        else:
-            lines = [
-                f"{key} = {value}" if line.startswith(f"{key} =") else line
-                for line in (workdir / "train.cfg").read_text().splitlines()
-            ]
-            (workdir / "train.cfg").write_text("\n".join(lines) + "\n")
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in (workdir / "train.cfg").read_text().splitlines()
+        ]
+        (workdir / "train.cfg").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     rc = main(argv)
     err = capsys.readouterr().err.splitlines()
-    errors = [line for line in err if line.startswith("error:")]
     assert rc == 1
-    assert len(errors) == 1 and all(line.startswith(("error:", "warning:")) for line in err)
-    assert key.lstrip("-").replace("_", " ") in errors[0]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert key.lstrip("-").replace("_", " ") in err[0]
     assert not any(workdir.glob("m.*"))
+
+
+def test_readme_commands_parse():
+    # a documented command line that the parser refuses is a doc that outlived a flag
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines() if line.startswith("semhash ")]
+    assert {argv[0] for argv in commands} >= {"gen-data", "train", "encode", "query", "eval"}
+    for argv in commands:
+        assert cli_mod.build_parser().parse_args(argv).command == argv[0]
+
+
+def test_train_settings_come_from_the_config_file_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--features", "--labels", "--taxonomy", "--out"}
+    argv = ["train", "--config", "c", "--features", "f", "--labels", "l", "--taxonomy", "t",
+            "--out", "o"]
+    for flag, value in (("--seed", "1"), ("--epochs", "1"), ("--variant", "shred")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_module_entry_point_prints_no_runtime_warning():
@@ -805,8 +789,7 @@ ARGV_BASES = [
     ["gen-data", "--taxonomy", "tax.txt", "--per-class", "2", "--dim", "3", "--seed", "1",
      "--out", "o", "--diffusion", "1.0", "--noise", "0.5"],
     ["train", "--config", "train.cfg", "--features", "data.features", "--labels",
-     "data.labels", "--taxonomy", "tax.txt", "--out", "o", "--variant", "shrewd",
-     "--seed", "2", "--epochs", "1"],
+     "data.labels", "--taxonomy", "tax.txt", "--out", "o"],
     ["encode", "--checkpoint", "run.checkpoint", "--features", "data.features",
      "--labels", "data.labels", "--taxonomy", "tax.txt", "--out", "o", "--threshold", "0.5"],
     ["index", "--embeddings", "run.embeddings", "--labels", "data.labels",

@@ -52,6 +52,15 @@ class TestRngState:
             with pytest.raises(ConfigError, match="seed must lie in"):
                 RngState.from_seed(seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_seed_that_is_not_an_integer_is_rejected_not_truncated(self, seed):
+        with pytest.raises(ConfigError, match="seed must .* be an integer"):
+            RngState.from_seed(seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        want = RngState.from_seed(7).generator.uniform(size=4)
+        np.testing.assert_array_equal(RngState.from_seed(np.uint64(7)).generator.uniform(size=4), want)
+
 
 class TestBetaSample:
     def test_symmetric_mean(self):

@@ -301,6 +301,21 @@ def test_build_index_rejects_what_an_index_file_cannot_hold(ids, labels):
         build_index([pack_bits([1]), pack_bits([0])], ids, labels)
 
 
+@pytest.mark.parametrize("words", [
+    np.array([[1.5]]),  # would be truncated to word 1
+    np.array([[-1]]),  # would overflow the uint64 cast
+    np.array([[2**64]], dtype=object),
+])
+def test_index_rejects_code_words_that_are_not_64_bit_integers(words):
+    with pytest.raises(ShapeMismatch, match="code words must be integers in"):
+        HashIndex(words, [0], [3], 64)
+
+
+def test_index_keeps_the_largest_64_bit_word():
+    index = HashIndex(np.array([[2**64 - 1]]), [0], [3], 64)
+    assert index.words.dtype == np.uint64 and index.words.tolist() == [[2**64 - 1]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     k=st.sampled_from([1, 64, 65, 130]),

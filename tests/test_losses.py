@@ -321,6 +321,15 @@ class TestClsLoss:
         with pytest.raises(LabelOutOfRange):
             cls_loss(np.zeros((2, 3)), np.array([-1, 0]))
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.9], [0.0, 1.0], np.array([True, False])])
+    def test_labels_that_are_not_integers_are_rejected_not_truncated(self, labels):
+        with pytest.raises(LabelOutOfRange, match="integers"):
+            cls_loss(np.zeros((2, 3)), labels)
+
+    def test_empty_batch_is_too_small(self):
+        with pytest.raises(BatchTooSmall):
+            cls_loss(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
 
 class TestTotalLoss:
     def _inputs(self, seed=0, b=5, k=4, c=3):

@@ -25,7 +25,6 @@ from semhash.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
-    apply_variant,
     format_config,
     parse_config,
     train,
@@ -253,21 +252,20 @@ class TestConfig:
     def test_rho_zero_is_allowed(self):
         assert TrainConfig(rho=0.0).sim_config().rho == 0.0
 
-    def test_apply_variant_forces_lambda2(self):
-        cfg = TrainConfig()
-        forced, warning = apply_variant(cfg, "shrewd")
-        assert forced.lambda2 == 0.0
-        assert forced.variant == "shrewd"
-        assert warning is not None
+    @pytest.mark.parametrize("key", INT_KEYS)
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+    def test_integer_setting_that_is_not_an_integer_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            TrainConfig(**{key: value})
 
-    @pytest.mark.parametrize("variant, lambda2, forced", [
-        ("shrewd", 0.5, 0.0), ("shrewd", 0.0, 0.0), ("shred", 0.5, 0.5), ("shred", 0.0, 1.0),
-    ])
-    def test_apply_variant_warns_only_when_lambda2_changes(self, variant, lambda2, forced):
-        cfg = TrainConfig(lambda2=lambda2, variant="shred" if lambda2 else "shrewd")
-        out, warning = apply_variant(cfg, variant)
-        assert (out.variant, out.lambda2) == (variant, forced)
-        assert (warning is None) == (lambda2 == forced)
+    @pytest.mark.parametrize("hidden", [(16.0,), (16, 2.5), (True,)])
+    def test_hidden_size_that_is_not_an_integer_is_a_config_error(self, hidden):
+        with pytest.raises(ConfigError, match="hidden sizes must be integers"):
+            TrainConfig(hidden_sizes=hidden)
+
+    def test_numpy_integer_settings_are_integers(self):
+        cfg = TrainConfig(seed=np.int64(3), epochs=np.uint8(2), hidden_sizes=(np.int32(8),))
+        assert (cfg.seed, cfg.epochs, cfg.hidden_sizes) == (3, 2, (8,))
 
 
 def tiny_setup(seed=0, epochs=4):
@@ -405,8 +403,8 @@ class TestTrain:
         # arrays with one draw per step bit for bit; 64 samples leave a ragged
         # batch of 4 at batch size 6
         tax, ds, cfg = tiny_setup(epochs=3)
-        cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size)
-        cfg, _ = apply_variant(cfg, variant)
+        cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size, variant=variant,
+                                  lambda2=0.0 if variant == "shrewd" else cfg.lambda2)
         encoder, classifier, log = train(cfg, ds, tax)
 
         universe = tax.leaves()
