@@ -1,9 +1,9 @@
 """Command-line pipeline: gen-data, train, encode, index, query, eval.
 
-Every command that writes files also writes a run manifest recording the
-tool version, seed, config snapshot, SHA-256 digests of its inputs, and the
-output paths.  Exit codes: 0 success, 1 runtime error, 2 usage error,
-3 diverged training.
+Every command that writes files also writes PREFIX.<command>.manifest.json,
+recording the tool version, seed, config snapshot, SHA-256 digests of its
+inputs, and the output paths.  Exit codes: 0 success, 1 runtime error,
+2 usage error, 3 diverged training.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ def _write_manifest(
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    path = prefix.with_name(prefix.name + ".manifest.json")
+    path = prefix.with_name(f"{prefix.name}.{command}.manifest.json")
     write_json(path, manifest)
     return path
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -28,6 +29,8 @@ from .model import (
 )
 
 VARIANTS = ("shrewd", "shred")
+BETA_TARGET = (0.1, 0.1)  # the divergence term's Beta(alpha, beta) target
+ADAM = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 
 
 @dataclass
@@ -37,54 +40,43 @@ class TrainConfig:
     lambda_sim: float = 1.0
     lambda1: float = 1.0
     lambda2: float = 1.0
-    gamma: float = 0.1
-    rho: float = 2.0
-    alpha: float = 0.1
-    beta: float = 0.1
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    tau_floor: float = 1e-8
     variant: str = "shred"
 
     def __post_init__(self) -> None:
-        # each setting has its default's type, and NaN fails every comparison below,
-        # so the integer and finite float settings are checked here first
+        # each setting has its default's type (a float setting: any real number but a
+        # bool), and NaN fails every comparison below, so types are checked here first
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int and not is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if isinstance(f.default, float):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{f.name} must be a real number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.code_length < 1:
             raise ConfigError(f"code_length must be >= 1, got {self.code_length}")
-        if not all(is_int(h) and h >= 1 for h in self.hidden_sizes):
-            raise ConfigError(f"hidden sizes must be integers >= 1, got {self.hidden_sizes}")
+        if not (isinstance(self.hidden_sizes, tuple)
+                and all(is_int(h) and h >= 1 for h in self.hidden_sizes)):
+            raise ConfigError(f"hidden sizes must be integers >= 1 in a tuple, got {self.hidden_sizes}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        for name in ("learning_rate", "adam_eps", "alpha", "beta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ConfigError("adam betas must lie in [0, 1)")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda_sim < 0:
             raise ConfigError("loss weights must be non-negative")
-        self.sim_config()  # SimLossConfig checks the similarity-loss settings
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "shrewd" and self.lambda2 != 0:
             raise ConfigError("variant 'shrewd' requires lambda2 = 0")
         if self.variant == "shred" and self.lambda2 <= 0:
             raise ConfigError("variant 'shred' requires lambda2 > 0")
-
-    def sim_config(self) -> SimLossConfig:
-        return SimLossConfig(gamma=self.gamma, rho=self.rho, tau_floor=self.tau_floor)
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -233,7 +225,7 @@ def train(
     views = [buf[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
     adam = AdamState.zeros_like(buf)
-    sim_cfg = config.sim_config()
+    sim_cfg = SimLossConfig()  # gamma, rho and the tau floor at their defaults
     features = dataset.features.astype(np.float64)
 
     log = TrainLog()
@@ -244,7 +236,7 @@ def train(
         perm = shuffle_rng.generator.permutation(n)
         # numpy draws Beta variates one after another from the stream, so one
         # draw per epoch equals one (bsz, K) draw per step, bit for bit
-        targets = beta_sample(config.alpha, config.beta, (epoch_rows, config.code_length), target_rng)
+        targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
         for start in range(0, epoch_rows, bsz):
             idx = perm[start : start + bsz]
             y = class_idx[idx]
@@ -269,8 +261,7 @@ def train(
             grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z) for g in pair]
             grads.extend(g.ravel() for g in loss.grad_classifier)
             params, adam = adam_step(
-                buf, np.concatenate(grads), adam, step,
-                config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+                buf, np.concatenate(grads), adam, step, config.learning_rate, *ADAM
             )
             if not np.isfinite(params).all():
                 raise DivergedLoss(f"step {step}: parameters became non-finite")

@@ -26,7 +26,7 @@ from semhash.files import file_header
 from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
 from semhash.hierarchy import parse_taxonomy
 from semhash.model import ClassifierParams, EncoderParams, save_checkpoint
-from semhash.trainer import TrainConfig, format_config
+from semhash.trainer import TrainConfig, format_config, parse_config
 
 TAX_TEXT = "\n".join(
     ["root animal", "root object"]
@@ -74,7 +74,7 @@ def run_pipeline(d, prefix="run"):
 class TestGenData:
     def test_creates_three_files(self, workdir):
         assert gen_data(workdir) == 0
-        for suffix in (".features", ".labels", ".manifest.json"):
+        for suffix in (".features", ".labels", ".gen-data.manifest.json"):
             assert (workdir / f"data{suffix}").exists()
 
     def test_same_seed_byte_identical(self, workdir):
@@ -98,7 +98,7 @@ class TestGenData:
 
     def test_manifest_digests_inputs(self, workdir):
         gen_data(workdir)
-        manifest = json.loads((workdir / "data.manifest.json").read_text())
+        manifest = json.loads((workdir / "data.gen-data.manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert str(workdir / "tax.txt") in manifest["inputs"]
         assert len(list(manifest["inputs"].values())[0]) == 64
@@ -402,7 +402,7 @@ def test_train_rejects_zero_width_features(workdir, capsys):
 @pytest.mark.parametrize("key, value", [
     ("code_length", "1.5"),
     ("learning_rate", "nan"),
-    ("gamma", "inf"),
+    ("lambda1", "inf"),
     ("seed", None),  # None repeats the key's line
 ])
 def test_train_bad_config_value_is_one_error_line(workdir, capsys, key, value):
@@ -615,7 +615,25 @@ def test_eval_report_without_same_class_items_is_strict_json(workdir):
     assert report["map"] is None
     assert report["map_skipped_queries"] == 3
     assert [q["ap"] for q in report["per_query"]] == [None, None, None]
-    strict_json((workdir / "s.manifest.json").read_text())
+    strict_json((workdir / "s.eval.manifest.json").read_text())
+
+
+def test_commands_sharing_a_prefix_keep_each_manifest(workdir):
+    # train and encode write to one --out prefix; each keeps its own provenance
+    run_pipeline(workdir)
+    manifests = {p.name: json.loads(p.read_text()) for p in workdir.glob("run.*manifest.json")}
+    assert {name: m["command"] for name, m in manifests.items()} == {
+        "run.train.manifest.json": "train",
+        "run.encode.manifest.json": "encode",
+        "run.eval.manifest.json": "eval",
+    }
+    train_manifest = manifests["run.train.manifest.json"]
+    assert train_manifest["seed"] == 3
+    config = train_manifest["config"]  # the config snapshot, with JSON's list for a tuple
+    assert TrainConfig(**{**config, "hidden_sizes": tuple(config["hidden_sizes"])}) == (
+        parse_config((workdir / "train.cfg").read_text())
+    )
+    assert str(workdir / "train.cfg") in train_manifest["inputs"]
 
 
 def test_pipeline_json_artifacts_are_strict_json(workdir):
@@ -658,7 +676,7 @@ def failing_writes(monkeypatch):
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
 @pytest.mark.parametrize("name", [
     "run.checkpoint", "run.log.csv", "run.embeddings", "data.labels", "run.index",
-    "run.manifest.json",
+    "run.encode.manifest.json",
 ])
 def test_interrupted_write_keeps_the_previous_file(workdir, failing_writes, exc, name):
     run_pipeline(workdir)
@@ -672,7 +690,7 @@ def test_interrupted_write_keeps_the_previous_file(workdir, failing_writes, exc,
         "run.embeddings": lambda p: write_features(p, np.zeros((2, 3))),
         "data.labels": lambda p: semhash.data.write_labels(p, t.leaves(), t),
         "run.index": lambda p: save_index(p, semhash.hashing.load_index(workdir / "run.index")),
-        "run.manifest.json": lambda p: semhash.files.write_atomic(p, b"{}"),
+        "run.encode.manifest.json": lambda p: semhash.files.write_atomic(p, b"{}"),
     }
     with pytest.raises(type(exc)):
         writers[name](workdir / name)

@@ -60,6 +60,18 @@ def test_non_finite_similarity_setting_is_a_config_error(key, value):
         SimLossConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gamma", 0.0), ("gamma", -0.1), ("rho", -1e-9), ("tau_floor", 0.0), ("tau_floor", -1.0),
+])
+def test_similarity_setting_out_of_range_is_a_config_error(key, value):
+    with pytest.raises(ConfigError, match="need finite"):
+        SimLossConfig(**{key: value})
+
+
+def test_rho_zero_is_allowed():
+    assert SimLossConfig(rho=0.0).rho == 0.0
+
+
 class TestBatchScale:
     def test_constant_offdiagonal(self):
         m = np.full((4, 4), 2.0)

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash.metrics as metrics_mod
+from semhash.benchmark import balanced_taxonomy
 from semhash.errors import (
     KTooLarge,
     LengthMismatch,
@@ -325,6 +327,28 @@ class TestEvaluateEmbeddings:
         labels = [a1 + 0.5 if float_labels else a1] * 3
         with pytest.raises(ShapeMismatch, match=f"^{name} must be integers"):
             evaluate_embeddings(np.zeros((3, 2)), ids, labels, t, k_max=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manhattan_eval_memory_stays_within_the_documented_bound(monkeypatch, workers):
+    # eval_1k's size: L = 1000 labels, N = 2000 items, K = 64, k_max = 100, with
+    # float32 embeddings as the CLI reads them.  The README's bound: the L x L
+    # relevance table and one L x L mask while it is built (9 L^2 bytes), three
+    # blocks per thread (3 MiB), one N x K float64 buffer per thread plus the
+    # float64 copy of the embeddings, and the N x k_max HP table
+    monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+    t = balanced_taxonomy((10, 10, 10))
+    labels = np.repeat(t.leaves(), 2)
+    n, k, k_max, n_labels = len(labels), 64, 100, 1000
+    values = np.random.default_rng(0).random((n, k), dtype=np.float32)
+    bound = 9 * n_labels**2 + 3 * 2**20 + (workers + 1) * 8 * n * k + 8 * n * k_max
+    tracemalloc.start()
+    try:
+        evaluate_embeddings(values, np.arange(n), labels, t, k_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class TestMeanAp:
