@@ -20,10 +20,14 @@ any tree, for example the base of a change and its head:
 
     PYTHONPATH=src python3 scripts/digests.py > head.json
 
-It takes about 8 s on a 2-core x86-64 machine.
+It takes about 8 s on a 2-core x86-64 machine.  With ``--reverse-repeat`` it
+computes the sections in reverse order, each twice, and exits 1 if a key gets
+two values, so outputs that depend on what ran before in the process show up
+both as that failure and as JSON that differs from a default run's.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -183,11 +187,28 @@ def synthetic_digests() -> dict[str, str]:
     return out
 
 
-def digests() -> dict[str, str]:
-    return {**train_digests(), **eval_digests(), **tie_digests(), **cli_digests(),
-            **synthetic_digests()}
+SECTIONS = (train_digests, eval_digests, tie_digests, cli_digests, synthetic_digests)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reverse-repeat", action="store_true",
+                        help="compute the sections in reverse order, each twice, and exit 1 "
+                             "if a key gets two values")
+    args = parser.parse_args(argv)
+    runs = [s for s in reversed(SECTIONS) for _ in range(2)] if args.reverse_repeat else SECTIONS
+    out: dict[str, str] = {}
+    conflicts = set()
+    for section in runs:
+        for key, value in section().items():
+            if out.setdefault(key, value) != value:
+                conflicts.add(key)
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    print()
+    for key in sorted(conflicts):
+        print(f"two values for {key}", file=sys.stderr)
+    return 1 if conflicts else 0
 
 
 if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
-    print()
+    sys.exit(main())

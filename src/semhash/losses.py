@@ -58,27 +58,41 @@ def _offdiag_mean(m: np.ndarray) -> float:
     return float((m.sum() - m.trace()) / (b * (b - 1)))
 
 
-def sim_loss(z, distances: np.ndarray, cfg: SimLossConfig) -> tuple[float, np.ndarray]:
+def sim_loss(
+    z, distances: np.ndarray, cfg: SimLossConfig, *, work: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Distance-matching loss and its gradient w.r.t. the embeddings.
 
     value = mean over all ordered pairs of
     ``| manhattan(z_b, z_b') / tau_z  -  d_bb' / tau_y | * w_bb'``
     where tau_z and tau_y are the off-diagonal batch means (floored).  tau_z
     depends on the embeddings and is differentiated through.
+
+    ``work`` is scratch space for the pairwise differences and their signs: a
+    C-contiguous float64 (2, B, B, K) array, which a caller making many calls
+    of one shape allocates once.  Every element is written before it is read,
+    so its contents never reach the result.  Without it, one is allocated.
     """
     zv = _embedding_values(z)
     if zv.ndim != 2:
         raise ShapeMismatch(f"embeddings must be B x K, got {zv.shape}")
-    b, _ = zv.shape
+    b, k = zv.shape
     if b < 2:
         raise BatchTooSmall(f"similarity loss needs B >= 2, got {b}")
     d = np.asarray(distances, dtype=np.float64)
     if d.shape != (b, b):
         raise ShapeMismatch(f"distance matrix {d.shape} != ({b}, {b})")
 
-    diff = zv[:, None, :] - zv[None, :, :]  # B x B x K
-    sgn = np.sign(diff)
-    manh = np.abs(diff).sum(axis=2)
+    shape = (2, b, b, k)
+    if work is None:
+        work = np.empty(shape)
+    elif not (isinstance(work, np.ndarray) and work.shape == shape
+              and work.dtype == np.float64 and work.flags.c_contiguous):
+        raise ShapeMismatch(f"work must be a C-contiguous float64 array of shape {shape}")
+    # the same layout as fresh arrays, so the row sums below keep their bits
+    diff = np.subtract(zv[:, None, :], zv[None, :, :], out=work[0])  # B x B x K
+    sgn = np.sign(diff, out=work[1])
+    manh = np.abs(diff, out=diff).sum(axis=2)  # diff is not read after this
 
     raw_tau_z = _offdiag_mean(manh)
     tau_z = max(raw_tau_z, cfg.tau_floor)
@@ -185,16 +199,19 @@ def total_loss(
     lambda2: float,
     cfg: SimLossConfig,
     sim_weight: float = 1.0,
+    *,
+    work: np.ndarray | None = None,
 ) -> LossValue:
     """Weighted sum of the three terms with gradients of the total.
 
     ``grad_z`` backpropagates the classification term through the linear head;
     ``grad_classifier`` carries the lambda2-scaled head gradients.  With the
     default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
-    ``sim_weight=0`` supports head-only ablation runs.
+    ``sim_weight=0`` supports head-only ablation runs.  ``work`` is passed to
+    ``sim_loss``.
     """
     zv = _embedding_values(z)
-    sim_v, sim_g = sim_loss(zv, distances, cfg)
+    sim_v, sim_g = sim_loss(zv, distances, cfg, work=work)
     kl_v, kl_g = kl_loss(zv, target)
     logits = classifier_forward(classifier, zv)
     cls_v, grad_logits = cls_loss(logits, labels)

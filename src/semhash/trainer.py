@@ -232,6 +232,10 @@ def train(
     step = 0
     bsz = config.batch_size
     epoch_rows = n - n % bsz
+    # sim_loss's scratch, reused by every step (the ragged batch is dropped, so
+    # B is fixed) and freed on return: fresh B x B x K arrays at each step are
+    # handed back to the OS when freed and page-faulted in again
+    work = np.empty((2, bsz, bsz, config.code_length))
     for _ in range(config.epochs):
         perm = shuffle_rng.generator.permutation(n)
         # numpy draws Beta variates one after another from the stream, so one
@@ -251,6 +255,7 @@ def train(
                 config.lambda2,
                 sim_cfg,
                 sim_weight=config.lambda_sim,
+                work=work,
             )
             step += 1
             if not math.isfinite(loss.total):

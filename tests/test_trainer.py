@@ -1,11 +1,17 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semhash
 import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from semhash.benchmark import balanced_taxonomy
@@ -288,6 +294,38 @@ def tiny_setup(seed=0, epochs=4):
     return tax, ds, cfg
 
 
+# trains one "BxK" (batch size x code length) argument after another in one
+# process; prints each run's checkpoint bytes and log.csv
+_TRAIN_IN_TURN = """
+import json, sys
+from semhash.benchmark import balanced_taxonomy
+from semhash.data import RngState, generate_synthetic
+from semhash.model import checkpoint_bytes
+from semhash.trainer import TrainConfig, train
+
+tax = balanced_taxonomy((4, 2))
+ds = generate_synthetic(tax, per_class=8, dim=8, diffusion=1.0, noise=0.3,
+                        rng=RngState.from_seed(100))
+runs = []
+for arg in sys.argv[1:]:
+    b, k = map(int, arg.split("x"))
+    cfg = TrainConfig(code_length=k, hidden_sizes=(16,), batch_size=b, epochs=3, seed=0)
+    encoder, classifier, log = train(cfg, ds, tax)
+    runs.append([checkpoint_bytes(encoder, classifier).hex(), log.to_csv()])
+print(json.dumps(runs))
+"""
+
+
+def train_in_turn(*shapes: str) -> list:
+    src = Path(semhash.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAIN_IN_TURN, *shapes], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 class TestTrain:
     def test_same_seed_gives_bit_identical_checkpoints(self):
         tax, ds, cfg = tiny_setup()
@@ -296,6 +334,14 @@ class TestTrain:
         assert checkpoint_bytes(e1, c1) == checkpoint_bytes(e2, c2)
         assert log1.params_digest == log2.params_digest
         assert log1.to_csv() == log2.to_csv()
+
+    def test_a_train_after_another_shape_gives_the_bits_of_a_fresh_process(self):
+        # train's sim_loss scratch is np.empty: what an earlier train of another
+        # (B, K) left in the heap must not reach a later one, in either order
+        shapes = ("8x8", "64x64")
+        alone = [train_in_turn(shape)[0] for shape in shapes]
+        assert train_in_turn(*shapes) == alone
+        assert train_in_turn(*reversed(shapes)) == alone[::-1]
 
     def test_loss_decreases_over_training(self):
         # mean total over the final 10 steps beats the first 10, every seed
