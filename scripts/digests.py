@@ -6,9 +6,10 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
   at seeds 0 and 1 (one epoch each), and of a B=64, K=64 run;
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
-  Hamming and Manhattan eval at eval_1k size, and of Manhattan eval on
-  quarter-grid values, whose distances tie also across ``k_max``, and on
-  values whose distances overflow to inf, each on one and on two threads;
+  Hamming and Manhattan eval at eval_1k size and on a taxonomy whose leaves
+  sit at several depths, and of Manhattan eval on quarter-grid values, whose
+  distances tie also across ``k_max``, and on values whose distances overflow
+  to inf, each on one and on two threads;
 - ``cli/...``: every file and the stdout of ``gen-data -> train -> encode ->
   index -> eval -> eval --no-binarize -> query``, with the work directory
   masked in the manifests;
@@ -75,26 +76,33 @@ def train_digests() -> dict[str, str]:
 
 
 def eval_digests() -> dict[str, str]:
-    taxonomy = balanced_taxonomy((10, 10, 10))
-    dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
-    encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
-    batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
-    ids = np.arange(dataset.n_samples)
-    index = build_index(binarize(batch), ids, dataset.labels)
+    # eval_1k's balanced tree, and a random recursive tree (node i's parent drawn
+    # from nodes 0..i-1) whose 496 leaves sit at depths 1 to 15
+    rng = np.random.default_rng(0)
+    taxonomies = {
+        "": balanced_taxonomy((10, 10, 10)),
+        "-mixed-depth": parse_taxonomy("\n".join(f"n{rng.integers(i)} n{i}" for i in range(1, 1000))),
+    }
     out = {}
     saved = semhash.metrics._WORKERS
     try:
-        for workers in (1, 2):
-            semhash.metrics._WORKERS = workers
-            reports = {
-                "hamming": evaluate(index, None, taxonomy, K_MAX, per_query=True),
-                "manhattan": evaluate_embeddings(
-                    batch.values, ids, dataset.labels, taxonomy, K_MAX, per_query=True
-                ),
-            }
-            for kind, report in reports.items():
-                out[f"eval/{kind}/w{workers}/report.json"] = _sha(_report_json(report))
-                out[f"eval/{kind}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
+        for suffix, taxonomy in taxonomies.items():
+            dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
+            encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
+            batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+            ids = np.arange(dataset.n_samples)
+            index = build_index(binarize(batch), ids, dataset.labels)
+            for workers in (1, 2):
+                semhash.metrics._WORKERS = workers
+                reports = {
+                    "hamming": evaluate(index, None, taxonomy, K_MAX, per_query=True),
+                    "manhattan": evaluate_embeddings(
+                        batch.values, ids, dataset.labels, taxonomy, K_MAX, per_query=True
+                    ),
+                }
+                for kind, report in reports.items():
+                    out[f"eval/{kind}{suffix}/w{workers}/report.json"] = _sha(_report_json(report))
+                    out[f"eval/{kind}{suffix}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
     finally:
         semhash.metrics._WORKERS = saved
     return out

@@ -197,24 +197,37 @@ def semantic_distance(t: Taxonomy, a: int, b: int) -> float:
 
 
 def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
-    """Pairwise semantic distances for an ordered list of leaf labels.
-
-    Built from a table of each label's ancestor at every depth (a leaf stands
-    in for itself below its own depth).  Depth by depth from the root, every
-    pair sharing that depth's ancestor takes its height, so the deepest shared
-    ancestor, the LCA, writes last.
-    """
+    """Pairwise semantic distances for an ordered list of leaf labels."""
     t._check_leaves(labels)
+    ancestors = _ancestor_table(t, labels)
+    return _lca_distances(t, ancestors, ancestors)
+
+
+def _ancestor_table(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
+    """Each label's ancestor at every depth, (height + 1) x n.
+
+    A leaf stands in for itself below its own depth.
+    """
     ancestors = np.empty((t.height + 1, len(labels)), dtype=np.int64)
     for i, node in enumerate(labels):
         for depth in range(t.height, -1, -1):
             if depth < t._depth[node]:
                 node = t._parent[node]  # type: ignore[assignment]
             ancestors[depth, i] = node
+    return ancestors
+
+
+def _lca_distances(t: Taxonomy, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distances from the labels of ancestor table ``rows`` to those of ``cols``, one row per label.
+
+    Every pair shares the root.  Depth by depth below it, every pair sharing
+    that depth's ancestor takes its height, so the deepest shared ancestor,
+    the LCA, writes last.
+    """
     node_height = np.asarray(t._node_height, dtype=np.float64)
-    values = np.empty((len(labels), len(labels)), dtype=np.float64)
-    for row in ancestors:
-        np.copyto(values, node_height[row][None, :], where=row[:, None] == row[None, :])
+    values = np.full((rows.shape[1], cols.shape[1]), node_height[t.root])
+    for row, col in zip(rows[1:], cols[1:]):
+        np.copyto(values, node_height[col][None, :], where=row[:, None] == col[None, :])
     # a one-node tree has height 0, and every distance in it is 0
     values /= max(t.height, 1)
     return values

@@ -21,10 +21,14 @@ import numpy as np
 
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
-from .hierarchy import Taxonomy, distance_matrix, semantic_distance
+from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, semantic_distance
+# not called here; perfbench/spans.py patches this module's ``distance_matrix``
+# by name, so the name stays
+from .hierarchy import distance_matrix  # noqa: F401
 
 # bytes of all b x N blocks in flight at 8 bytes an entry, one block per
-# thread; each thread's working set is at most three of its blocks
+# thread; each thread's working set is at most three of its blocks and the
+# block's b x L relevance rows
 _BLOCK_BYTES = 1 << 20
 # threads that score query blocks: the caller's and at most one worker
 _WORKERS = min(
@@ -209,10 +213,11 @@ def _score(
     if k_max < 1 or k_max > min_candidates:
         raise KTooLarge(f"k_max={k_max} outside [1, {min_candidates}]")
 
-    # one relevance lookup per (query label, item label) pair
+    # each block's relevances against the L distinct labels come from their ancestor table
     label_ids, label_rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
-    rel_table = distance_matrix(t, label_ids.tolist())
-    np.subtract(1.0, rel_table, out=rel_table)
+    label_ids = label_ids.tolist()
+    t._check_leaves(label_ids)
+    ancestors = _ancestor_table(t, label_ids)
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
     block = max(1, _BLOCK_BYTES // (8 * n_items * _WORKERS))
@@ -225,7 +230,9 @@ def _score(
             rows = slice(start, start + block)
             mine = np.flatnonzero(has_own[rows])
             own = own_col[rows][mine]
-            ideal = rel_table[query_rows[rows]][:, item_rows]  # the candidates' relevances
+            rel = _lca_distances(t, ancestors[:, query_rows[rows]], ancestors)  # b x L
+            np.subtract(1.0, rel, out=rel)
+            ideal = rel[:, item_rows]  # the candidates' relevances
             ideal[mine, own] = 0.0  # relevances are >= 0, so this never changes the k_max largest
             ideal.sort(axis=1)
             ideal = np.cumsum(ideal[:, : -k_max - 1 : -1], axis=1)
@@ -241,9 +248,10 @@ def _score(
                 hits = item_rows[top] == q_rows
                 hits[mine, -1] = False  # the query's own entry, ranked last
                 hit_ranks = map(np.flatnonzero, hits)
-            hp = hp_rows[rows] = _hp(np.cumsum(rel_table[q_rows, item_rows[top[:, :k_max]]], 1), ideal)
+            got = np.take_along_axis(rel, item_rows[top[:, :k_max]], axis=1)
+            hp = hp_rows[rows] = _hp(np.cumsum(got, axis=1), ideal)
             scores.extend(zip(map(_ap, hit_ranks), (math.fsum(row) / k_max for row in hp.tolist())))
-            del dists, top, hits  # at most one block's arrays per thread are alive
+            del rel, dists, top, hits  # at most one block's arrays per thread are alive
         return scores
 
     starts = range(0, n_queries, block)

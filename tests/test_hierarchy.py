@@ -18,6 +18,8 @@ from semhash.errors import (
 from semhash.hierarchy import (
     Taxonomy,
     TaxonomyNode,
+    _ancestor_table,
+    _lca_distances,
     distance_matrix,
     parse_taxonomy,
     semantic_distance,
@@ -241,6 +243,48 @@ def test_distance_matrix_matches_pairwise_and_oracle(parents, data):
         for j, b in enumerate(labels):
             assert v[i, j] == semantic_distance(t, a, b)
             assert v[i, j] == t.node_height(bf_lca(parent_of, depth_of, a, b)) / t.height
+
+
+class TestLcaDistances:
+    """The kernel on two ancestor tables, as eval runs it on a query block and all labels."""
+
+    @staticmethod
+    def check(t, rows, cols):
+        v = _lca_distances(t, _ancestor_table(t, rows), _ancestor_table(t, cols))
+        assert v.dtype == np.float64 and v.shape == (len(rows), len(cols))
+        # the matching block of the square matrix over both lists, bit for bit
+        block = distance_matrix(t, rows + cols)[: len(rows), len(rows) :]
+        assert v.tobytes() == np.ascontiguousarray(block).tobytes()
+        parent_of = [t.parent(i) for i in range(len(t))]
+        depth_of = [t.depth(i) for i in range(len(t))]
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                lca = bf_lca(parent_of, depth_of, a, b)
+                assert v[i, j] == t.node_height(lca) / max(t.height, 1)
+
+    @given(tree_parent_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_distance_matrix_and_oracle(self, parents, data):
+        t = taxonomy_from_parents(parents)
+        # two lists drawn apart: repeats, labels on one side only, leaves at any depth
+        leaves = st.sampled_from(t.leaves())
+        rows = data.draw(st.lists(leaves, min_size=1, max_size=8))
+        cols = data.draw(st.lists(leaves, min_size=1, max_size=8))
+        self.check(t, rows, cols)
+
+    def test_wordnet_like_query_block_against_other_labels(self, wordnet_like_tax):
+        t = wordnet_like_tax
+        leaves = t.leaves()
+        assert len({t.depth(leaf) for leaf in leaves}) > 1
+        # the first half of the queries have no item of their own label
+        self.check(t, leaves[: len(leaves) // 2 + 1], leaves[len(leaves) // 2 :])
+        self.check(t, leaves[::-1], leaves)
+        self.check(t, leaves[:1], leaves[1:])
+
+    def test_one_node_taxonomy(self):
+        t = Taxonomy([TaxonomyNode(0, "only", None)])
+        assert t.height == 0
+        self.check(t, [0, 0], [0, 0, 0])
 
 
 def test_distance_matrix_leaves_at_mixed_depths():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from semhash.errors import (
     ShapeMismatch,
     UnknownNode,
 )
-from semhash.hashing import build_index, pack_bits
+from semhash.hashing import binarize, build_index, pack_bits
 from semhash.metrics import (
     MetricsReport,
     ahp_at_k,
@@ -330,21 +331,34 @@ class TestEvaluateEmbeddings:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_manhattan_eval_memory_stays_within_the_documented_bound(monkeypatch, workers):
-    # eval_1k's size: L = 1000 labels, N = 2000 items, K = 64, k_max = 100, with
-    # float32 embeddings as the CLI reads them.  The README's bound: the L x L
-    # relevance table and one L x L mask while it is built (9 L^2 bytes), three
-    # blocks per thread (3 MiB), one N x K float64 buffer per thread plus the
-    # float64 copy of the embeddings, and the N x k_max HP table
+@pytest.mark.parametrize("kind", ["manhattan", "hamming"])
+@pytest.mark.parametrize(
+    "branching, per_class", [((10, 10, 10), 2), ((20, 10, 10), 1)], ids=["L1000", "L2000"]
+)
+def test_eval_memory_stays_within_the_documented_bound(
+    monkeypatch, workers, kind, branching, per_class
+):
+    # eval_1k's size (L = 1000 labels, N = 2000 items), and L = N = 2000, where an
+    # L x L relevance table alone (8 L^2 bytes, 30.5 MiB) would exceed the bound;
+    # K = 64, k_max = 100, with float32 embeddings as the CLI reads them.  The
+    # README's bound: three blocks per thread (3 MiB) and each thread's b x L
+    # relevance rows (L / N MiB together), the N x k_max HP table, and for
+    # Manhattan one N x K float64 buffer per thread plus the float64 copy of the
+    # embeddings
     monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
-    t = balanced_taxonomy((10, 10, 10))
-    labels = np.repeat(t.leaves(), 2)
-    n, k, k_max, n_labels = len(labels), 64, 100, 1000
+    t = balanced_taxonomy(branching)
+    labels = np.repeat(t.leaves(), per_class)
+    n, k, k_max, n_labels = len(labels), 64, 100, len(t.leaves())
     values = np.random.default_rng(0).random((n, k), dtype=np.float32)
-    bound = 9 * n_labels**2 + 3 * 2**20 + (workers + 1) * 8 * n * k + 8 * n * k_max
+    bound = 3 * 2**20 + 2**20 * n_labels / n + 8 * n * k_max
+    if kind == "manhattan":
+        bound += (workers + 1) * 8 * n * k
+        run = functools.partial(evaluate_embeddings, values, np.arange(n), labels)
+    else:
+        run = functools.partial(evaluate, build_index(binarize(values), np.arange(n), labels), None)
     tracemalloc.start()
     try:
-        evaluate_embeddings(values, np.arange(n), labels, t, k_max)
+        run(t, k_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
