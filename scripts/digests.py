@@ -4,7 +4,9 @@
 Two source trees give equal JSON exactly when these outputs are byte-identical:
 
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
-  at seeds 0 and 1 (one epoch each), and of a B=64, K=64 run;
+  at seeds 0 and 1 (one epoch each), and of B=64, K=64 and B=63, K=64 runs,
+  whose steps split the pairwise pass into equal and unequal row halves when
+  two CPUs are free;
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
   Hamming and Manhattan eval at eval_1k size and on a taxonomy whose leaves
   sit at several depths, and of Manhattan eval on quarter-grid values, whose
@@ -66,8 +68,9 @@ def train_digests() -> dict[str, str]:
     for seed in (0, 1):
         dataset = make_benchmark_dataset(taxonomy, seed)
         runs = {v: benchmark_config(v, seed, epochs=1) for v in ("shrewd", "sim_only", "cls_only", "shred")}
-        runs["b64k64"] = TrainConfig(code_length=64, hidden_sizes=(256, 128), batch_size=64,
-                                     epochs=2, seed=seed, variant="shred")
+        for b in (64, 63):
+            runs[f"b{b}k64"] = TrainConfig(code_length=64, hidden_sizes=(256, 128), batch_size=b,
+                                           epochs=2, seed=seed, variant="shred")
         for name, config in runs.items():
             _, _, log = train(config, dataset, taxonomy)
             out[f"train/{name}/s{seed}/params_digest"] = log.params_digest

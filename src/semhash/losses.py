@@ -15,8 +15,11 @@ absolute-value kinks and nearest-neighbor assignments held locally constant.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +61,110 @@ def _offdiag_mean(m: np.ndarray) -> float:
     return float((m.sum() - m.trace()) / (b * (b - 1)))
 
 
+class _Pairs(NamedTuple):
+    """One pass over a batch's pairs, shared by the similarity and divergence terms."""
+
+    sgn: np.ndarray  # B x B x K: sign(z_i - z_j), slot 1 of the work array
+    manh: np.ndarray  # B x B: sum over K of |z_i - z_j|
+    sq_z: np.ndarray  # B x B: sum over K of (z_i - z_j)^2
+    sq_t: np.ndarray | None  # B x M: sum over K of (z_i - t_m)^2, or None without a target
+
+
+def _pair_rows(zv, tv, work, t_diff, pairs: _Pairs, rows: slice) -> None:
+    """Fill the rows ``rows`` of ``pairs``, using the same rows of ``work`` and ``t_diff``.
+
+    Each row's sums are numpy's contiguous sums over K, so a split into row
+    ranges gives the bits of one call over all rows.
+    """
+    diff = np.subtract(zv[rows, None, :], zv[None, :, :], out=work[0, rows])
+    np.sign(diff, out=work[1, rows])
+    np.abs(diff, out=diff)
+    diff.sum(axis=2, out=pairs.manh[rows])
+    np.square(diff, out=diff)  # |d| * |d| == d * d, bit for bit
+    diff.sum(axis=2, out=pairs.sq_z[rows])
+    if tv is not None:
+        diff = np.subtract(zv[rows, None, :], tv[None, :, :], out=t_diff[rows])
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=pairs.sq_t[rows])
+
+
+def _pairwise(
+    zv: np.ndarray,
+    tv: np.ndarray | None,
+    work: np.ndarray | None = None,
+    worker: Executor | None = None,
+) -> _Pairs:
+    """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
+
+    ``work`` is a C-contiguous float64 (2, B, B, K) array, or None to allocate
+    one.  Slot 0 takes the differences, first z - z and then z - target when
+    M = B (a fresh array otherwise), and slot 1 keeps the signs.  With a
+    ``worker``, it fills the second half of the rows while this thread fills
+    the first; the worker is done before this returns or raises.
+    """
+    b, k = zv.shape
+    shape = (2, b, b, k)
+    if work is None:
+        work = np.empty(shape)
+    elif not (isinstance(work, np.ndarray) and work.shape == shape
+              and work.dtype == np.float64 and work.flags.c_contiguous):
+        raise ShapeMismatch(f"work must be a C-contiguous float64 array of shape {shape}")
+    t_diff = sq_t = None
+    if tv is not None:
+        m = tv.shape[0]
+        t_diff = work[0] if m == b else np.empty((b, m, k))
+        sq_t = np.empty((b, m))
+    pairs = _Pairs(work[1], np.empty((b, b)), np.empty((b, b)), sq_t)
+    if worker is None:
+        _pair_rows(zv, tv, work, t_diff, pairs, slice(0, b))
+        return pairs
+    half = (b + 1) // 2
+    # numpy's error state is a contextvar, which a new thread does not inherit
+    rest = worker.submit(contextvars.copy_context().run,
+                         _pair_rows, zv, tv, work, t_diff, pairs, slice(half, b))
+    try:
+        _pair_rows(zv, tv, work, t_diff, pairs, slice(0, half))
+    finally:
+        wait((rest,))  # the worker is off the buffers before an error leaves
+    rest.result()
+    return pairs
+
+
+def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
+    zv = _embedding_values(z)
+    if zv.ndim != 2:
+        raise ShapeMismatch(f"embeddings must be B x K, got {zv.shape}")
+    b = zv.shape[0]
+    if b < 2:
+        raise BatchTooSmall(f"similarity loss needs B >= 2, got {b}")
+    d = np.asarray(distances, dtype=np.float64)
+    if d.shape != (b, b):
+        raise ShapeMismatch(f"distance matrix {d.shape} != ({b}, {b})")
+    return zv, d
+
+
+def _kl_inputs(z, target) -> tuple[np.ndarray, np.ndarray]:
+    zv = _embedding_values(z)
+    tv = np.asarray(target, dtype=np.float64)
+    if zv.ndim != 2 or tv.ndim != 2:
+        raise ShapeMismatch("embeddings and target must be 2-D")
+    b, k = zv.shape
+    if b < 2:
+        raise BatchTooSmall(f"divergence loss needs B >= 2, got {b}")
+    if tv.shape[0] < 1:
+        raise BatchTooSmall("target sample must be non-empty")
+    if tv.shape[1] != k:
+        raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {k}")
+    return zv, tv
+
+
 def sim_loss(
-    z, distances: np.ndarray, cfg: SimLossConfig, *, work: np.ndarray | None = None
+    z,
+    distances: np.ndarray,
+    cfg: SimLossConfig,
+    *,
+    work: np.ndarray | None = None,
+    pairs: _Pairs | None = None,
 ) -> tuple[float, np.ndarray]:
     """Distance-matching loss and its gradient w.r.t. the embeddings.
 
@@ -72,27 +177,17 @@ def sim_loss(
     C-contiguous float64 (2, B, B, K) array, which a caller making many calls
     of one shape allocates once.  Every element is written before it is read,
     so its contents never reach the result.  Without it, one is allocated.
+    ``pairs`` is the pairwise pass of these embeddings, which ``total_loss``
+    makes once for this term and ``kl_loss`` after checking their inputs, so
+    with it ``z`` and ``distances`` must be checked float64 arrays.  Without
+    it, this call checks them and makes the pass in ``work``.
     """
-    zv = _embedding_values(z)
-    if zv.ndim != 2:
-        raise ShapeMismatch(f"embeddings must be B x K, got {zv.shape}")
-    b, k = zv.shape
-    if b < 2:
-        raise BatchTooSmall(f"similarity loss needs B >= 2, got {b}")
-    d = np.asarray(distances, dtype=np.float64)
-    if d.shape != (b, b):
-        raise ShapeMismatch(f"distance matrix {d.shape} != ({b}, {b})")
-
-    shape = (2, b, b, k)
-    if work is None:
-        work = np.empty(shape)
-    elif not (isinstance(work, np.ndarray) and work.shape == shape
-              and work.dtype == np.float64 and work.flags.c_contiguous):
-        raise ShapeMismatch(f"work must be a C-contiguous float64 array of shape {shape}")
-    # the same layout as fresh arrays, so the row sums below keep their bits
-    diff = np.subtract(zv[:, None, :], zv[None, :, :], out=work[0])  # B x B x K
-    sgn = np.sign(diff, out=work[1])
-    manh = np.abs(diff, out=diff).sum(axis=2)  # diff is not read after this
+    if pairs is None:
+        z, distances = _sim_inputs(z, distances)
+        pairs = _pairwise(z, None, work)
+    zv, d = z, distances
+    b = zv.shape[0]
+    sgn, manh = pairs.sgn, pairs.manh
 
     raw_tau_z = _offdiag_mean(manh)
     tau_z = max(raw_tau_z, cfg.tau_floor)
@@ -108,12 +203,16 @@ def sim_loss(
     if raw_tau_z > cfg.tau_floor:
         # tau_z moves with the embeddings unless the floor clamps it
         weighted_manh = float((coeff * manh).sum())
-        dtau = 2.0 * sgn.sum(axis=1) / (b * (b - 1))
+        # sum_p sgn[b, p] = -sum_p sgn[p, b], since sign(z_p - z_b) = -sign(z_b - z_p).
+        # Sums of -1, 0 and 1 are exact in any order, and 0.0 - keeps a zero
+        # sum at +0, so this is sgn.sum(axis=1) bit for bit, in one pass over
+        # whole rows of sgn instead of B x K sums along its middle axis
+        dtau = 2.0 * (0.0 - sgn.sum(axis=0)) / (b * (b - 1))
         grad -= (weighted_manh / (b * b * tau_z * tau_z)) * dtau
     return value, grad
 
 
-def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
+def kl_loss(z, target: np.ndarray, *, pairs: _Pairs | None = None) -> tuple[float, np.ndarray]:
     """Nearest-neighbor estimate of divergence from the target sample.
 
     For each embedding, compares the log distance to its nearest target point
@@ -123,25 +222,21 @@ def kl_loss(z, target: np.ndarray) -> tuple[float, np.ndarray]:
     a 1/K scale and the gradient's direction is unchanged.  Distances are
     Euclidean and clamped at 1e-12 before the logarithm, so duplicated points
     stay finite.  Neighbor assignments are treated as locally constant when
-    differentiating.
+    differentiating.  ``pairs`` is the pairwise pass of these embeddings and
+    this target, as ``sim_loss`` describes it; without it, this call checks
+    its inputs and makes the pass.
     """
-    zv = _embedding_values(z)
-    tv = np.asarray(target, dtype=np.float64)
-    if zv.ndim != 2 or tv.ndim != 2:
-        raise ShapeMismatch("embeddings and target must be 2-D")
-    b, k = zv.shape
-    if b < 2:
-        raise BatchTooSmall(f"divergence loss needs B >= 2, got {b}")
-    if tv.shape[0] < 1:
-        raise BatchTooSmall("target sample must be non-empty")
-    if tv.shape[1] != k:
-        raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {k}")
+    if pairs is None:
+        z, target = _kl_inputs(z, target)
+        pairs = _pairwise(z, target)
+    zv, tv = z, target
+    b = zv.shape[0]
 
-    dist_t = np.sqrt(((zv[:, None, :] - tv[None, :, :]) ** 2).sum(axis=2))
+    dist_t = np.sqrt(pairs.sq_t)
     nn_t = dist_t.argmin(axis=1)
     nu_t = dist_t.min(axis=1)
 
-    dist_z = np.sqrt(((zv[:, None, :] - zv[None, :, :]) ** 2).sum(axis=2))
+    dist_z = np.sqrt(pairs.sq_z)
     np.fill_diagonal(dist_z, np.inf)
     nn_z = dist_z.argmin(axis=1)
     nu_z = dist_z.min(axis=1)
@@ -201,18 +296,23 @@ def total_loss(
     sim_weight: float = 1.0,
     *,
     work: np.ndarray | None = None,
+    worker: Executor | None = None,
 ) -> LossValue:
     """Weighted sum of the three terms with gradients of the total.
 
     ``grad_z`` backpropagates the classification term through the linear head;
     ``grad_classifier`` carries the lambda2-scaled head gradients.  With the
     default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
-    ``sim_weight=0`` supports head-only ablation runs.  ``work`` is passed to
-    ``sim_loss``.
+    ``sim_weight=0`` supports head-only ablation runs.  The similarity and
+    divergence terms share one pairwise pass, made in ``work`` as ``sim_loss``
+    describes it; with a ``worker``, that executor's thread makes the second
+    half of its rows.  Either way every bit is the same.
     """
-    zv = _embedding_values(z)
-    sim_v, sim_g = sim_loss(zv, distances, cfg, work=work)
-    kl_v, kl_g = kl_loss(zv, target)
+    zv, d = _sim_inputs(z, distances)
+    _, tv = _kl_inputs(zv, target)
+    pairs = _pairwise(zv, tv, work, worker)
+    sim_v, sim_g = sim_loss(zv, d, cfg, pairs=pairs)
+    kl_v, kl_g = kl_loss(zv, tv, pairs=pairs)
     logits = classifier_forward(classifier, zv)
     cls_v, grad_logits = cls_loss(logits, labels)
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import metrics
 from .data import Dataset, RngState, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
@@ -31,6 +34,9 @@ from .model import (
 VARIANTS = ("shrewd", "shred")
 BETA_TARGET = (0.1, 0.1)  # the divergence term's Beta(alpha, beta) target
 ADAM = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
+# B * B * K from which a step's pairwise pass runs on two row halves: below it,
+# handing half the rows to a worker thread costs more than it saves
+_SPLIT_WORK = 1 << 17
 
 
 @dataclass
@@ -232,45 +238,50 @@ def train(
     step = 0
     bsz = config.batch_size
     epoch_rows = n - n % bsz
-    # sim_loss's scratch, reused by every step (the ragged batch is dropped, so
-    # B is fixed) and freed on return: fresh B x B x K arrays at each step are
-    # handed back to the OS when freed and page-faulted in again
+    # the pairwise pass's scratch, reused by every step (the ragged batch is
+    # dropped, so B is fixed) and freed on return: fresh B x B x K arrays at
+    # each step are handed back to the OS when freed and page-faulted in again
     work = np.empty((2, bsz, bsz, config.code_length))
-    for _ in range(config.epochs):
-        perm = shuffle_rng.generator.permutation(n)
-        # numpy draws Beta variates one after another from the stream, so one
-        # draw per epoch equals one (bsz, K) draw per step, bit for bit
-        targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
-        for start in range(0, epoch_rows, bsz):
-            idx = perm[start : start + bsz]
-            y = class_idx[idx]
-            batch, cache = encoder_forward(encoder, features[idx])
-            loss = total_loss(
-                batch,
-                dist[y[:, None], y],
-                y,
-                classifier,
-                targets[start : start + bsz],
-                config.lambda1,
-                config.lambda2,
-                sim_cfg,
-                sim_weight=config.lambda_sim,
-                work=work,
-            )
-            step += 1
-            if not math.isfinite(loss.total):
-                raise DivergedLoss(
-                    f"step {step}: non-finite total "
-                    f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"
+    # eval's rule for a second thread; the pool is joined on return and on raise
+    split = metrics._WORKERS > 1 and bsz * bsz * config.code_length >= _SPLIT_WORK
+    with ThreadPoolExecutor(1) if split else nullcontext() as worker:
+        for _ in range(config.epochs):
+            perm = shuffle_rng.generator.permutation(n)
+            # numpy draws Beta variates one after another from the stream, so one
+            # draw per epoch equals one (bsz, K) draw per step, bit for bit
+            targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
+            for start in range(0, epoch_rows, bsz):
+                idx = perm[start : start + bsz]
+                y = class_idx[idx]
+                batch, cache = encoder_forward(encoder, features[idx])
+                loss = total_loss(
+                    batch,
+                    dist[y[:, None], y],
+                    y,
+                    classifier,
+                    targets[start : start + bsz],
+                    config.lambda1,
+                    config.lambda2,
+                    sim_cfg,
+                    sim_weight=config.lambda_sim,
+                    work=work,
+                    worker=worker,
                 )
-            grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z) for g in pair]
-            grads.extend(g.ravel() for g in loss.grad_classifier)
-            params, adam = adam_step(
-                buf, np.concatenate(grads), adam, step, config.learning_rate, *ADAM
-            )
-            if not np.isfinite(params).all():
-                raise DivergedLoss(f"step {step}: parameters became non-finite")
-            log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
+                step += 1
+                if not math.isfinite(loss.total):
+                    raise DivergedLoss(
+                        f"step {step}: non-finite total "
+                        f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"
+                    )
+                grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z)
+                         for g in pair]
+                grads.extend(g.ravel() for g in loss.grad_classifier)
+                params, adam = adam_step(
+                    buf, np.concatenate(grads), adam, step, config.learning_rate, *ADAM
+                )
+                if not np.isfinite(params).all():
+                    raise DivergedLoss(f"step {step}: parameters became non-finite")
+                log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
 
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()
     return encoder, classifier, log

@@ -323,6 +323,31 @@ def bf_sim_loss(z, d, cfg):
     return value / (b * b), grad / (b * b)
 
 
+def np_sim_loss(z, d, cfg):
+    """``bf_sim_loss`` in numpy's own summation order, on fresh arrays.
+
+    Pair by pair the arithmetic is ``bf_sim_loss``'s, but each Manhattan
+    distance is numpy's row sum over K and the pair terms are summed as whole
+    arrays, so its bits are those the library's vectorized loss must give.
+    """
+    b = z.shape[0]
+    diff = z[:, None, :] - z[None, :, :]
+    sgn = np.sign(diff)
+    manh = np.abs(diff).sum(axis=2)
+    raw_tau_z = float((manh.sum() - manh.trace()) / (b * (b - 1)))
+    tau_z = max(raw_tau_z, cfg.tau_floor)
+    tau_y = max(float((d.sum() - d.trace()) / (b * (b - 1))), cfg.tau_floor)
+    w = pair_weight(d, cfg)
+    resid = manh / tau_z - d / tau_y
+    value = float((np.abs(resid) * w).sum()) / (b * b)
+    coeff = w * np.sign(resid)
+    grad = np.einsum("bp,bpk->bk", coeff + coeff.T, sgn) / (b * b * tau_z)
+    if raw_tau_z > cfg.tau_floor:
+        dtau = 2.0 * sgn.sum(axis=1) / (b * (b - 1))
+        grad -= (float((coeff * manh).sum()) / (b * b * tau_z * tau_z)) * dtau
+    return value, grad
+
+
 def bf_encoder_forward(layers, x):
     """ReLU hidden layers and a logistic output clamped into (0, 1), on fresh arrays.
 

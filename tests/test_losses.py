@@ -1,15 +1,18 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_scale, bf_kl_loss, bf_sim_loss, pair_weight
+import semhash.losses as losses_mod
+from oracles import batch_scale, bf_kl_loss, bf_sim_loss, np_sim_loss, pair_weight
 from semhash.data import RngState, beta_sample
 from semhash.errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
-from semhash.losses import SimLossConfig, cls_loss, kl_loss, sim_loss, total_loss
+from semhash.losses import SimLossConfig, _pairwise, cls_loss, kl_loss, sim_loss, total_loss
 from semhash.model import ClassifierParams, init_classifier
 
 
@@ -425,7 +428,7 @@ class TestTotalLoss:
             lv = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg, sim_weight=0.9)
             assert lv.total == 0.9 * lv.sim + 0.7 * lv.kl + 1.3 * lv.cls
 
-    def test_work_is_passed_to_sim_loss(self):
+    def test_work_is_used_by_the_shared_pairwise_pass(self):
         z, d, labels, clf, target = self._inputs(3)
         cfg = SimLossConfig()
         want = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg)
@@ -459,3 +462,147 @@ class TestTotalLoss:
             down = total_loss(z, d, labels, ClassifierParams(wm, clf.biases.copy()), target, 0.8, 1.1, cfg).total
             gw[idx] = (up - down) / (2 * step)
         np.testing.assert_allclose(lv.grad_classifier[0], gw, rtol=1e-4, atol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def worker():
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+def pass_inputs(kind, b, k, m, seed):
+    """Embeddings, an m-row target and label distances of one kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # a quarter grid: equal coordinates and equal distances
+        z, target = rng.integers(0, 5, (b, k)) / 4, rng.integers(0, 5, (m, k)) / 4
+    elif kind == "huge":  # differences and squares beyond float64 range
+        z = rng.choice([-1e308, -1.0, 0.0, 0.5, 1e308], (b, k))
+        target = rng.choice([-1e308, 0.25, 1e308], (m, k))
+    else:
+        z, target = rng.uniform(0.0, 1.0, (b, k)), rng.uniform(0.0, 1.0, (m, k))
+    if kind == "duplicates":  # equal rows, and rows equal to a target row
+        z[rng.integers(b, size=b // 2)] = z[rng.integers(b, size=b // 2)]
+        z[rng.integers(b, size=b // 4)] = target[rng.integers(m, size=b // 4)]
+    return z, target, symmetric_distances(rng, b)
+
+
+# (B, K) on both sides of train's two-thread bound of B * B * K = 2**17: odd B
+# gives halves of unequal size; a target of another row count M takes its
+# differences in a fresh array instead of the work array's first slot
+PASS_CASES = [
+    pytest.param(kind, b, k, m, id=f"{kind}-b{b}k{k}m{m}")
+    for kind in ("uniform", "ties", "duplicates", "huge")
+    for b, k, m in ((2, 1, 2), (3, 5, 3), (4, 16, 4), (9, 17, 5), (64, 64, 64), (63, 64, 70))
+]
+
+
+class TestSharedPairwisePass:
+    """One pairwise pass feeds both embedding terms, on one thread or on two row halves."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
+    def test_sim_loss_on_the_pass_is_bitwise_the_straight_form(self, worker, threads, kind, b, k, m):
+        z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
+        cfg = SimLossConfig()
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = _pairwise(z, target, np.full((2, b, b, k), np.nan), worker if threads == 2 else None)
+            got = sim_loss(z, d, cfg, pairs=pairs)
+            want = np_sim_loss(z, d, cfg)
+            assert bits(got) == bits(want) == bits(sim_loss(z, d, cfg))
+        if kind != "huge" and b * b * k <= 2000:  # the per-pair oracle sums with fsum
+            want_value, want_grad = bf_sim_loss(z, d, cfg)
+            assert got[0] == pytest.approx(want_value, rel=1e-12, abs=0)
+            tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
+            np.testing.assert_allclose(got[1], want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
+    def test_kl_loss_on_the_pass_is_bitwise_the_oracle(self, worker, threads, kind, b, k, m):
+        z, target, _ = pass_inputs(kind, b, k, m, seed=b * k + m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = _pairwise(z, target, np.full((2, b, b, k), np.nan), worker if threads == 2 else None)
+            got = kl_loss(z, target, pairs=pairs)
+            assert bits(got) == bits(bf_kl_loss(z, target)) == bits(kl_loss(z, target))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
+    def test_total_loss_is_bitwise_the_sum_of_the_oracles(self, worker, threads, kind, b, k, m):
+        z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
+        labels = np.arange(b) % 3
+        clf = init_classifier(k, 3, RngState.from_seed(b))
+        cfg = SimLossConfig()
+        weights = (0.7, 1.3, 0.9)  # lambda1, lambda2, sim_weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = total_loss(z, d, labels, clf, target, *weights[:2], cfg, weights[2],
+                             work=np.full((2, b, b, k), np.nan), worker=worker if threads == 2 else None)
+            sim_v, sim_g = np_sim_loss(z, d, cfg)
+            kl_v, kl_g = bf_kl_loss(z, target)
+            cls_v, grad_logits = cls_loss(z @ clf.weights.T + clf.biases, labels)
+            want_total = weights[2] * sim_v + weights[0] * kl_v + weights[1] * cls_v
+            want_grad = weights[2] * sim_g + weights[0] * kl_g + weights[1] * (grad_logits @ clf.weights)
+        assert bits((got.total, got.grad_z)) == bits((want_total, want_grad))
+        assert [np.float64(v).tobytes() for v in (got.sim, got.kl, got.cls)] == [
+            np.float64(v).tobytes() for v in (sim_v, kl_v, cls_v)]
+
+    def test_the_worker_fills_the_second_half_of_the_rows(self, worker, monkeypatch):
+        calls = []
+        real = losses_mod._pair_rows
+
+        def recorded(*args):
+            calls.append((args[-1], threading.current_thread() is threading.main_thread()))
+            return real(*args)
+
+        monkeypatch.setattr(losses_mod, "_pair_rows", recorded)
+        z, target, _ = pass_inputs("uniform", 7, 3, 7, seed=0)
+        _pairwise(z, target, None, worker)
+        assert sorted(calls, key=lambda c: c[0].start) == [(slice(0, 4), True), (slice(4, 7), False)]
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_on_either_half_reaches_the_caller_after_the_worker_is_done(
+        self, worker, monkeypatch, failing
+    ):
+        real = losses_mod._pair_rows
+        finished = []
+
+        def failing_half(*args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                raise FloatingPointError(f"{failing} half")
+            real(*args)
+            finished.append(on_worker)
+
+        monkeypatch.setattr(losses_mod, "_pair_rows", failing_half)
+        z, target, d = pass_inputs("uniform", 8, 4, 8, seed=1)
+        labels = np.zeros(8, dtype=np.int64)
+        clf = init_classifier(4, 2, RngState.from_seed(0))
+        with pytest.raises(FloatingPointError, match=f"^{failing} half$"):
+            total_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), worker=worker)
+        assert finished == [failing == "caller"]  # the other half ran to its end
+
+    def test_the_worker_keeps_the_callers_numpy_error_state(self, worker):
+        # inf - inf happens only in the rows of the infinite point, which the
+        # worker fills: the caller's rows take finite - inf = -inf
+        z = np.zeros((6, 1))
+        z[5, 0] = np.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _pairwise(z, z, None, worker)
+        with np.errstate(invalid="ignore"):
+            pairs = _pairwise(z, z, None, worker)
+        assert np.isnan(pairs.sq_z[5, 5]) and np.isinf(pairs.sq_z[:5, 5]).all()
+
+    def test_total_loss_with_work_allocates_less_than_one_pairwise_array(self, worker):
+        # the target differences reuse the work array's first slot
+        b = k = 64
+        z, target, d = pass_inputs("uniform", b, k, b, seed=2)
+        labels = np.arange(b) % 3
+        clf = init_classifier(k, 3, RngState.from_seed(0))
+        work = np.empty((2, b, b, k))
+        tracemalloc.start()
+        try:
+            for pool in (None, worker):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                total_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=work, worker=pool)
+                assert tracemalloc.get_traced_memory()[1] - base < b * b * k * 8
+        finally:
+            tracemalloc.stop()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash
+import semhash.losses as losses_mod
+import semhash.metrics as metrics_mod
 import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
+from test_perfbench import load_spans
 from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, beta_sample, generate_synthetic
 from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
@@ -491,3 +495,112 @@ class TestTrain:
         lines = log.to_csv().splitlines()
         assert lines[0] == "step,sim,kl,cls,total"
         assert len(lines) == 1 + len(log.records)
+
+
+def b64_setup(epochs=1):
+    # B * B * K = 2**18, above the bound from which a step's pairwise pass
+    # runs on two row halves; 128 samples make two steps an epoch
+    tax = balanced_taxonomy((4, 2))
+    ds = generate_synthetic(tax, per_class=16, dim=8, diffusion=1.0, noise=0.3,
+                            rng=RngState.from_seed(100))
+    cfg = TrainConfig(code_length=64, hidden_sizes=(16,), batch_size=64, epochs=epochs, seed=0)
+    assert cfg.batch_size**2 * cfg.code_length >= trainer_mod._SPLIT_WORK
+    return tax, ds, cfg
+
+
+def record_pass_threads(monkeypatch) -> list:
+    """Patch the pairwise kernel to log (on the main thread, live thread count) per call."""
+    calls = []
+    real = losses_mod._pair_rows
+
+    def recorded(*args):
+        calls.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return real(*args)
+
+    monkeypatch.setattr(losses_mod, "_pair_rows", recorded)
+    return calls
+
+
+class TestTrainWorker:
+    """``train`` runs the pairwise pass of a large step on two threads, and leaves none behind."""
+
+    def test_two_threads_give_the_bits_of_one(self, monkeypatch):
+        tax, ds, cfg = b64_setup(epochs=2)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+            encoder, classifier, log = train(cfg, ds, tax)
+            runs[workers] = (checkpoint_bytes(encoder, classifier), log.to_csv())
+        assert runs[1] == runs[2]
+
+    def test_no_thread_is_left_after_train_returns(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        calls = record_pass_threads(monkeypatch)
+        tax, ds, cfg = b64_setup()
+        before = set(threading.enumerate())
+        _, _, log = train(cfg, ds, tax)
+        assert set(threading.enumerate()) == before
+        # each step's pass: one half on this thread, one on the worker
+        assert sorted(calls) == sorted([(True, len(before) + 1), (False, len(before) + 1)] * len(log.records))
+
+    def test_no_thread_is_left_after_train_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        calls = record_pass_threads(monkeypatch)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("adam failed")
+
+        monkeypatch.setattr(trainer_mod, "adam_step", failing)
+        tax, ds, cfg = b64_setup()
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="^adam failed$"):
+            train(cfg, ds, tax)
+        assert set(threading.enumerate()) == before
+        assert (False, len(before) + 1) in calls
+
+    def test_an_error_in_the_worker_is_raised_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        real = losses_mod._pair_rows
+
+        def failing_on_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return real(*args)
+
+        monkeypatch.setattr(losses_mod, "_pair_rows", failing_on_worker)
+        tax, ds, cfg = b64_setup()
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="^worker failed$"):
+            train(cfg, ds, tax)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers, setup", [
+        pytest.param(1, b64_setup, id="one-cpu"),
+        pytest.param(2, tiny_setup, id="below-the-bound"),
+    ])
+    def test_no_thread_is_started(self, monkeypatch, workers, setup):
+        monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+        calls = record_pass_threads(monkeypatch)
+        tax, ds, cfg = setup()
+        before = threading.active_count()
+        _, _, log = train(cfg, ds, tax)
+        assert calls == [(True, before)] * len(log.records)
+
+    def test_traced_train_on_two_threads_fills_every_span(self, monkeypatch):
+        # the worker runs only the private kernel, so the tracer's one span
+        # stack sees the calls of one thread
+        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        calls = record_pass_threads(monkeypatch)
+        tax, ds, cfg = b64_setup(epochs=2)
+        tracer = load_spans().Tracer()
+        tracer.rep = 1
+        tracer.install()
+        try:
+            _, _, log = trainer_mod.train(cfg, ds, tax)
+        finally:
+            tracer.uninstall()
+        assert any(not on_main for on_main, _ in calls)
+        assert None not in tracer.spans
+        names = [span[0] for span in tracer.spans]
+        assert names.count("losses.kl_loss") == names.count("trainer.adam_step") == len(log.records) == 4
+        assert names.count("losses.sim_loss") == names.count("losses.total_loss") == 4
