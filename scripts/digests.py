@@ -62,6 +62,24 @@ def _report_json(report) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+@contextlib.contextmanager
+def workers_set_to(workers: int):
+    """Run the block with semhash's thread rule set to ``workers``, then restore it."""
+    try:
+        import semhash._threads as owner
+        name = "WORKERS"
+    except ModuleNotFoundError:
+        # tier1.yml's digests job runs this script on the base tree of a change
+        # too, and trees from before semhash._threads keep the rule in metrics
+        owner, name = semhash.metrics, "_WORKERS"
+    saved = getattr(owner, name)
+    setattr(owner, name, workers)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
 def train_digests() -> dict[str, str]:
     out = {}
     taxonomy = balanced_taxonomy((4, 4, 2))
@@ -87,27 +105,23 @@ def eval_digests() -> dict[str, str]:
         "-mixed-depth": parse_taxonomy("\n".join(f"n{rng.integers(i)} n{i}" for i in range(1, 1000))),
     }
     out = {}
-    saved = semhash.metrics._WORKERS
-    try:
-        for suffix, taxonomy in taxonomies.items():
-            dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
-            encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
-            batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
-            ids = np.arange(dataset.n_samples)
-            index = build_index(binarize(batch), ids, dataset.labels)
-            for workers in (1, 2):
-                semhash.metrics._WORKERS = workers
+    for suffix, taxonomy in taxonomies.items():
+        dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
+        encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
+        batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+        ids = np.arange(dataset.n_samples)
+        index = build_index(binarize(batch), ids, dataset.labels)
+        for workers in (1, 2):
+            with workers_set_to(workers):
                 reports = {
                     "hamming": evaluate(index, None, taxonomy, K_MAX, per_query=True),
                     "manhattan": evaluate_embeddings(
                         batch.values, ids, dataset.labels, taxonomy, K_MAX, per_query=True
                     ),
                 }
-                for kind, report in reports.items():
-                    out[f"eval/{kind}{suffix}/w{workers}/report.json"] = _sha(_report_json(report))
-                    out[f"eval/{kind}{suffix}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
-    finally:
-        semhash.metrics._WORKERS = saved
+            for kind, report in reports.items():
+                out[f"eval/{kind}{suffix}/w{workers}/report.json"] = _sha(_report_json(report))
+                out[f"eval/{kind}{suffix}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
     return out
 
 
@@ -122,17 +136,12 @@ def tie_digests() -> dict[str, str]:
         "overflow": rng.choice([-1e308, 0.0, 1e308], size=(n, 2)),
     }
     out = {}
-    saved = semhash.metrics._WORKERS
-    try:
-        for workers in (1, 2):
-            semhash.metrics._WORKERS = workers
-            for kind, values in inputs.items():
-                with np.errstate(over="ignore"):
-                    report = evaluate_embeddings(values, ids, labels, taxonomy, K_MAX, per_query=True)
-                out[f"eval/manhattan-{kind}/w{workers}/report.json"] = _sha(_report_json(report))
-                out[f"eval/manhattan-{kind}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
-    finally:
-        semhash.metrics._WORKERS = saved
+    for workers in (1, 2):
+        for kind, values in inputs.items():
+            with workers_set_to(workers), np.errstate(over="ignore"):
+                report = evaluate_embeddings(values, ids, labels, taxonomy, K_MAX, per_query=True)
+            out[f"eval/manhattan-{kind}/w{workers}/report.json"] = _sha(_report_json(report))
+            out[f"eval/manhattan-{kind}/w{workers}/hp_curve.csv"] = _sha(report.hp_curve_csv())
     return out
 
 

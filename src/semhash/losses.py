@@ -15,14 +15,15 @@ absolute-value kinks and nearest-neighbor assignments held locally constant.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _threads
 from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from .model import ClassifierParams, _embedding_values, classifier_forward
 
@@ -96,11 +97,10 @@ def _pairwise(
 ) -> _Pairs:
     """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
 
-    ``work`` is a C-contiguous float64 (2, B, B, K) array, or None to allocate
-    one.  Slot 0 takes the differences, first z - z and then z - target when
-    M = B (a fresh array otherwise), and slot 1 keeps the signs.  With a
-    ``worker``, it fills the second half of the rows while this thread fills
-    the first; the worker is done before this returns or raises.
+    ``work`` is a C-contiguous float64 (2, B, B, K) array whose contents never
+    reach the result, or None to allocate one.  Slot 0 takes the differences,
+    first z - z, then z - target if M = B (else a fresh array); slot 1 the
+    signs.  With a ``worker``, ``_threads.halves`` splits the rows onto it.
     """
     b, k = zv.shape
     shape = (2, b, b, k)
@@ -115,18 +115,7 @@ def _pairwise(
         t_diff = work[0] if m == b else np.empty((b, m, k))
         sq_t = np.empty((b, m))
     pairs = _Pairs(work[1], np.empty((b, b)), np.empty((b, b)), sq_t)
-    if worker is None:
-        _pair_rows(zv, tv, work, t_diff, pairs, slice(0, b))
-        return pairs
-    half = (b + 1) // 2
-    # numpy's error state is a contextvar, which a new thread does not inherit
-    rest = worker.submit(contextvars.copy_context().run,
-                         _pair_rows, zv, tv, work, t_diff, pairs, slice(half, b))
-    try:
-        _pair_rows(zv, tv, work, t_diff, pairs, slice(0, half))
-    finally:
-        wait((rest,))  # the worker is off the buffers before an error leaves
-    rest.result()
+    _threads.halves(partial(_pair_rows, zv, tv, work, t_diff, pairs), b, worker)
     return pairs
 
 
@@ -163,7 +152,6 @@ def sim_loss(
     distances: np.ndarray,
     cfg: SimLossConfig,
     *,
-    work: np.ndarray | None = None,
     pairs: _Pairs | None = None,
 ) -> tuple[float, np.ndarray]:
     """Distance-matching loss and its gradient w.r.t. the embeddings.
@@ -173,18 +161,14 @@ def sim_loss(
     where tau_z and tau_y are the off-diagonal batch means (floored).  tau_z
     depends on the embeddings and is differentiated through.
 
-    ``work`` is scratch space for the pairwise differences and their signs: a
-    C-contiguous float64 (2, B, B, K) array, which a caller making many calls
-    of one shape allocates once.  Every element is written before it is read,
-    so its contents never reach the result.  Without it, one is allocated.
     ``pairs`` is the pairwise pass of these embeddings, which ``total_loss``
     makes once for this term and ``kl_loss`` after checking their inputs, so
     with it ``z`` and ``distances`` must be checked float64 arrays.  Without
-    it, this call checks them and makes the pass in ``work``.
+    it, this call checks them and makes the pass.
     """
     if pairs is None:
         z, distances = _sim_inputs(z, distances)
-        pairs = _pairwise(z, None, work)
+        pairs = _pairwise(z, None)
     zv, d = z, distances
     b = zv.shape[0]
     sgn, manh = pairs.sgn, pairs.manh
@@ -304,9 +288,9 @@ def total_loss(
     ``grad_classifier`` carries the lambda2-scaled head gradients.  With the
     default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
     ``sim_weight=0`` supports head-only ablation runs.  The similarity and
-    divergence terms share one pairwise pass, made in ``work`` as ``sim_loss``
-    describes it; with a ``worker``, that executor's thread makes the second
-    half of its rows.  Either way every bit is the same.
+    divergence terms share one pairwise pass, made in the scratch space
+    ``work`` as ``_pairwise`` describes it; with a ``worker``, that executor's
+    thread makes the second half of its rows.  Either way every bit is the same.
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)

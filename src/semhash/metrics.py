@@ -10,15 +10,13 @@ change results.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _threads
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, semantic_distance
@@ -30,10 +28,6 @@ from .hierarchy import distance_matrix  # noqa: F401
 # thread; each thread's working set is at most three of its blocks and the
 # block's b x L relevance rows
 _BLOCK_BYTES = 1 << 20
-# threads that score query blocks: the caller's and at most one worker
-_WORKERS = min(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
-)
 
 
 @dataclass
@@ -220,13 +214,14 @@ def _score(
     ancestors = _ancestor_table(t, label_ids)
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
-    block = max(1, _BLOCK_BYTES // (8 * n_items * _WORKERS))
+    block = max(1, _BLOCK_BYTES // (8 * n_items * _threads.WORKERS))
     hp_rows = np.empty((n_queries, k_max))
+    starts = range(0, n_queries, block)
 
-    def score_blocks(starts: range) -> list[tuple[float, float]]:
-        """Fill the blocks' ``hp_rows`` rows; their (AP, AHP) pairs in query order."""
+    def score_blocks(part: slice) -> list[tuple[float, float]]:
+        """Fill the ``part`` blocks' ``hp_rows`` rows; their (AP, AHP) pairs in query order."""
         scores: list[tuple[float, float]] = []
-        for start in starts:
+        for start in starts[part]:
             rows = slice(start, start + block)
             mine = np.flatnonzero(has_own[rows])
             own = own_col[rows][mine]
@@ -254,16 +249,9 @@ def _score(
             del rel, dists, top, hits  # at most one block's arrays per thread are alive
         return scores
 
-    starts = range(0, n_queries, block)
-    if _WORKERS == 1 or len(starts) == 1:
-        scores = score_blocks(starts)
-    else:  # this thread scores the first half, one worker the rest
-        half = (len(starts) + 1) // 2
-        with ThreadPoolExecutor(1) as worker:  # joined on exit, also when a share raises
-            # numpy's error state is a contextvar, which a new thread does not inherit
-            rest = worker.submit(contextvars.copy_context().run, score_blocks, starts[half:])
-            scores = score_blocks(starts[:half]) + rest.result()
-    aps, ahp_per_query = zip(*scores)
+    with _threads.pool(len(starts) > 1) as worker:  # hp_at_k scores one block: no executor
+        parts = _threads.halves(score_blocks, len(starts), worker)
+    aps, ahp_per_query = zip(*(score for part in parts for score in part))
 
     hp_curve = [(k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)]
     mahp = math.fsum(ahp_per_query) / n_queries

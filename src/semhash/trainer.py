@@ -10,13 +10,11 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import metrics
+from . import _threads
 from .data import Dataset, RngState, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
@@ -242,9 +240,7 @@ def train(
     # dropped, so B is fixed) and freed on return: fresh B x B x K arrays at
     # each step are handed back to the OS when freed and page-faulted in again
     work = np.empty((2, bsz, bsz, config.code_length))
-    # eval's rule for a second thread; the pool is joined on return and on raise
-    split = metrics._WORKERS > 1 and bsz * bsz * config.code_length >= _SPLIT_WORK
-    with ThreadPoolExecutor(1) if split else nullcontext() as worker:
+    with _threads.pool(bsz * bsz * config.code_length >= _SPLIT_WORK) as worker:
         for _ in range(config.epochs):
             perm = shuffle_rng.generator.permutation(n)
             # numpy draws Beta variates one after another from the stream, so one

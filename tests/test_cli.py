@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash
+import semhash._threads as threads_mod
 import semhash.cli as cli_mod
 import semhash.metrics as metrics_mod
 from semhash.cli import main
@@ -316,7 +317,7 @@ def test_eval_out_of_memory_on_the_worker_thread_is_one_error_line(workdir, caps
             raise MemoryError("Unable to allocate 1.00 GiB")
         return real(index, words)
 
-    monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+    monkeypatch.setattr(threads_mod, "WORKERS", 2)
     monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 1)  # one-query blocks
     monkeypatch.setattr(metrics_mod, "hamming_to_all", short_of_memory)
     threads_before = threading.active_count()

@@ -202,8 +202,6 @@ class TestSimLoss:
         # scale, 1 / (B * tau_z)
         tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
-        # scratch space full of NaN changes no bit: each element is written before it is read
-        assert bits(sim_loss(z, d, cfg, work=np.full((2, b, b, k), np.nan))) == bits((value, grad))
 
     def test_asymmetric_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -213,56 +211,6 @@ class TestSimLoss:
         _, grad = sim_loss(z, d, cfg)
         numeric = fd_grad(lambda q: sim_loss(q, d, cfg)[0], z)
         np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-8)
-
-
-class TestSimLossWork:
-    """``work`` is scratch space that a caller reuses across calls of one shape."""
-
-    @pytest.mark.parametrize("b, k", [(2, 1), (9, 17), (64, 64)])
-    def test_reused_work_gives_the_bits_of_fresh_arrays(self, b, k):
-        # NaN on the first call, then what the previous call left behind
-        rng = np.random.default_rng(b * k)
-        cfg = SimLossConfig()
-        work = np.full((2, b, b, k), np.nan)
-        for _ in range(3):
-            z = rng.uniform(0.0, 1.0, (b, k))
-            d = symmetric_distances(rng, b)
-            assert bits(sim_loss(z, d, cfg, work=work)) == bits(sim_loss(z, d, cfg))
-
-    @pytest.mark.parametrize("work", [
-        pytest.param(np.empty((2, 4, 4, 4)), id="other-K"),
-        pytest.param(np.empty((1, 4, 4, 3)), id="one-slab"),
-        pytest.param(np.empty((2, 3, 4, 3)), id="other-B"),
-        pytest.param(np.empty((2, 4, 4, 3), dtype=np.float32), id="float32"),
-        pytest.param(np.empty((2, 4, 4, 3), order="F"), id="fortran-order"),
-        pytest.param(np.empty((2, 4, 4, 6))[..., ::2], id="strided"),
-        pytest.param(np.empty((2, 4, 4, 3)).tolist(), id="list"),
-    ])
-    def test_work_of_another_shape_dtype_or_layout_is_a_shape_mismatch(self, work):
-        z = np.random.default_rng(0).uniform(0.0, 1.0, (4, 3))
-        with pytest.raises(ShapeMismatch, match=r"^work must be .* shape \(2, 4, 4, 3\)$"):
-            sim_loss(z, np.zeros((4, 4)), SimLossConfig(), work=work)
-
-    def test_call_with_work_allocates_less_than_one_pairwise_array(self):
-        b = k = 64
-        rng = np.random.default_rng(1)
-        z = rng.uniform(0.0, 1.0, (b, k))
-        d = symmetric_distances(rng, b)
-        cfg = SimLossConfig()
-        work = np.empty((2, b, b, k))
-        one_array = b * b * k * 8  # bytes of one B x B x K float64 array
-        peaks = {}
-        tracemalloc.start()
-        try:
-            for name, kwargs in (("fresh", {}), ("work", {"work": work})):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                sim_loss(z, d, cfg, **kwargs)
-                peaks[name] = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peaks["fresh"] >= 2 * one_array  # numpy's buffers are traced
-        assert peaks["work"] < one_array
 
 
 class TestKlLoss:
@@ -428,14 +376,30 @@ class TestTotalLoss:
             lv = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg, sim_weight=0.9)
             assert lv.total == 0.9 * lv.sim + 0.7 * lv.kl + 1.3 * lv.cls
 
-    def test_work_is_used_by_the_shared_pairwise_pass(self):
-        z, d, labels, clf, target = self._inputs(3)
+    @pytest.mark.parametrize("b, k", [(2, 1), (9, 17), (64, 64)])
+    def test_reused_work_gives_the_bits_of_fresh_arrays(self, b, k):
+        # NaN on the first call, then what the previous call left behind
         cfg = SimLossConfig()
-        want = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg)
-        got = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg, work=np.full((2, 5, 5, 4), np.nan))
-        assert bits((got.total, got.grad_z)) == bits((want.total, want.grad_z))
-        with pytest.raises(ShapeMismatch, match="^work must be"):
-            total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg, work=np.empty((2, 5, 5, 5)))
+        work = np.full((2, b, b, k), np.nan)
+        for seed in range(3):
+            inputs = self._inputs(seed, b, k)
+            got = total_loss(*inputs, 0.7, 1.3, cfg, work=work)
+            want = total_loss(*inputs, 0.7, 1.3, cfg)
+            assert bits((got.total, got.grad_z)) == bits((want.total, want.grad_z))
+
+    @pytest.mark.parametrize("work", [
+        pytest.param(np.empty((2, 4, 4, 4)), id="other-K"),
+        pytest.param(np.empty((1, 4, 4, 3)), id="one-slab"),
+        pytest.param(np.empty((2, 3, 4, 3)), id="other-B"),
+        pytest.param(np.empty((2, 4, 4, 3), dtype=np.float32), id="float32"),
+        pytest.param(np.empty((2, 4, 4, 3), order="F"), id="fortran-order"),
+        pytest.param(np.empty((2, 4, 4, 6))[..., ::2], id="strided"),
+        pytest.param(np.empty((2, 4, 4, 3)).tolist(), id="list"),
+    ])
+    def test_work_of_another_shape_dtype_or_layout_is_a_shape_mismatch(self, work):
+        inputs = self._inputs(b=4, k=3)
+        with pytest.raises(ShapeMismatch, match=r"^work must be .* shape \(2, 4, 4, 3\)$"):
+            total_loss(*inputs, 0.7, 1.3, SimLossConfig(), work=work)
 
     def test_grad_z_matches_finite_differences(self):
         z, d, labels, clf, target = self._inputs(9)
@@ -596,13 +560,17 @@ class TestSharedPairwisePass:
         z, target, d = pass_inputs("uniform", b, k, b, seed=2)
         labels = np.arange(b) % 3
         clf = init_classifier(k, 3, RngState.from_seed(0))
-        work = np.empty((2, b, b, k))
+        buf = np.empty((2, b, b, k))
+        one_array = b * b * k * 8  # bytes of one B x B x K float64 array
+        peaks = {}
         tracemalloc.start()
         try:
-            for pool in (None, worker):
+            for name, work, pool in (("fresh", None, None), ("work", buf, None), ("worker", buf, worker)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 total_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=work, worker=pool)
-                assert tracemalloc.get_traced_memory()[1] - base < b * b * k * 8
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert peaks["fresh"] >= 2 * one_array  # numpy's buffers are traced
+        assert peaks["work"] < one_array and peaks["worker"] < one_array

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semhash._threads as threads_mod
 import semhash.metrics as metrics_mod
 from semhash.benchmark import balanced_taxonomy
 from semhash.errors import (
@@ -345,7 +346,7 @@ def test_eval_memory_stays_within_the_documented_bound(
     # relevance rows (L / N MiB together), the N x k_max HP table, and for
     # Manhattan one N x K float64 buffer per thread plus the float64 copy of the
     # embeddings
-    monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+    monkeypatch.setattr(threads_mod, "WORKERS", workers)
     t = balanced_taxonomy(branching)
     labels = np.repeat(t.leaves(), per_class)
     n, k, k_max, n_labels = len(labels), 64, 100, len(t.leaves())
@@ -458,7 +459,7 @@ class TestBlockedScorer:
         """Yield once per thread count, with blocks of ``per_block`` queries (None: all)."""
         def each_layout(per_block, n_items, n_queries):
             for workers in (1, 2):
-                monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+                monkeypatch.setattr(threads_mod, "WORKERS", workers)
                 monkeypatch.setattr(
                     metrics_mod, "_BLOCK_BYTES", 8 * n_items * workers * (per_block or n_queries)
                 )
@@ -536,7 +537,7 @@ class TestBlockedScorer:
 
         n = 6
         ids, labels = np.arange(n), np.resize(LEAVES, n)
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         monkeypatch.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n * 2)  # 1-query blocks
 
         def distances(rows):
@@ -555,7 +556,7 @@ class TestBlockedScorer:
         def no_thread(self):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         t = five_node_tax
         a1, a2, b1 = (t.node_id(name) for name in ("a1", "a2", "b1"))
@@ -655,7 +656,7 @@ class TestBlockedScorer:
         want = bf_evaluate(lambda qi: np.abs(values - values[qi]).sum(axis=1), ids, labels,
                            ids, labels, wordnet_relevance, k_max)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics_mod, "_WORKERS", workers)
+            mp.setattr(threads_mod, "WORKERS", workers)
             mp.setattr(metrics_mod, "_BLOCK_BYTES", 8 * n * workers * per_block)
             got = evaluate_embeddings(values, ids, labels, WORDNET_LIKE, k_max, per_query=True)
             integer = metrics_mod._score(

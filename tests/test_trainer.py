@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semhash
+import semhash._threads as threads_mod
 import semhash.losses as losses_mod
-import semhash.metrics as metrics_mod
 import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from test_perfbench import load_spans
@@ -528,13 +528,13 @@ class TestTrainWorker:
         tax, ds, cfg = b64_setup(epochs=2)
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+            monkeypatch.setattr(threads_mod, "WORKERS", workers)
             encoder, classifier, log = train(cfg, ds, tax)
             runs[workers] = (checkpoint_bytes(encoder, classifier), log.to_csv())
         assert runs[1] == runs[2]
 
     def test_no_thread_is_left_after_train_returns(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         calls = record_pass_threads(monkeypatch)
         tax, ds, cfg = b64_setup()
         before = set(threading.enumerate())
@@ -544,7 +544,7 @@ class TestTrainWorker:
         assert sorted(calls) == sorted([(True, len(before) + 1), (False, len(before) + 1)] * len(log.records))
 
     def test_no_thread_is_left_after_train_raises(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         calls = record_pass_threads(monkeypatch)
 
         def failing(*args, **kwargs):
@@ -559,7 +559,7 @@ class TestTrainWorker:
         assert (False, len(before) + 1) in calls
 
     def test_an_error_in_the_worker_is_raised_on_the_caller(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         real = losses_mod._pair_rows
 
         def failing_on_worker(*args):
@@ -579,7 +579,7 @@ class TestTrainWorker:
         pytest.param(2, tiny_setup, id="below-the-bound"),
     ])
     def test_no_thread_is_started(self, monkeypatch, workers, setup):
-        monkeypatch.setattr(metrics_mod, "_WORKERS", workers)
+        monkeypatch.setattr(threads_mod, "WORKERS", workers)
         calls = record_pass_threads(monkeypatch)
         tax, ds, cfg = setup()
         before = threading.active_count()
@@ -589,7 +589,7 @@ class TestTrainWorker:
     def test_traced_train_on_two_threads_fills_every_span(self, monkeypatch):
         # the worker runs only the private kernel, so the tracer's one span
         # stack sees the calls of one thread
-        monkeypatch.setattr(metrics_mod, "_WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
         calls = record_pass_threads(monkeypatch)
         tax, ds, cfg = b64_setup(epochs=2)
         tracer = load_spans().Tracer()
