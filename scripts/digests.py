@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-import semhash.metrics
+from semhash import _threads
 from semhash.benchmark import balanced_taxonomy, benchmark_config, make_benchmark_dataset
 from semhash.cli import main as cli_main
 from semhash.data import RngState, generate_synthetic
@@ -65,19 +65,12 @@ def _report_json(report) -> str:
 @contextlib.contextmanager
 def workers_set_to(workers: int):
     """Run the block with semhash's thread rule set to ``workers``, then restore it."""
-    try:
-        import semhash._threads as owner
-        name = "WORKERS"
-    except ModuleNotFoundError:
-        # tier1.yml's digests job runs this script on the base tree of a change
-        # too, and trees from before semhash._threads keep the rule in metrics
-        owner, name = semhash.metrics, "_WORKERS"
-    saved = getattr(owner, name)
-    setattr(owner, name, workers)
+    saved = _threads.WORKERS
+    _threads.WORKERS = workers
     try:
         yield
     finally:
-        setattr(owner, name, saved)
+        _threads.WORKERS = saved
 
 
 def train_digests() -> dict[str, str]:
@@ -108,7 +101,7 @@ def eval_digests() -> dict[str, str]:
     for suffix, taxonomy in taxonomies.items():
         dataset = make_benchmark_dataset(taxonomy, 0, per_class=2, dim=128)
         encoder = init_encoder(dataset.dim, (), 64, RngState.from_seed(0))
-        batch, _ = encoder_forward(encoder, dataset.features.astype(np.float64))
+        batch, _ = encoder_forward(encoder, dataset.features)
         ids = np.arange(dataset.n_samples)
         index = build_index(binarize(batch), ids, dataset.labels)
         for workers in (1, 2):

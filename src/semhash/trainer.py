@@ -230,7 +230,6 @@ def train(
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
     adam = AdamState.zeros_like(buf)
     sim_cfg = SimLossConfig()  # gamma, rho and the tau floor at their defaults
-    features = dataset.features.astype(np.float64)
 
     log = TrainLog()
     step = 0
@@ -240,16 +239,22 @@ def train(
     # dropped, so B is fixed) and freed on return: fresh B x B x K arrays at
     # each step are handed back to the OS when freed and page-faulted in again
     work = np.empty((2, bsz, bsz, config.code_length))
-    with _threads.pool(bsz * bsz * config.code_length >= _SPLIT_WORK) as worker:
+    # a blow-up ends in one DivergedLoss, not in numpy warnings; halves passes this to the worker
+    with _threads.pool(bsz * bsz * config.code_length >= _SPLIT_WORK) as worker, \
+            np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             perm = shuffle_rng.generator.permutation(n)
             # numpy draws Beta variates one after another from the stream, so one
             # draw per epoch equals one (bsz, K) draw per step, bit for bit
             targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
             for start in range(0, epoch_rows, bsz):
+                step += 1
                 idx = perm[start : start + bsz]
                 y = class_idx[idx]
-                batch, cache = encoder_forward(encoder, features[idx])
+                try:
+                    batch, cache = encoder_forward(encoder, dataset.features[idx])
+                except ShapeMismatch:  # rows and parameters are finite: an overflow made a NaN
+                    raise DivergedLoss(f"step {step}: embeddings became non-finite") from None
                 loss = total_loss(
                     batch,
                     dist[y[:, None], y],
@@ -263,7 +268,6 @@ def train(
                     work=work,
                     worker=worker,
                 )
-                step += 1
                 if not math.isfinite(loss.total):
                     raise DivergedLoss(
                         f"step {step}: non-finite total "

@@ -148,6 +148,35 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("hidden", ["16", "16,8"])
+    def test_overflow_exits_3_with_one_error_line(self, tmp_path, capsys, hidden):
+        # the README run at learning_rate 1e300, with warnings as errors as under
+        # PYTHONWARNINGS=error: one error line, exit 3 and no checkpoint
+        (tmp_path / "tax.txt").write_text(
+            "root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n"
+        )
+        (tmp_path / "train.cfg").write_text(
+            f"code_length = 8\nhidden_sizes = {hidden}\nbatch_size = 8\nepochs = 2\n"
+            "learning_rate = 1e300\n"
+        )
+        assert main([
+            "gen-data", "--taxonomy", str(tmp_path / "tax.txt"), "--per-class", "50",
+            "--dim", "32", "--seed", "7", "--out", str(tmp_path / "data"),
+        ]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "train", "--config", str(tmp_path / "train.cfg"),
+                "--features", str(tmp_path / "data.features"),
+                "--labels", str(tmp_path / "data.labels"),
+                "--taxonomy", str(tmp_path / "tax.txt"), "--out", str(tmp_path / "run"),
+            ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and err.startswith("error: training diverged: step ")
+        assert not (tmp_path / "run.checkpoint").exists()
+
 class TestPipeline:
     def test_end_to_end_artifacts_present(self, workdir):
         run_pipeline(workdir)

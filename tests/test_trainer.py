@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from test_perfbench import load_spans
 from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, beta_sample, generate_synthetic
 from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
-from semhash.hierarchy import distance_matrix
+from semhash.hierarchy import distance_matrix, parse_taxonomy
 from semhash.losses import SimLossConfig, total_loss
 from semhash.model import (
     ClassifierParams,
@@ -298,6 +300,14 @@ def tiny_setup(seed=0, epochs=4):
     return tax, ds, cfg
 
 
+def readme_setup():
+    """The README's taxonomy and ``gen-data --per-class 50 --dim 32 --seed 7`` dataset."""
+    tax = parse_taxonomy("root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n")
+    ds = generate_synthetic(tax, per_class=50, dim=32, diffusion=1.0, noise=0.5,
+                            rng=RngState.from_seed(7))
+    return tax, ds
+
+
 # trains one "BxK" (batch size x code length) argument after another in one
 # process; prints each run's checkpoint bytes and log.csv
 _TRAIN_IN_TURN = """
@@ -431,6 +441,35 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "adam_step", poisoned)
         with pytest.raises(DivergedLoss, match="non-finite"):
             train(cfg, ds, tax)
+
+    @pytest.mark.parametrize("hidden", [(128, 64), ()], ids=["two_hidden", "linear"])
+    def test_overflow_ends_in_diverged_loss_without_warnings(self, hidden):
+        # at this rate the parameters overflow within two steps: with hidden layers
+        # the forward pass turns them into NaN embeddings, without them Adam makes
+        # them inf; either way the run ends in DivergedLoss, and numpy warns nothing
+        tax, ds = readme_setup()
+        cfg = TrainConfig(code_length=8, hidden_sizes=hidden, batch_size=8, epochs=2,
+                          learning_rate=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedLoss, match=r"^step \d+: "):
+                train(cfg, ds, tax)
+
+    def test_holds_no_float64_copy_of_the_features(self):
+        # each step's rows are cast by encoder_forward, so the float32 dataset is
+        # the only N x D feature matrix alive, and train's own peak stays below it
+        tax = balanced_taxonomy((4, 2))  # 8 leaves, 500 rows each
+        ds = generate_synthetic(tax, per_class=500, dim=256, diffusion=1.0, noise=0.3,
+                                rng=RngState.from_seed(0))
+        cfg = TrainConfig(code_length=8, hidden_sizes=(8,), batch_size=4, epochs=1)
+        tracemalloc.start()
+        try:
+            train(cfg, ds, tax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.nbytes == 4000 * 256 * 4
+        assert peak < ds.features.nbytes
 
     def test_encoder_and_head_are_views_of_one_buffer(self, monkeypatch):
         # parameters are rebuilt once, before the loop, as views of one base
