@@ -20,6 +20,7 @@ from semhash.benchmark import (
     make_benchmark_dataset,
     run_variant,
 )
+from semhash.errors import SemhashError
 
 
 def main(argv=None) -> int:
@@ -39,7 +40,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    try:
+        rows = compare_variants(args)
+    except SemhashError as exc:  # a value the library rejects is a usage error too
+        parser.error(str(exc))
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"\nwrote {len(rows)} rows to {args.out}")
+    return 0
 
+
+def compare_variants(args: argparse.Namespace) -> list[dict]:
+    """Train and score every requested variant on each seed, printing one table row each."""
     taxonomy = balanced_taxonomy((4, 4, 2))
     rows = []
     header = f"{'seed':>4} {'variant':>9} {'K':>3} {'mAP(bin)':>9} {'mAHP(bin)':>10} {'mAHP(cont)':>11} {'gap':>8} {'secs':>6}"
@@ -71,13 +86,7 @@ def main(argv=None) -> int:
                 "mahp_continuous": score.mahp_continuous,
                 "binarization_gap": score.binarization_gap,
             })
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"\nwrote {len(rows)} rows to {args.out}")
-    return 0
+    return rows
 
 
 if __name__ == "__main__":

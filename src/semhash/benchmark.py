@@ -102,10 +102,9 @@ def make_benchmark_dataset(
     seed: int,
     per_class: int = 50,
     dim: int = 64,
-    diffusion: float = 1.0,
     noise: float = 0.6,
 ) -> Dataset:
     return generate_synthetic(
         taxonomy, per_class=per_class, dim=dim,
-        diffusion=diffusion, noise=noise, rng=RngState.from_seed(seed),
+        diffusion=1.0, noise=noise, rng=RngState.from_seed(seed),
     )

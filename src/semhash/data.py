@@ -118,8 +118,8 @@ def generate_synthetic(
     if diffusion <= 0 or noise < 0:
         raise InvalidShapeParam("diffusion must be > 0 and noise >= 0")
     leaves = t.leaves()
-    # numpy cannot allocate an array of more than intp-max bytes; check the
-    # float64 node means, then the features, before allocating either
+    # numpy cannot allocate an array of more than intp-max bytes; check the float64
+    # node means, then the features at float64 width, before allocating either
     limit = np.iinfo(np.intp).max
     if 8 * len(t) * int(dim) > limit:
         raise InvalidShapeParam(f"dim {dim} is too large: the node means would exceed {limit} bytes")
@@ -130,7 +130,7 @@ def generate_synthetic(
 
     gen = rng.generator
     means = np.zeros((len(t), dim), dtype=np.float64)
-    features = np.empty((per_class * len(leaves), dim), dtype=np.float64)
+    features = np.empty((per_class * len(leaves), dim), dtype=np.float32)
     labels = np.empty(per_class * len(leaves), dtype=np.int64)
     # a finite but huge spread overflows; that is reported below by name
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,7 +141,6 @@ def generate_synthetic(
             block = slice(i * per_class, (i + 1) * per_class)
             features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
             labels[block] = leaf
-        features = features.astype(np.float32)
         means_overflow = not np.isfinite(means.astype(np.float32)).all()
     if means_overflow:
         raise InvalidShapeParam(f"diffusion {diffusion} overflows the float32 node means")

@@ -76,8 +76,6 @@ def binarize(z, threshold: float = 0.5) -> list[HashCode]:
     if not math.isfinite(threshold):
         raise NonFiniteInput(f"threshold must be finite, got {threshold}")
     values = _embedding_values(z)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
     if not np.isfinite(values).all():
         raise NonFiniteInput("embeddings contain NaN or inf")
     words = _pack(values >= threshold)

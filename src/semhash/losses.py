@@ -121,8 +121,6 @@ def _pairwise(
 
 def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
     zv = _embedding_values(z)
-    if zv.ndim != 2:
-        raise ShapeMismatch(f"embeddings must be B x K, got {zv.shape}")
     b = zv.shape[0]
     if b < 2:
         raise BatchTooSmall(f"similarity loss needs B >= 2, got {b}")
@@ -135,15 +133,14 @@ def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
 def _kl_inputs(z, target) -> tuple[np.ndarray, np.ndarray]:
     zv = _embedding_values(z)
     tv = np.asarray(target, dtype=np.float64)
-    if zv.ndim != 2 or tv.ndim != 2:
-        raise ShapeMismatch("embeddings and target must be 2-D")
-    b, k = zv.shape
-    if b < 2:
-        raise BatchTooSmall(f"divergence loss needs B >= 2, got {b}")
+    if tv.ndim != 2:
+        raise ShapeMismatch(f"target must be M x K, got {tv.shape}")
+    if zv.shape[0] < 2:
+        raise BatchTooSmall(f"divergence loss needs B >= 2, got {zv.shape[0]}")
     if tv.shape[0] < 1:
         raise BatchTooSmall("target sample must be non-empty")
-    if tv.shape[1] != k:
-        raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {k}")
+    if tv.shape[1] != zv.shape[1]:
+        raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {zv.shape[1]}")
     return zv, tv
 
 

@@ -20,6 +20,7 @@ from . import _threads
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, semantic_distance
+from .model import _embedding_values
 # not called here; perfbench/spans.py patches this module's ``distance_matrix``
 # by name, so the name stays
 from .hierarchy import distance_matrix  # noqa: F401
@@ -299,10 +300,10 @@ def evaluate_embeddings(
     per_query: bool = False,
 ) -> MetricsReport:
     """Leave-one-out evaluation of continuous embeddings under Manhattan ranking."""
-    values = np.asarray(values, dtype=np.float64)
     ids = _in_range(ids, "sample ids", 63)  # the index's rule for its ids and labels
     labels_arr = _in_range(labels, "labels", 32)
-    if values.ndim != 2 or values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
+    values = _embedding_values(values)
+    if values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
         raise ShapeMismatch("values, ids and labels must be parallel")
     if not np.isfinite(values).all():
         raise NonFiniteInput("embeddings contain NaN or inf")

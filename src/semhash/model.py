@@ -20,6 +20,7 @@ from .files import file_header, read_file, write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1
+_GRAD_CHECK_STEP = 1e-5  # gradient_check moves each coordinate this far each way
 
 
 @dataclass
@@ -86,16 +87,19 @@ class EmbeddingBatch:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
+        self.values = _embedding_values(self.values)
+        if self.values.shape[0] < 1:
             raise ShapeMismatch(f"embeddings must be B x K with B >= 1, got {self.values.shape}")
         if not ((self.values > 0.0) & (self.values < 1.0)).all():
             raise ShapeMismatch("embedding values must lie strictly inside (0, 1)")
 
 
 def _embedding_values(z) -> np.ndarray:
-    """The float64 value matrix of an ``EmbeddingBatch`` or of an array-like."""
-    return z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
+    """The float64 B x K value matrix of an ``EmbeddingBatch`` or of an array-like."""
+    values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
+    if values.ndim != 2:
+        raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
+    return values
 
 
 @dataclass
@@ -145,10 +149,12 @@ def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, Fo
     act: list[np.ndarray] = []
     a = x
     last = len(p.layers) - 1
-    for i, (w, b) in enumerate(p.layers):
-        s = a @ w.T + b
-        a = _sigmoid(s) if i == last else np.maximum(s, 0.0)
-        act.append(a)
+    # a saturated unit is a valid output; a NaN one fails EmbeddingBatch's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(p.layers):
+            s = a @ w.T + b
+            a = _sigmoid(s) if i == last else np.maximum(s, 0.0)
+            act.append(a)
     batch = EmbeddingBatch(values=a)
     cache = ForwardCache(params=p, inputs=x, activations=act)
     return batch, cache
@@ -179,7 +185,7 @@ def encoder_backward(
 
 def classifier_forward(c: ClassifierParams, z) -> np.ndarray:
     values = _embedding_values(z)
-    if values.ndim != 2 or values.shape[1] != c.code_length:
+    if values.shape[1] != c.code_length:
         raise ShapeMismatch(
             f"embeddings {values.shape} incompatible with classifier K={c.code_length}"
         )
@@ -199,7 +205,6 @@ class GradCheckReport:
 def gradient_check(
     loss_fn: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]],
     params: list[np.ndarray],
-    step: float = 1e-5,
     max_coords: int = 10_000,
     rng: Optional[RngState] = None,
 ) -> GradCheckReport:
@@ -231,12 +236,12 @@ def gradient_check(
     worst = GradCheckReport(0.0, -1, (), len(coords), 0.0, 0.0)
     for pi, idx in coords:
         original = params[pi][idx]
-        params[pi][idx] = original + step
+        params[pi][idx] = original + _GRAD_CHECK_STEP
         up, _ = loss_fn(params)
-        params[pi][idx] = original - step
+        params[pi][idx] = original - _GRAD_CHECK_STEP
         down, _ = loss_fn(params)
         params[pi][idx] = original
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * _GRAD_CHECK_STEP)
         a = float(analytic[pi][idx])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if rel > worst.max_rel_error:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from semhash.hierarchy import Taxonomy, parse_taxonomy
+from semhash.model import EncoderParams
 
 # root -> (A, B), A -> (a1, a2), B -> b1
 FIVE_NODE_TEXT = "root A\nroot B\nA a1\nA a2\nB b1"
@@ -74,3 +75,11 @@ tree_parent_lists = st.integers(min_value=2, max_value=24).flatmap(
 def taxonomy_from_parents(parents: tuple[int, ...]) -> Taxonomy:
     lines = [f"n{p} n{i + 1}" for i, p in enumerate(parents)]
     return parse_taxonomy("\n".join(lines))
+
+
+def overflowing_encoder(in_dim: int, out_weights) -> EncoderParams:
+    """Finite weights whose second layer overflows to two units at +inf whatever the
+    input, then the K x 2 ``out_weights``."""
+    out = np.asarray(out_weights, dtype=np.float64)
+    layers = [(np.zeros((2, in_dim)), np.full(2, 1e300)), (np.eye(2) * 1e300, np.zeros(2))]
+    return EncoderParams(layers=[*layers, (out, np.zeros(len(out)))], code_length=len(out))

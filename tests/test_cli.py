@@ -20,6 +20,7 @@ import semhash
 import semhash._threads as threads_mod
 import semhash.cli as cli_mod
 import semhash.metrics as metrics_mod
+from conftest import overflowing_encoder
 from semhash.cli import main
 from semhash.data import FEATURES_MAGIC, FEATURES_VERSION, write_features
 from semhash.errors import DivergedLoss
@@ -415,6 +416,40 @@ def test_encode_rejects_a_zero_width_checkpoint(workdir, capsys, widths, n_class
                "--labels", str(workdir / "data.labels"), "--taxonomy", str(workdir / "tax.txt"),
                "--out", str(workdir / "enc")])
     assert rc == 1 and one_error_line_naming(capsys.readouterr(), checkpoint)
+    assert not any(workdir.glob("enc.*"))
+
+
+def overflowing_checkpoint(path, out_weights):
+    """A valid checkpoint for 12-dim features whose forward pass overflows."""
+    encoder = overflowing_encoder(12, out_weights)
+    save_checkpoint(path, encoder, ClassifierParams(np.zeros((2, len(out_weights))), np.zeros(2)))
+
+
+def encode_with_warnings_as_errors(d, checkpoint):
+    # as under PYTHONWARNINGS=error, which the README pipeline in CI sets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["encode", "--checkpoint", str(checkpoint),
+                     "--features", str(d / "data.features"), "--labels", str(d / "data.labels"),
+                     "--taxonomy", str(d / "tax.txt"), "--out", str(d / "enc")])
+
+
+def test_encode_saturates_an_overflowing_forward_pass_without_warnings(workdir, capsys):
+    assert gen_data(workdir) == 0
+    overflowing_checkpoint(workdir / "huge.checkpoint", [[1.0, 1.0], [-1.0, -1.0]])
+    capsys.readouterr()
+    assert encode_with_warnings_as_errors(workdir, workdir / "huge.checkpoint") == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(load_index(workdir / "enc.index").words == 0b01)  # bit 0 set, bit 1 clear
+
+
+def test_encode_forward_pass_that_makes_nan_is_one_error_line(workdir, capsys):
+    assert gen_data(workdir) == 0
+    overflowing_checkpoint(workdir / "nan.checkpoint", [[1.0, -1.0]])  # inf - inf
+    capsys.readouterr()
+    assert encode_with_warnings_as_errors(workdir, workdir / "nan.checkpoint") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert not any(workdir.glob("enc.*"))
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,6 +158,19 @@ class TestGenerateSynthetic:
             ]).astype(np.float64)
             feat = np.sqrt(((means[:, None, :] - means[None, :, :]) ** 2).sum(-1))
             assert spearman(feat[iu], sem[iu]) > 0.5
+
+    def test_draws_straight_into_float32(self):
+        # each leaf's float64 draw is cast as it is stored: no float64 N x D matrix
+        tax = balanced_taxonomy((4, 2))  # 8 leaves, 500 rows each
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic(tax, per_class=500, dim=256, diffusion=1.0, noise=0.5,
+                                    rng=RngState.from_seed(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.dtype == np.float32 and ds.features.nbytes == 4000 * 256 * 4
+        assert peak < 2 * ds.features.nbytes
 
     def test_invalid_params(self, five_node_tax):
         rng = RngState.from_seed(0)

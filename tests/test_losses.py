@@ -352,6 +352,54 @@ class TestClsLoss:
             cls_loss(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
+HEAD = ClassifierParams(weights=np.zeros((2, 3)), biases=np.zeros(2))
+
+
+def total_loss_on(z, distances, target):
+    labels = np.zeros(len(z), dtype=np.int64)
+    return total_loss(z, distances, labels, HEAD, target, 1.0, 1.0, SimLossConfig())
+
+
+# the loss entry points that take distances, a target, or both
+WITH_DISTANCES = {
+    "sim_loss": lambda z, d, t: sim_loss(z, d, SimLossConfig()),
+    "total_loss": total_loss_on,
+}
+WITH_TARGET = {
+    "kl_loss": lambda z, d, t: kl_loss(z, t),
+    "total_loss": total_loss_on,
+}
+
+
+class TestLossInputChecks:
+    Z = np.full((4, 3), 0.5)
+    D = np.zeros((4, 4))
+    T = np.full((5, 3), 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,)])
+    @pytest.mark.parametrize("name", sorted(WITH_DISTANCES))
+    def test_distance_matrix_not_b_by_b(self, name, shape):
+        with pytest.raises(ShapeMismatch):
+            WITH_DISTANCES[name](self.Z, np.zeros(shape), self.T)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 2), (5, 4)], ids=["1-D", "K-1", "K+1"])
+    @pytest.mark.parametrize("name", sorted(WITH_TARGET))
+    def test_target_not_m_by_k(self, name, shape):
+        with pytest.raises(ShapeMismatch):
+            WITH_TARGET[name](self.Z, self.D, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("name", ["sim_loss", "kl_loss", "total_loss"])
+    def test_one_row_is_too_small(self, name):
+        call = {**WITH_DISTANCES, **WITH_TARGET}[name]
+        with pytest.raises(BatchTooSmall):
+            call(self.Z[:1], self.D[:1, :1], self.T)
+
+    @pytest.mark.parametrize("name", sorted(WITH_TARGET))
+    def test_empty_target_is_too_small(self, name):
+        with pytest.raises(BatchTooSmall):
+            WITH_TARGET[name](self.Z, self.D, np.zeros((0, 3)))
+
+
 class TestTotalLoss:
     def _inputs(self, seed=0, b=5, k=4, c=3):
         rng = np.random.default_rng(seed)

@@ -1,12 +1,14 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import overflowing_encoder
 from oracles import bf_encoder_backward, bf_encoder_forward, bf_sigmoid
-from semhash.data import RngState
+from semhash.data import _OPEN_HI, _OPEN_LO, RngState
 from semhash.errors import (
     MalformedFile,
     NonDeterministicLoss,
@@ -15,9 +17,14 @@ from semhash.errors import (
     StaleCache,
     VersionMismatch,
 )
+from semhash.hashing import binarize
+from semhash.hierarchy import parse_taxonomy
+from semhash.losses import SimLossConfig, kl_loss, sim_loss, total_loss
+from semhash.metrics import evaluate_embeddings
 from semhash.model import (
     ClassifierParams,
     _sigmoid,
+    EmbeddingBatch,
     EncoderParams,
     checkpoint_bytes,
     classifier_forward,
@@ -84,6 +91,22 @@ class TestEncoderForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             encoder_forward(make_encoder(0), np.zeros((2, 9)))
+
+    def test_overflowing_forward_pass_saturates_without_warnings(self):
+        # finite weights whose products overflow: a saturated unit is a valid output
+        p = overflowing_encoder(3, [[1.0, 1.0], [-1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, _ = encoder_forward(p, np.random.default_rng(0).normal(size=(4, 3)))
+        assert isinstance(z, EmbeddingBatch)
+        np.testing.assert_array_equal(z.values, [[_OPEN_HI, _OPEN_LO]] * 4)
+
+    def test_nan_forward_pass_is_a_shape_mismatch_not_a_warning(self):
+        p = overflowing_encoder(3, [[1.0, -1.0]])  # inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match="strictly inside"):
+                encoder_forward(p, np.ones((2, 3)))
 
     def test_non_finite_input(self):
         x = np.zeros((2, 5))
@@ -228,6 +251,33 @@ class TestClassifierForward:
         c = ClassifierParams(weights=np.zeros((3, 4)), biases=np.zeros(3))
         with pytest.raises(ShapeMismatch):
             classifier_forward(c, np.zeros((2, 5)))
+
+
+HEAD = ClassifierParams(weights=np.zeros((2, 3)), biases=np.zeros(2))
+TWO_LEAVES = parse_taxonomy("root a\nroot b")
+
+# every function that takes embeddings, called on the values ``z``
+EMBEDDING_ARGUMENTS = {
+    "EmbeddingBatch": lambda z: EmbeddingBatch(values=z),
+    "classifier_forward": lambda z: classifier_forward(HEAD, z),
+    "binarize": binarize,
+    "evaluate_embeddings": lambda z: evaluate_embeddings(
+        z, range(len(z)), [TWO_LEAVES.node_id("a")] * len(z), TWO_LEAVES, k_max=1
+    ),
+    "sim_loss": lambda z: sim_loss(z, np.zeros((4, 4)), SimLossConfig()),
+    "kl_loss": lambda z: kl_loss(z, np.full((5, 3), 0.5)),
+    "total_loss": lambda z: total_loss(
+        z, np.zeros((4, 4)), np.zeros(4, dtype=np.int64), HEAD, np.full((5, 3), 0.5),
+        1.0, 1.0, SimLossConfig(),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3, 1)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("name", sorted(EMBEDDING_ARGUMENTS))
+def test_embeddings_that_are_not_b_by_k_are_a_shape_mismatch(name, shape):
+    with pytest.raises(ShapeMismatch):
+        EMBEDDING_ARGUMENTS[name](np.full(shape, 0.5))
 
 
 class TestGradientCheck:

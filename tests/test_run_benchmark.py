@@ -38,3 +38,22 @@ def test_seeds_below_one_is_a_usage_error(tmp_path, capsys, seeds):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(f"error: --seeds must be >= 1, got {seeds}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--per-class", "0", "per_class and dim must be >= 1"),
+    ("--dim", "0", "per_class and dim must be >= 1"),
+    ("--k-max", "0", "k_max=0 outside"),
+    ("--epochs", "-1", "epochs must be >= 0"),
+    ("--code-length", "0", "code_length must be >= 1"),
+    ("--noise", "nan", "noise must be finite"),
+])
+def test_value_the_library_rejects_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--seeds", "1", *SMALL, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {message}" in err.splitlines()[-1]
+    assert not out.exists()
