@@ -4,9 +4,10 @@
 Two source trees give equal JSON exactly when these outputs are byte-identical:
 
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
-  at seeds 0 and 1 (one epoch each), and of B=64, K=64 and B=63, K=64 runs,
-  whose steps split the pairwise pass into equal and unequal row halves when
-  two CPUs are free;
+  at seeds 0 and 1 (one epoch each), of the train_b4 benchmark's own run
+  (``shrewd-e10``: shrewd at seed 0 over its full 10 epochs), and of B=64,
+  K=64 and B=63, K=64 runs, whose steps split the pairwise pass into equal
+  and unequal row halves when two CPUs are free;
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
   Hamming and Manhattan eval at eval_1k size and on a taxonomy whose leaves
   sit at several depths, and of Manhattan eval on quarter-grid values, whose
@@ -23,10 +24,12 @@ any tree, for example the base of a change and its head:
 
     PYTHONPATH=src python3 scripts/digests.py > head.json
 
-It takes about 8 s on a 2-core x86-64 machine.  With ``--reverse-repeat`` it
-computes the sections in reverse order, each twice, and exits 1 if a key gets
-two values, so outputs that depend on what ran before in the process show up
-both as that failure and as JSON that differs from a default run's.
+It takes about 8 s on a 2-core x86-64 machine with numpy 2.4.6 (8.1-8.2 s
+over three runs), about 1 s of it the 10-epoch shrewd run.  With
+``--reverse-repeat`` it computes the sections in reverse order, each twice,
+and exits 1 if a key gets two values, so outputs that depend on what ran
+before in the process show up both as that failure and as JSON that differs
+from a default run's.
 """
 from __future__ import annotations
 
@@ -79,6 +82,8 @@ def train_digests() -> dict[str, str]:
     for seed in (0, 1):
         dataset = make_benchmark_dataset(taxonomy, seed)
         runs = {v: benchmark_config(v, seed, epochs=1) for v in ("shrewd", "sim_only", "cls_only", "shred")}
+        if seed == 0:
+            runs["shrewd-e10"] = benchmark_config("shrewd", seed)
         for b in (64, 63):
             runs[f"b{b}k64"] = TrainConfig(code_length=64, hidden_sizes=(256, 128), batch_size=b,
                                            epochs=2, seed=seed, variant="shred")

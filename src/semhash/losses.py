@@ -166,18 +166,9 @@ def sim_loss(
     if pairs is None:
         z, distances = _sim_inputs(z, distances)
         pairs = _pairwise(z, None)
-    zv, d = z, distances
-    b = zv.shape[0]
+    b = z.shape[0]
+    value, w, resid, raw_tau_z, tau_z = _sim_value(distances, cfg, pairs)
     sgn, manh = pairs.sgn, pairs.manh
-
-    raw_tau_z = _offdiag_mean(manh)
-    tau_z = max(raw_tau_z, cfg.tau_floor)
-    tau_y = max(_offdiag_mean(d), cfg.tau_floor)
-
-    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # 1 at distance 0, small for far pairs
-    resid = manh / tau_z - d / tau_y
-    value = float((np.abs(resid) * w).sum()) / (b * b)
-
     coeff = w * np.sign(resid)
     # z_b enters pair (b, p) with sign +sgn and pair (p, b) with -sgn = +sgn^T
     grad = np.einsum("bp,bpk->bk", coeff + coeff.T, sgn) / (b * b * tau_z)
@@ -191,6 +182,19 @@ def sim_loss(
         dtau = 2.0 * (0.0 - sgn.sum(axis=0)) / (b * (b - 1))
         grad -= (weighted_manh / (b * b * tau_z * tau_z)) * dtau
     return value, grad
+
+
+def _sim_value(d: np.ndarray, cfg: SimLossConfig, pairs: _Pairs):
+    """``sim_loss``'s value, with the weights, residuals and raw and floored tau_z of its gradient."""
+    manh = pairs.manh
+    b = manh.shape[0]
+    raw_tau_z = _offdiag_mean(manh)
+    tau_z = max(raw_tau_z, cfg.tau_floor)
+    tau_y = max(_offdiag_mean(d), cfg.tau_floor)
+    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # 1 at distance 0, small for far pairs
+    resid = manh / tau_z - d / tau_y
+    value = float((np.abs(resid) * w).sum()) / (b * b)
+    return value, w, resid, raw_tau_z, tau_z
 
 
 def kl_loss(z, target: np.ndarray, *, pairs: _Pairs | None = None) -> tuple[float, np.ndarray]:
@@ -212,18 +216,7 @@ def kl_loss(z, target: np.ndarray, *, pairs: _Pairs | None = None) -> tuple[floa
         pairs = _pairwise(z, target)
     zv, tv = z, target
     b = zv.shape[0]
-
-    dist_t = np.sqrt(pairs.sq_t)
-    nn_t = dist_t.argmin(axis=1)
-    nu_t = dist_t.min(axis=1)
-
-    dist_z = np.sqrt(pairs.sq_z)
-    np.fill_diagonal(dist_z, np.inf)
-    nn_z = dist_z.argmin(axis=1)
-    nu_z = dist_z.min(axis=1)
-
-    log_ratio = np.log(np.maximum(nu_t, _NU_EPS)) - np.log(np.maximum(nu_z, _NU_EPS))
-    value = float(log_ratio.sum() / b)  # log_ratio.mean(), without its wrapper
+    value, nu_t, nn_t, nu_z, nn_z = _kl_value(pairs)
 
     off_t = zv - tv[nn_t]
     off_z = zv - zv[nn_z]
@@ -240,8 +233,21 @@ def kl_loss(z, target: np.ndarray, *, pairs: _Pairs | None = None) -> tuple[floa
     return value, grad
 
 
-def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy under softmax, with max-subtraction for stability."""
+def _kl_value(pairs: _Pairs):
+    """``kl_loss``'s value, with each row's nearest target and neighbour distances and indices."""
+    dist_t = np.sqrt(pairs.sq_t)
+    nn_t = dist_t.argmin(axis=1)
+    nu_t = dist_t.min(axis=1)
+    dist_z = np.sqrt(pairs.sq_z)
+    np.fill_diagonal(dist_z, np.inf)
+    nn_z = dist_z.argmin(axis=1)
+    nu_z = dist_z.min(axis=1)
+    log_ratio = np.log(np.maximum(nu_t, _NU_EPS)) - np.log(np.maximum(nu_z, _NU_EPS))
+    value = float(log_ratio.sum() / dist_z.shape[0])  # log_ratio.mean(), without its wrapper
+    return value, nu_t, nn_t, nu_z, nn_z
+
+
+def _cls_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -253,12 +259,23 @@ def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
         raise ShapeMismatch(f"{b} logit rows but labels shape {labels.shape}")
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
         raise LabelOutOfRange(f"labels must be integers in [0, {c})")
+    return logits, labels
 
+
+def _cls_value(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cls_loss``'s value and the log-probabilities that its gradient reads."""
+    b = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_norm[:, None]
-    value = float(-log_probs[np.arange(b), labels].mean())
+    return float(-log_probs[np.arange(b), labels].sum() / b), log_probs  # the mean, unwrapped
 
+
+def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy under softmax, with max-subtraction for stability."""
+    logits, labels = _cls_inputs(logits, labels)
+    value, log_probs = _cls_value(logits, labels)
+    b = logits.shape[0]
     grad = np.exp(log_probs)
     grad[np.arange(b), labels] -= 1.0
     grad /= b
@@ -284,7 +301,9 @@ def total_loss(
     ``grad_z`` backpropagates the classification term through the linear head;
     ``grad_classifier`` carries the lambda2-scaled head gradients.  With the
     default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
-    ``sim_weight=0`` supports head-only ablation runs.  The similarity and
+    ``sim_weight=0`` supports head-only ablation runs.  A term of weight 0
+    computes only its value (the labels are checked at any weight), so at
+    ``lambda2=0`` the head's gradients are zero.  The similarity and
     divergence terms share one pairwise pass, made in the scratch space
     ``work`` as ``_pairwise`` describes it; with a ``worker``, that executor's
     thread makes the second half of its rows.  Either way every bit is the same.
@@ -292,17 +311,27 @@ def total_loss(
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
     pairs = _pairwise(zv, tv, work, worker)
-    sim_v, sim_g = sim_loss(zv, d, cfg, pairs=pairs)
-    kl_v, kl_g = kl_loss(zv, tv, pairs=pairs)
+    if sim_weight:
+        sim_v, sim_g = sim_loss(zv, d, cfg, pairs=pairs)
+        grad_z = sim_weight * sim_g
+    else:
+        sim_v, grad_z = _sim_value(d, cfg, pairs)[0], np.zeros_like(zv)
+    if lambda1:
+        kl_v, kl_g = kl_loss(zv, tv, pairs=pairs)
+        grad_z += lambda1 * kl_g
+    else:
+        kl_v = _kl_value(pairs)[0]
     logits = classifier_forward(classifier, zv)
-    cls_v, grad_logits = cls_loss(logits, labels)
+    if lambda2:
+        cls_v, grad_logits = cls_loss(logits, labels)
+        grad_z += lambda2 * (grad_logits @ classifier.weights)
+        grad_w, grad_b = lambda2 * (grad_logits.T @ zv), lambda2 * grad_logits.sum(axis=0)
+    else:
+        cls_v = _cls_value(*_cls_inputs(logits, labels))[0]
+        grad_w, grad_b = np.zeros_like(classifier.weights), np.zeros_like(classifier.biases)
 
-    total = sim_weight * sim_v + lambda1 * kl_v + lambda2 * cls_v
-    grad_z = sim_weight * sim_g + lambda1 * kl_g + lambda2 * (grad_logits @ classifier.weights)
-    grad_w = lambda2 * (grad_logits.T @ zv)
-    grad_b = lambda2 * grad_logits.sum(axis=0)
     return LossValue(
-        total=total,
+        total=sim_weight * sim_v + lambda1 * kl_v + lambda2 * cls_v,
         sim=sim_v,
         kl=kl_v,
         cls=cls_v,

@@ -137,6 +137,19 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.clip(out, _OPEN_LO, _OPEN_HI, out=out)
 
 
+def _forward(layers, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The float64 input and every layer's output, the embeddings last; checks
+    nothing, and overflow follows the caller's numpy error state."""
+    x = a = np.asarray(x, dtype=np.float64)
+    act: list[np.ndarray] = []
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        s = a @ w.T + b
+        a = _sigmoid(s) if i == last else np.maximum(s, 0.0)
+        act.append(a)
+    return x, act
+
+
 def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -145,19 +158,25 @@ def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, Fo
         raise ShapeMismatch(f"input dim {x.shape[1]} != encoder in-dim {p.in_dim}")
     if not np.isfinite(x).all():
         raise NonFiniteInput("input contains non-finite values")
-
-    act: list[np.ndarray] = []
-    a = x
-    last = len(p.layers) - 1
     # a saturated unit is a valid output; a NaN one fails EmbeddingBatch's check
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (w, b) in enumerate(p.layers):
-            s = a @ w.T + b
-            a = _sigmoid(s) if i == last else np.maximum(s, 0.0)
-            act.append(a)
-    batch = EmbeddingBatch(values=a)
-    cache = ForwardCache(params=p, inputs=x, activations=act)
-    return batch, cache
+        x, act = _forward(p.layers, x)
+    return EmbeddingBatch(values=act[-1]), ForwardCache(params=p, inputs=x, activations=act)
+
+
+def _backward(layers, x, activations, grad_z, out) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Write the gradients of sum(grad_z * z) into ``out``, one float64 (weights,
+    biases) pair per layer, shaped like ``layers``, and return it; checks nothing."""
+    z = activations[-1]
+    delta = grad_z * z * (1.0 - z)  # logistic derivative
+    for i in range(len(layers) - 1, -1, -1):
+        below = x if i == 0 else activations[i - 1]
+        np.matmul(delta.T, below, out=out[i][0])
+        delta.sum(axis=0, out=out[i][1])
+        if i > 0:
+            # a ReLU output is positive exactly where its input is
+            delta = (delta @ layers[i][0]) * (below > 0.0)
+    return out
 
 
 def encoder_backward(
@@ -167,20 +186,11 @@ def encoder_backward(
     if cache.params is not p:
         raise StaleCache("cache was produced by a different parameter set")
     grad_z = np.asarray(grad_z, dtype=np.float64)
-    out = cache.activations[-1]
-    if grad_z.shape != out.shape:
-        raise ShapeMismatch(f"grad_z shape {grad_z.shape} != output shape {out.shape}")
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.layers)  # type: ignore[list-item]
-    delta = grad_z * out * (1.0 - out)  # logistic derivative
-    for i in range(len(p.layers) - 1, -1, -1):
-        w, _ = p.layers[i]
-        below = cache.inputs if i == 0 else cache.activations[i - 1]
-        grads[i] = (delta.T @ below, delta.sum(axis=0))
-        if i > 0:
-            # a ReLU output is positive exactly where its input is
-            delta = (delta @ w) * (below > 0.0)
-    return grads
+    z = cache.activations[-1]
+    if grad_z.shape != z.shape:
+        raise ShapeMismatch(f"grad_z shape {grad_z.shape} != output shape {z.shape}")
+    out = [(np.empty(w.shape), np.empty(b.shape)) for w, b in p.layers]
+    return _backward(p.layers, cache.inputs, cache.activations, grad_z, out)
 
 
 def classifier_forward(c: ClassifierParams, z) -> np.ndarray:

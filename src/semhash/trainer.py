@@ -16,12 +16,15 @@ import numpy as np
 
 from . import _threads
 from .data import Dataset, RngState, beta_sample, is_int
-from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
+from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
 from .losses import SimLossConfig, total_loss
+# train runs _forward and _backward; perfbench/spans.py wraps the two checked forms here
 from .model import (
     ClassifierParams,
     EncoderParams,
+    _backward,
+    _forward,
     checkpoint_bytes,
     encoder_backward,
     encoder_forward,
@@ -147,6 +150,11 @@ class TrainLog:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    # adam_step's two scratch arrays, made once from m, so a step allocates nothing
+    _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
@@ -167,10 +175,10 @@ def adam_step(
     if step_index < 1:
         raise ConfigError(f"step index must be >= 1, got {step_index}")
     m, v = state.m, state.v
-    if not params.shape == grads.shape == m.shape == v.shape:
+    update, denom = state._scratch
+    if not params.shape == grads.shape == m.shape == v.shape == update.shape:
         raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, m {m.shape}, v {v.shape}")
-    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, on two scratch arrays
-    update, denom = np.empty_like(params), np.empty_like(params)
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, on the two scratch arrays
     m *= beta1
     m += np.multiply(grads, 1.0 - beta1, out=update)
     np.multiply(grads, 1.0 - beta2, out=denom)
@@ -207,10 +215,12 @@ def _unflatten(
 def train(
     config: TrainConfig, dataset: Dataset, taxonomy: Taxonomy
 ) -> tuple[EncoderParams, ClassifierParams, TrainLog]:
-    """Train encoder and head; deterministic given ``config.seed``."""
+    """Train encoder and head; deterministic given ``config.seed``.  Checks its inputs once."""
     n = dataset.n_samples
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
+    if not np.isfinite(dataset.features).all():
+        raise NonFiniteInput("features contain non-finite values")
     leaves = taxonomy.leaves()  # the head's classes
     class_of = {label: i for i, label in enumerate(leaves)}
     try:
@@ -222,12 +232,16 @@ def train(
     dist = distance_matrix(taxonomy, leaves)
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
     classifier = init_classifier(config.code_length, len(leaves), init_rng)
-    # the encoder and head become views into one buffer that Adam updates in place
+    # the encoder and head become views into one buffer that Adam updates in place,
+    # and their gradients views into one vector laid out like it, which every step fills
     flat = _flatten(encoder, classifier)
     buf = np.concatenate([p.ravel() for p in flat])
+    grad = np.empty_like(buf)
     ends = np.cumsum([p.size for p in flat])
-    views = [buf[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
+    views, grads = ([vec[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
+                    for vec in (buf, grad))
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
+    layer_grads = list(zip(grads[:-2:2], grads[1:-2:2]))
     adam = AdamState.zeros_like(buf)
     sim_cfg = SimLossConfig()  # gamma, rho and the tau floor at their defaults
 
@@ -247,18 +261,19 @@ def train(
             # numpy draws Beta variates one after another from the stream, so one
             # draw per epoch equals one (bsz, K) draw per step, bit for bit
             targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
-            for start in range(0, epoch_rows, bsz):
+            # each step's classes and B x B distances, gathered for the epoch at once
+            ys = class_idx[perm[:epoch_rows]].reshape(-1, bsz)
+            dists = dist[ys[:, :, None], ys[:, None, :]]
+            for s, start in enumerate(range(0, epoch_rows, bsz)):
                 step += 1
-                idx = perm[start : start + bsz]
-                y = class_idx[idx]
-                try:
-                    batch, cache = encoder_forward(encoder, dataset.features[idx])
-                except ShapeMismatch:  # rows and parameters are finite: an overflow made a NaN
-                    raise DivergedLoss(f"step {step}: embeddings became non-finite") from None
+                # float32 rows, which _forward casts: train holds no float64 N x D copy
+                x, acts = _forward(encoder.layers, dataset.features[perm[start : start + bsz]])
+                if not np.isfinite(acts[-1]).all():  # parameters are finite: an overflow made a NaN
+                    raise DivergedLoss(f"step {step}: embeddings became non-finite")
                 loss = total_loss(
-                    batch,
-                    dist[y[:, None], y],
-                    y,
+                    acts[-1],
+                    dists[s],
+                    ys[s],
                     classifier,
                     targets[start : start + bsz],
                     config.lambda1,
@@ -273,16 +288,13 @@ def train(
                         f"step {step}: non-finite total "
                         f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"
                     )
-                grads = [g.ravel() for pair in encoder_backward(encoder, cache, loss.grad_z)
-                         for g in pair]
-                grads.extend(g.ravel() for g in loss.grad_classifier)
-                params, adam = adam_step(
-                    buf, np.concatenate(grads), adam, step, config.learning_rate, *ADAM
-                )
+                _backward(encoder.layers, x, acts, loss.grad_z, layer_grads)
+                for view, head_grad in zip(grads[-2:], loss.grad_classifier):
+                    np.copyto(view, head_grad)
+                params, adam = adam_step(buf, grad, adam, step, config.learning_rate, *ADAM)
                 if not np.isfinite(params).all():
                     raise DivergedLoss(f"step {step}: parameters became non-finite")
                 log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
 
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()
     return encoder, classifier, log
-

@@ -13,7 +13,7 @@ from oracles import batch_scale, bf_kl_loss, bf_sim_loss, np_sim_loss, pair_weig
 from semhash.data import RngState, beta_sample
 from semhash.errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from semhash.losses import SimLossConfig, _pairwise, cls_loss, kl_loss, sim_loss, total_loss
-from semhash.model import ClassifierParams, init_classifier
+from semhash.model import ClassifierParams, classifier_forward, init_classifier
 
 
 def symmetric_distances(rng, b):
@@ -416,6 +416,35 @@ class TestTotalLoss:
         lv = total_loss(z, d, labels, clf, target, 0.0, 0.0, cfg)
         assert lv.total == sim_loss(z, d, cfg)[0]
         assert not lv.grad_classifier[0].any()
+
+    @pytest.mark.parametrize("zero", ["sim_loss", "kl_loss", "cls_loss"])
+    def test_a_zero_weight_term_computes_only_its_value(self, monkeypatch, zero):
+        # the term's value is still reported, its public loss (value and gradient)
+        # is not called, and the gradients equal the weighted sum with that term at 0
+        z, d, labels, clf, target = self._inputs()
+        cfg = SimLossConfig()
+        sim_v, sim_g = sim_loss(z, d, cfg)
+        kl_v, kl_g = kl_loss(z, target)
+        cls_v, grad_logits = cls_loss(classifier_forward(clf, z), labels)
+        weights = {"sim_loss": 0.9, "kl_loss": 0.7, "cls_loss": 1.3, zero: 0.0}
+        calls = []
+        real = getattr(losses_mod, zero)
+        monkeypatch.setattr(losses_mod, zero, lambda *a, **k: calls.append(1) or real(*a, **k))
+        lv = total_loss(z, d, labels, clf, target, weights["kl_loss"], weights["cls_loss"], cfg,
+                        weights["sim_loss"])
+        assert calls == []
+        assert (lv.sim, lv.kl, lv.cls) == (sim_v, kl_v, cls_v)
+        w_sim, w_kl, w_cls = weights["sim_loss"], weights["kl_loss"], weights["cls_loss"]
+        np.testing.assert_array_equal(
+            lv.grad_z, w_sim * sim_g + w_kl * kl_g + w_cls * (grad_logits @ clf.weights))
+        np.testing.assert_array_equal(lv.grad_classifier[0], w_cls * (grad_logits.T @ z))
+        np.testing.assert_array_equal(lv.grad_classifier[1], w_cls * grad_logits.sum(axis=0))
+
+    def test_labels_are_checked_at_zero_head_weight(self):
+        z, d, labels, clf, target = self._inputs()
+        labels[-1] = clf.n_classes
+        with pytest.raises(LabelOutOfRange):
+            total_loss(z, d, labels, clf, target, 1.0, 0.0, SimLossConfig())
 
     def test_total_is_exact_weighted_sum(self):
         for seed in range(5):

@@ -20,15 +20,16 @@ import semhash.losses as losses_mod
 import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from test_perfbench import load_spans
-from semhash.benchmark import balanced_taxonomy
+from semhash.benchmark import VARIANT_CONFIGS, balanced_taxonomy
 from semhash.data import RngState, beta_sample, generate_synthetic
-from semhash.errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
+from semhash.errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 from semhash.hierarchy import distance_matrix, parse_taxonomy
-from semhash.losses import SimLossConfig, total_loss
+from semhash.losses import SimLossConfig, cls_loss, kl_loss, sim_loss
 from semhash.model import (
     ClassifierParams,
     EncoderParams,
     checkpoint_bytes,
+    classifier_forward,
     init_classifier,
     init_encoder,
 )
@@ -136,6 +137,21 @@ class TestAdamStep:
                 adam_step(arrays["params"], arrays["grads"], state, 1, 1e-3, 0.9, 0.999, 1e-8)
             for name, a in arrays.items():
                 np.testing.assert_array_equal(a, before[name])
+
+    def test_a_step_after_the_first_allocates_no_parameter_array(self):
+        # the state keeps the update's two scratch arrays, so a step at
+        # benchmark_config's parameter count allocates none of its own
+        gen = np.random.default_rng(0)
+        params, grads = gen.normal(size=18_160), gen.normal(size=18_160)
+        state = AdamState.zeros_like(params)
+        adam_step(params, grads, state, 1, 1e-3, 0.9, 0.999, 1e-8)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, 2, 1e-3, 0.9, 0.999, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -415,6 +431,17 @@ class TestTrain:
         with pytest.raises(UnknownLabel, match=f"^dataset label {len(tax)} is not a leaf"):
             train(cfg, type(ds)(features=ds.features, labels=labels), tax)
 
+    def test_non_finite_features_are_rejected_before_the_first_step(self, monkeypatch):
+        # train checks the features once, at entry, not each step's rows
+        tax, ds, cfg = tiny_setup()
+        ds.features[-1] = np.nan  # after the Dataset's own check
+        calls = []
+        real = trainer_mod.total_loss
+        monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: calls.append(1) or real(*a, **k))
+        with pytest.raises(NonFiniteInput, match="non-finite"):
+            train(cfg, ds, tax)
+        assert calls == []
+
     def test_diverged_loss_aborts_with_step_info(self, monkeypatch):
         tax, ds, cfg = tiny_setup()
         real = trainer_mod.total_loss
@@ -490,7 +517,7 @@ class TestTrain:
     @pytest.mark.parametrize("hidden, variant, batch_size", [
         pytest.param(hidden, variant, 8, id=f"{name}-{variant}")
         for name, hidden in (("linear", ()), ("two_hidden", (16, 12)))
-        for variant in ("shrewd", "shred")
+        for variant in VARIANT_CONFIGS
     ] + [
         pytest.param((), "shred", 6, id="linear-shred-ragged"),
         pytest.param((16, 12), "shrewd", 6, id="two_hidden-shrewd-ragged"),
@@ -499,10 +526,11 @@ class TestTrain:
         # the live buffer, its views, the gradient order, the in-place Adam and
         # the per-epoch target draw must reproduce training on separate, fresh
         # arrays with one draw per step bit for bit; 64 samples leave a ragged
-        # batch of 4 at batch size 6
+        # batch of 4 at batch size 6.  The benchmark's variants set each loss
+        # weight to 0 in turn: train skips that term's gradient, the oracle scales it
         tax, ds, cfg = tiny_setup(epochs=3)
-        cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size, variant=variant,
-                                  lambda2=0.0 if variant == "shrewd" else cfg.lambda2)
+        cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size,
+                                  **VARIANT_CONFIGS[variant])
         encoder, classifier, log = train(cfg, ds, tax)
 
         universe = tax.leaves()
@@ -511,11 +539,16 @@ class TestTrain:
         enc0 = init_encoder(ds.dim, cfg.hidden_sizes, cfg.code_length, init_rng)
         clf0 = init_classifier(cfg.code_length, len(universe), init_rng)
 
-        # the settings that train fixes, written out so that a drift in its constants fails
+        # every term with its gradient, scaled by its weight even at 0; the settings
+        # that train fixes are written out, so that a drift in its constants fails
         def loss(z, d, y, head_w, head_b, target):
-            lv = total_loss(z, d, y, ClassifierParams(head_w, head_b), target,
-                            cfg.lambda1, cfg.lambda2, SimLossConfig(), sim_weight=cfg.lambda_sim)
-            return (lv.total, lv.sim, lv.kl, lv.cls, lv.grad_z, *lv.grad_classifier)
+            sim_v, sim_g = sim_loss(z, d, SimLossConfig())
+            kl_v, kl_g = kl_loss(z, target)
+            cls_v, grad_logits = cls_loss(classifier_forward(ClassifierParams(head_w, head_b), z), y)
+            lam_s, lam1, lam2 = cfg.lambda_sim, cfg.lambda1, cfg.lambda2
+            return (lam_s * sim_v + lam1 * kl_v + lam2 * cls_v, sim_v, kl_v, cls_v,
+                    lam_s * sim_g + lam1 * kl_g + lam2 * (grad_logits @ head_w),
+                    lam2 * (grad_logits.T @ z), lam2 * grad_logits.sum(axis=0))
 
         layers, head, records = bf_train(
             enc0.layers, (clf0.weights, clf0.biases), ds.features.astype(np.float64), class_idx,
