@@ -5,9 +5,11 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
 
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
   at seeds 0 and 1 (one epoch each), of the train_b4 benchmark's own run
-  (``shrewd-e10``: shrewd at seed 0 over its full 10 epochs), and of B=64,
+  (``shrewd-e10``: shrewd at seed 0 over its full 10 epochs), of B=64,
   K=64 and B=63, K=64 runs, whose steps split the pairwise pass into equal
-  and unequal row halves when two CPUs are free;
+  and unequal row halves when two CPUs are free, and of shrewd and shred at
+  B=64, K=64 over 6,400 rows (``*-b64k64-n6400``: seed 0, two epochs of 100
+  steps, which train runs in chunks of 32, 32, 32 and 4 steps);
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of
   Hamming and Manhattan eval at eval_1k size and on a taxonomy whose leaves
   sit at several depths, and of Manhattan eval on quarter-grid values, whose
@@ -24,12 +26,12 @@ any tree, for example the base of a change and its head:
 
     PYTHONPATH=src python3 scripts/digests.py > head.json
 
-It takes about 8 s on a 2-core x86-64 machine with numpy 2.4.6 (8.1-8.2 s
-over three runs), about 1 s of it the 10-epoch shrewd run.  With
-``--reverse-repeat`` it computes the sections in reverse order, each twice,
-and exits 1 if a key gets two values, so outputs that depend on what ran
-before in the process show up both as that failure and as JSON that differs
-from a default run's.
+It takes about 9 s on a 2-core x86-64 machine with numpy 2.4.6 (8.3-9.5 s
+over three runs), about 1 s of it the 10-epoch shrewd run and 1.4 s the two
+6,400-row runs.  With ``--reverse-repeat`` it computes the sections in
+reverse order, each twice, and exits 1 if a key gets two values, so outputs
+that depend on what ran before in the process show up both as that failure
+and as JSON that differs from a default run's.
 """
 from __future__ import annotations
 
@@ -40,12 +42,13 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from semhash import _threads
-from semhash.benchmark import balanced_taxonomy, benchmark_config, make_benchmark_dataset
+from semhash.benchmark import VARIANT_CONFIGS, balanced_taxonomy, benchmark_config, make_benchmark_dataset
 from semhash.cli import main as cli_main
 from semhash.data import RngState, generate_synthetic
 from semhash.hashing import binarize, build_index
@@ -91,6 +94,13 @@ def train_digests() -> dict[str, str]:
             _, _, log = train(config, dataset, taxonomy)
             out[f"train/{name}/s{seed}/params_digest"] = log.params_digest
             out[f"train/{name}/s{seed}/log.csv"] = _sha(log.to_csv())
+    dataset = make_benchmark_dataset(taxonomy, 0, per_class=200)  # 6,400 rows
+    for variant in ("shrewd", "shred"):
+        config = replace(TrainConfig(code_length=64, hidden_sizes=(64,), batch_size=64, epochs=2),
+                         **VARIANT_CONFIGS[variant])
+        _, _, log = train(config, dataset, taxonomy)
+        out[f"train/{variant}-b64k64-n6400/s0/params_digest"] = log.params_digest
+        out[f"train/{variant}-b64k64-n6400/s0/log.csv"] = _sha(log.to_csv())
     return out
 
 

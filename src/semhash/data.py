@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidShapeParam,
+    NonFiniteInput,
     ShapeMismatch,
     UnknownLabel,
 )
@@ -77,7 +78,7 @@ class Dataset:
         if self.labels.shape != (n,):
             raise ShapeMismatch(f"{n} feature rows but {self.labels.shape[0]} labels")
         if not np.all(np.isfinite(self.features)):
-            raise ShapeMismatch("features contain non-finite values")
+            raise NonFiniteInput("features contain non-finite values")
 
     @property
     def n_samples(self) -> int:

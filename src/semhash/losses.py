@@ -57,9 +57,10 @@ class LossValue:
     grad_classifier: tuple[np.ndarray, np.ndarray]
 
 
-def _offdiag_mean(m: np.ndarray) -> float:
-    b = m.shape[0]
-    return float((m.sum() - m.trace()) / (b * (b - 1)))
+def _offdiag_mean(m: np.ndarray) -> np.ndarray:
+    """The mean off-diagonal entry of each B x B block of ``m``, over any leading axes."""
+    b = m.shape[-1]
+    return (m.sum(axis=(-2, -1)) - m.trace(axis1=-2, axis2=-1)) / (b * (b - 1))
 
 
 class _Pairs(NamedTuple):
@@ -150,6 +151,7 @@ def sim_loss(
     cfg: SimLossConfig,
     *,
     pairs: _Pairs | None = None,
+    side: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Distance-matching loss and its gradient w.r.t. the embeddings.
 
@@ -161,13 +163,17 @@ def sim_loss(
     ``pairs`` is the pairwise pass of these embeddings, which ``total_loss``
     makes once for this term and ``kl_loss`` after checking their inputs, so
     with it ``z`` and ``distances`` must be checked float64 arrays.  Without
-    it, this call checks them and makes the pass.
+    it, this call checks them and makes the pass.  ``side`` is the
+    ``_label_side`` of ``distances``, which ``train`` computes for a chunk of
+    steps at once; with it, ``distances`` is not read.
     """
     if pairs is None:
         z, distances = _sim_inputs(z, distances)
         pairs = _pairwise(z, None)
     b = z.shape[0]
-    value, w, resid, raw_tau_z, tau_z = _sim_value(distances, cfg, pairs)
+    if side is None:
+        side = _label_side(distances, cfg)
+    value, w, resid, raw_tau_z, tau_z = _sim_value(side, cfg, pairs)
     sgn, manh = pairs.sgn, pairs.manh
     coeff = w * np.sign(resid)
     # z_b enters pair (b, p) with sign +sgn and pair (p, b) with -sgn = +sgn^T
@@ -184,15 +190,22 @@ def sim_loss(
     return value, grad
 
 
-def _sim_value(d: np.ndarray, cfg: SimLossConfig, pairs: _Pairs):
+def _label_side(d: np.ndarray, cfg: SimLossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The similarity term's terms that depend on the labels alone, for B x B
+    distance blocks ``d`` over any leading axes: each pair's weight and d / tau_y."""
+    tau_y = np.maximum(_offdiag_mean(d), cfg.tau_floor)
+    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # 1 at distance 0, small for far pairs
+    return w, d / tau_y[..., None, None]
+
+
+def _sim_value(side: tuple[np.ndarray, np.ndarray], cfg: SimLossConfig, pairs: _Pairs):
     """``sim_loss``'s value, with the weights, residuals and raw and floored tau_z of its gradient."""
+    w, d_scaled = side
     manh = pairs.manh
     b = manh.shape[0]
-    raw_tau_z = _offdiag_mean(manh)
+    raw_tau_z = float(_offdiag_mean(manh))
     tau_z = max(raw_tau_z, cfg.tau_floor)
-    tau_y = max(_offdiag_mean(d), cfg.tau_floor)
-    w = (cfg.gamma / (cfg.gamma + d)) ** cfg.rho  # 1 at distance 0, small for far pairs
-    resid = manh / tau_z - d / tau_y
+    resid = manh / tau_z - d_scaled
     value = float((np.abs(resid) * w).sum()) / (b * b)
     return value, w, resid, raw_tau_z, tau_z
 
@@ -262,13 +275,14 @@ def _cls_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     return logits, labels
 
 
-def _cls_value(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """``cls_loss``'s value and the log-probabilities that its gradient reads."""
-    b = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_norm[:, None]
-    return float(-log_probs[np.arange(b), labels].sum() / b), log_probs  # the mean, unwrapped
+def _cls_value(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cls_loss``'s value and the log-probabilities that its gradient reads, for
+    B x C logits and B labels over any leading axes (such as one per step)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_norm[..., None]
+    picked = np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+    return -picked.sum(axis=-1) / labels.shape[-1], log_probs  # the mean, unwrapped
 
 
 def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -279,7 +293,37 @@ def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     grad = np.exp(log_probs)
     grad[np.arange(b), labels] -= 1.0
     grad /= b
-    return value, grad
+    return float(value), grad
+
+
+def _step_loss(zv, side, labels, classifier, tv, weights, cfg, work=None, worker=None):
+    """The loss terms of checked float64 embeddings ``zv`` and target ``tv``, given the
+    ``_label_side`` of their distance block; checks nothing of its own.
+
+    ``weights`` is (sim_weight, lambda1, lambda2), and a term of weight 0 computes
+    only its value.  Returns (sim, kl, logits, cls, grad_z, head gradients); at
+    lambda2 = 0 the head's value is left to the caller, which takes it from the
+    logits with ``_cls_value``, so cls and the head gradients are None.
+    """
+    sim_weight, lambda1, lambda2 = weights
+    pairs = _pairwise(zv, tv, work, worker)
+    if sim_weight:
+        sim_v, sim_g = sim_loss(zv, None, cfg, pairs=pairs, side=side)
+        grad_z = sim_weight * sim_g
+    else:
+        sim_v, grad_z = _sim_value(side, cfg, pairs)[0], np.zeros_like(zv)
+    if lambda1:
+        kl_v, kl_g = kl_loss(zv, tv, pairs=pairs)
+        grad_z += lambda1 * kl_g
+    else:
+        kl_v = _kl_value(pairs)[0]
+    logits = classifier_forward(classifier, zv)
+    if not lambda2:
+        return sim_v, kl_v, logits, None, grad_z, None
+    cls_v, grad_logits = cls_loss(logits, labels)
+    grad_z += lambda2 * (grad_logits @ classifier.weights)
+    head = (lambda2 * (grad_logits.T @ zv), lambda2 * grad_logits.sum(axis=0))
+    return sim_v, kl_v, logits, cls_v, grad_z, head
 
 
 def total_loss(
@@ -310,31 +354,17 @@ def total_loss(
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
-    pairs = _pairwise(zv, tv, work, worker)
-    if sim_weight:
-        sim_v, sim_g = sim_loss(zv, d, cfg, pairs=pairs)
-        grad_z = sim_weight * sim_g
-    else:
-        sim_v, grad_z = _sim_value(d, cfg, pairs)[0], np.zeros_like(zv)
-    if lambda1:
-        kl_v, kl_g = kl_loss(zv, tv, pairs=pairs)
-        grad_z += lambda1 * kl_g
-    else:
-        kl_v = _kl_value(pairs)[0]
-    logits = classifier_forward(classifier, zv)
-    if lambda2:
-        cls_v, grad_logits = cls_loss(logits, labels)
-        grad_z += lambda2 * (grad_logits @ classifier.weights)
-        grad_w, grad_b = lambda2 * (grad_logits.T @ zv), lambda2 * grad_logits.sum(axis=0)
-    else:
-        cls_v = _cls_value(*_cls_inputs(logits, labels))[0]
-        grad_w, grad_b = np.zeros_like(classifier.weights), np.zeros_like(classifier.biases)
-
+    sim_v, kl_v, logits, cls_v, grad_z, head = _step_loss(
+        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg,
+        work, worker)
+    if head is None:  # the labels are checked at any weight
+        cls_v = float(_cls_value(*_cls_inputs(logits, labels))[0])
+        head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))
     return LossValue(
         total=sim_weight * sim_v + lambda1 * kl_v + lambda2 * cls_v,
         sim=sim_v,
         kl=kl_v,
         cls=cls_v,
         grad_z=grad_z,
-        grad_classifier=(grad_w, grad_b),
+        grad_classifier=head,
     )

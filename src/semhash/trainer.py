@@ -3,7 +3,8 @@
 The loop is sequential and fully seeded: shuffling, initialization, and the
 Beta target draws all derive from one seed, so identical configs produce
 bit-identical checkpoints.  Every epoch is one shuffled pass with the ragged
-final batch dropped, and draws its targets for all of its steps at once.
+final batch dropped, run in chunks of steps: each chunk draws its targets and
+computes its distance blocks' label side for all of its steps at once.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from . import _threads
 from .data import Dataset, RngState, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 from .hierarchy import Taxonomy, distance_matrix
-from .losses import SimLossConfig, total_loss
+# train runs _step_loss; total_loss is imported only for perfbench/spans.py, which wraps it here
+from .losses import SimLossConfig, _cls_value, _label_side, _step_loss, total_loss
 # train runs _forward and _backward; perfbench/spans.py wraps the two checked forms here
 from .model import (
     ClassifierParams,
@@ -38,6 +40,10 @@ ADAM = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 # B * B * K from which a step's pairwise pass runs on two row halves: below it,
 # handing half the rows to a worker thread costs more than it saves
 _SPLIT_WORK = 1 << 17
+# the most bytes that one of an epoch's per-step arrays (distance blocks, their
+# label side, targets, logits) takes for a chunk of steps, so that training's
+# memory does not grow with N * B
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -236,7 +242,7 @@ def train(
     # and their gradients views into one vector laid out like it, which every step fills
     flat = _flatten(encoder, classifier)
     buf = np.concatenate([p.ravel() for p in flat])
-    grad = np.empty_like(buf)
+    grad = np.zeros_like(buf)  # at lambda2 = 0 the head's views stay zero
     ends = np.cumsum([p.size for p in flat])
     views, grads = ([vec[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
                     for vec in (buf, grad))
@@ -249,6 +255,9 @@ def train(
     step = 0
     bsz = config.batch_size
     epoch_rows = n - n % bsz
+    weights = (config.lambda_sim, config.lambda1, config.lambda2)
+    # steps per chunk: a step's widest array row is B distances, K targets or C logits
+    chunk_rows = bsz * max(1, _CHUNK_BYTES // (8 * bsz * max(bsz, config.code_length, len(leaves))))
     # the pairwise pass's scratch, reused by every step (the ragged batch is
     # dropped, so B is fixed) and freed on return: fresh B x B x K arrays at
     # each step are handed back to the OS when freed and page-faulted in again
@@ -258,43 +267,47 @@ def train(
             np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             perm = shuffle_rng.generator.permutation(n)
-            # numpy draws Beta variates one after another from the stream, so one
-            # draw per epoch equals one (bsz, K) draw per step, bit for bit
-            targets = beta_sample(*BETA_TARGET, (epoch_rows, config.code_length), target_rng)
-            # each step's classes and B x B distances, gathered for the epoch at once
-            ys = class_idx[perm[:epoch_rows]].reshape(-1, bsz)
-            dists = dist[ys[:, :, None], ys[:, None, :]]
-            for s, start in enumerate(range(0, epoch_rows, bsz)):
-                step += 1
-                # float32 rows, which _forward casts: train holds no float64 N x D copy
-                x, acts = _forward(encoder.layers, dataset.features[perm[start : start + bsz]])
-                if not np.isfinite(acts[-1]).all():  # parameters are finite: an overflow made a NaN
-                    raise DivergedLoss(f"step {step}: embeddings became non-finite")
-                loss = total_loss(
-                    acts[-1],
-                    dists[s],
-                    ys[s],
-                    classifier,
-                    targets[start : start + bsz],
-                    config.lambda1,
-                    config.lambda2,
-                    sim_cfg,
-                    sim_weight=config.lambda_sim,
-                    work=work,
-                    worker=worker,
-                )
-                if not math.isfinite(loss.total):
-                    raise DivergedLoss(
-                        f"step {step}: non-finite total "
-                        f"(sim={loss.sim!r}, kl={loss.kl!r}, cls={loss.cls!r})"
-                    )
-                _backward(encoder.layers, x, acts, loss.grad_z, layer_grads)
-                for view, head_grad in zip(grads[-2:], loss.grad_classifier):
-                    np.copyto(view, head_grad)
-                params, adam = adam_step(buf, grad, adam, step, config.learning_rate, *ADAM)
-                if not np.isfinite(params).all():
-                    raise DivergedLoss(f"step {step}: parameters became non-finite")
-                log.records.append(StepRecord(step, loss.sim, loss.kl, loss.cls, loss.total))
+            for first in range(0, epoch_rows, chunk_rows):
+                rows = perm[first : min(first + chunk_rows, epoch_rows)].reshape(-1, bsz)
+                # numpy draws Beta variates one after another from the stream, so one
+                # draw per chunk equals one (bsz, K) draw per step, bit for bit
+                targets = beta_sample(*BETA_TARGET, (rows.size, config.code_length), target_rng)
+                ys = class_idx[rows]
+                w, d_scaled = _label_side(dist[ys[:, :, None], ys[:, None, :]], sim_cfg)
+                logits = np.empty((len(ys), bsz, len(leaves)))
+                values = []
+                for s, y in enumerate(ys):
+                    step += 1
+                    # float32 rows, which _forward casts: train holds no float64 N x D copy
+                    x, acts = _forward(encoder.layers, dataset.features[rows[s]])
+                    if not np.isfinite(acts[-1]).all():  # parameters are finite: an overflow made a NaN
+                        raise DivergedLoss(f"step {step}: embeddings became non-finite")
+                    sim, kl, logits[s], cls, grad_z, head = _step_loss(
+                        acts[-1], (w[s], d_scaled[s]), y, classifier,
+                        targets[s * bsz : (s + 1) * bsz], weights, sim_cfg, work, worker)
+                    # at lambda2 = 0 the frozen head's cls is finite with the embeddings
+                    part = weights[0] * sim + weights[1] * kl
+                    if not math.isfinite(part if head is None else part + weights[2] * cls):
+                        if head is None:
+                            cls = float(_cls_value(logits[s], y)[0])
+                        raise DivergedLoss(
+                            f"step {step}: non-finite total (sim={sim!r}, kl={kl!r}, cls={cls!r})")
+                    _backward(encoder.layers, x, acts, grad_z, layer_grads)
+                    if head is not None:
+                        for view, head_grad in zip(grads[-2:], head):
+                            np.copyto(view, head_grad)
+                    params, adam = adam_step(buf, grad, adam, step, config.learning_rate, *ADAM)
+                    if not np.isfinite(params).all():
+                        raise DivergedLoss(f"step {step}: parameters became non-finite")
+                    values.append((sim, kl, cls))
+                if not weights[2]:  # the frozen head's values, for the whole chunk at once
+                    values = [(sim, kl, cls) for (sim, kl, _), cls in
+                              zip(values, _cls_value(logits, ys)[0].tolist())]
+                log.records.extend(
+                    StepRecord(step - len(values) + i, sim, kl, cls,
+                               weights[0] * sim + weights[1] * kl + weights[2] * cls)
+                    for i, (sim, kl, cls) in enumerate(values, start=1))
+                del w, d_scaled, logits  # freed before the next chunk's are made
 
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()
     return encoder, classifier, log

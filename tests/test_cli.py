@@ -22,7 +22,7 @@ import semhash.cli as cli_mod
 import semhash.metrics as metrics_mod
 from conftest import overflowing_encoder
 from semhash.cli import main
-from semhash.data import FEATURES_MAGIC, FEATURES_VERSION, write_features
+from semhash.data import FEATURES_MAGIC, FEATURES_VERSION, read_features, write_features
 from semhash.errors import DivergedLoss
 from semhash.files import file_header
 from semhash.hashing import _index_entry, binarize, build_index, load_index, save_index
@@ -461,6 +461,21 @@ def test_train_rejects_zero_width_features(workdir, capsys):
                "--labels", str(workdir / "flat.labels"), "--taxonomy", str(workdir / "tax.txt"),
                "--out", str(workdir / "m")])
     assert rc == 1 and one_error_line_naming(capsys.readouterr(), features)
+    assert not any(workdir.glob("m.*"))
+
+
+def test_train_on_features_with_a_nan_is_one_error_line(workdir, capsys):
+    assert gen_data(workdir) == 0
+    features = read_features(workdir / "data.features")
+    features[3, 1] = np.nan
+    write_features(workdir / "data.features", features)
+    capsys.readouterr()
+    rc = main(["train", "--config", str(workdir / "train.cfg"),
+               "--features", str(workdir / "data.features"), "--labels", str(workdir / "data.labels"),
+               "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: features contain non-finite values\n"
     assert not any(workdir.glob("m.*"))
 
 

@@ -22,6 +22,7 @@ from semhash.errors import (
     ConfigError,
     InvalidShapeParam,
     MalformedFile,
+    NonFiniteInput,
     ShapeMismatch,
     UnknownLabel,
     VersionMismatch,
@@ -297,6 +298,15 @@ class TestDatasetFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
             read_features(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_non_finite_input(bad):
+    # the class that train's entry check and encoder_forward raise for the same rows
+    features = np.ones((3, 2), dtype=np.float32)
+    features[1, 0] = bad
+    with pytest.raises(NonFiniteInput, match="^features contain non-finite values$"):
+        Dataset(features=features, labels=np.zeros(3, dtype=np.int64))
 
 
 def test_dataset_validates_membership(five_node_tax):

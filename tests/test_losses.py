@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 import tracemalloc
@@ -5,14 +6,25 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semhash.losses as losses_mod
 from oracles import batch_scale, bf_kl_loss, bf_sim_loss, np_sim_loss, pair_weight
+from semhash.benchmark import balanced_taxonomy
 from semhash.data import RngState, beta_sample
 from semhash.errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
-from semhash.losses import SimLossConfig, _pairwise, cls_loss, kl_loss, sim_loss, total_loss
+from semhash.hierarchy import distance_matrix
+from semhash.losses import (
+    SimLossConfig,
+    _cls_value,
+    _label_side,
+    _pairwise,
+    cls_loss,
+    kl_loss,
+    sim_loss,
+    total_loss,
+)
 from semhash.model import ClassifierParams, classifier_forward, init_classifier
 
 
@@ -651,3 +663,38 @@ class TestSharedPairwisePass:
             tracemalloc.stop()
         assert peaks["fresh"] >= 2 * one_array  # numpy's buffers are traced
         assert peaks["work"] < one_array and peaks["worker"] < one_array
+
+
+@functools.cache
+def leaf_distances(branching: tuple[int, ...]) -> np.ndarray:
+    taxonomy = balanced_taxonomy(branching)
+    return distance_matrix(taxonomy, taxonomy.leaves())
+
+
+class TestStackedOverSteps:
+    """train computes a chunk's label sides and frozen-head values over a leading step axis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.one_of(st.sampled_from([2, 3, 4, 63, 64, 65, 130]), st.integers(2, 130)),
+           steps=st.integers(1, 5), branching=st.sampled_from([(4, 4, 2), (10, 10, 10)]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(b=64, steps=5, branching=(4, 4, 2), seed=0)
+    @example(b=130, steps=3, branching=(10, 10, 10), seed=1)
+    def test_each_step_equals_its_own_call_bit_for_bit(self, b, steps, branching, seed):
+        cfg = SimLossConfig()
+        dist = leaf_distances(branching)
+        rng = np.random.default_rng(seed)
+        ys = rng.integers(0, len(dist), (steps, b))  # each step's classes
+        blocks = dist[ys[:, :, None], ys[:, None, :]]
+        w, d_scaled = _label_side(blocks, cfg)
+        logits = rng.normal(0.0, 3.0, (steps, b, len(dist)))
+        values, log_probs = _cls_value(logits, ys)
+        for s, block in enumerate(blocks):
+            one_w, one_scaled = _label_side(block, cfg)
+            assert w[s].tobytes() == one_w.tobytes() == pair_weight(block, cfg).tobytes()
+            want = block / batch_scale(block, cfg.tau_floor)  # the per-block form it replaced
+            assert d_scaled[s].tobytes() == one_scaled.tobytes() == want.tobytes()
+            one_value, one_log_probs = _cls_value(logits[s], ys[s])
+            assert values[s].tobytes() == one_value.tobytes()
+            assert log_probs[s].tobytes() == one_log_probs.tobytes()
+            assert float(one_value) == cls_loss(logits[s], ys[s])[0]

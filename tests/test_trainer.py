@@ -316,6 +316,23 @@ def tiny_setup(seed=0, epochs=4):
     return tax, ds, cfg
 
 
+def three_step_chunks(monkeypatch, cfg, n_classes):
+    """Lower train's chunk bound to three steps' arrays: a step's widest row holds B, K or C floats."""
+    width = max(cfg.batch_size, cfg.code_length, n_classes)
+    monkeypatch.setattr(trainer_mod, "_CHUNK_BYTES", 3 * 8 * cfg.batch_size * width)
+
+
+def poison_the_similarity_value(monkeypatch):
+    """Make train's loss kernel report a NaN similarity value at every step."""
+    real = trainer_mod._step_loss
+
+    def poisoned(*args):
+        _, *rest = real(*args)
+        return (float("nan"), *rest)
+
+    monkeypatch.setattr(trainer_mod, "_step_loss", poisoned)
+
+
 def readme_setup():
     """The README's taxonomy and ``gen-data --per-class 50 --dim 32 --seed 7`` dataset."""
     tax = parse_taxonomy("root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n")
@@ -436,23 +453,24 @@ class TestTrain:
         tax, ds, cfg = tiny_setup()
         ds.features[-1] = np.nan  # after the Dataset's own check
         calls = []
-        real = trainer_mod.total_loss
-        monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = trainer_mod._step_loss
+        monkeypatch.setattr(trainer_mod, "_step_loss", lambda *a: calls.append(1) or real(*a))
         with pytest.raises(NonFiniteInput, match="non-finite"):
             train(cfg, ds, tax)
         assert calls == []
 
     def test_diverged_loss_aborts_with_step_info(self, monkeypatch):
         tax, ds, cfg = tiny_setup()
-        real = trainer_mod.total_loss
+        poison_the_similarity_value(monkeypatch)
+        with pytest.raises(DivergedLoss, match=r"^step 1: non-finite total \(sim=nan, kl=\S+, cls=\d"):
+            train(cfg, ds, tax)
 
-        def poisoned(*args, **kwargs):
-            out = real(*args, **kwargs)
-            out.total = float("nan")
-            return out
-
-        monkeypatch.setattr(trainer_mod, "total_loss", poisoned)
-        with pytest.raises(DivergedLoss, match="step 1"):
+    def test_diverged_loss_at_zero_head_weight_reports_the_steps_cls(self, monkeypatch):
+        # the head's value is otherwise computed per chunk: the step that raises computes its own
+        tax, ds, cfg = tiny_setup()
+        cfg = dataclasses.replace(cfg, **VARIANT_CONFIGS["shrewd"])
+        poison_the_similarity_value(monkeypatch)
+        with pytest.raises(DivergedLoss, match=r"^step 1: non-finite total \(sim=nan, kl=\S+, cls=\d"):
             train(cfg, ds, tax)
 
     def test_nonfinite_params_abort(self, monkeypatch):
@@ -514,23 +532,29 @@ class TestTrain:
         assert all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
 
-    @pytest.mark.parametrize("hidden, variant, batch_size", [
-        pytest.param(hidden, variant, 8, id=f"{name}-{variant}")
+    @pytest.mark.parametrize("hidden, variant, batch_size, chunked", [
+        pytest.param(hidden, variant, 8, False, id=f"{name}-{variant}")
         for name, hidden in (("linear", ()), ("two_hidden", (16, 12)))
         for variant in VARIANT_CONFIGS
     ] + [
-        pytest.param((), "shred", 6, id="linear-shred-ragged"),
-        pytest.param((16, 12), "shrewd", 6, id="two_hidden-shrewd-ragged"),
+        pytest.param((), "shred", 6, False, id="linear-shred-ragged"),
+        pytest.param((16, 12), "shrewd", 6, False, id="two_hidden-shrewd-ragged"),
+    ] + [
+        pytest.param((16, 12), variant, 6, True, id=f"two_hidden-{variant}-ragged-chunked")
+        for variant in VARIANT_CONFIGS
     ])
-    def test_matches_straight_line_oracle(self, hidden, variant, batch_size):
+    def test_matches_straight_line_oracle(self, monkeypatch, hidden, variant, batch_size, chunked):
         # the live buffer, its views, the gradient order, the in-place Adam and
-        # the per-epoch target draw must reproduce training on separate, fresh
+        # the per-chunk target draw must reproduce training on separate, fresh
         # arrays with one draw per step bit for bit; 64 samples leave a ragged
-        # batch of 4 at batch size 6.  The benchmark's variants set each loss
-        # weight to 0 in turn: train skips that term's gradient, the oracle scales it
+        # batch of 4 at batch size 6, and chunked epochs of 10 steps end in a
+        # chunk of 1.  The benchmark's variants set each loss weight to 0 in
+        # turn: train skips that term's gradient, the oracle scales it
         tax, ds, cfg = tiny_setup(epochs=3)
         cfg = dataclasses.replace(cfg, hidden_sizes=hidden, batch_size=batch_size,
                                   **VARIANT_CONFIGS[variant])
+        if chunked:
+            three_step_chunks(monkeypatch, cfg, len(tax.leaves()))
         encoder, classifier, log = train(cfg, ds, tax)
 
         universe = tax.leaves()
@@ -560,6 +584,39 @@ class TestTrain:
         assert [(r.step, r.sim, r.kl, r.cls, r.total) for r in log.records] == records
         want = checkpoint_bytes(EncoderParams(layers, cfg.code_length), ClassifierParams(*head))
         assert checkpoint_bytes(encoder, classifier) == want
+
+    @pytest.mark.parametrize("variant", VARIANT_CONFIGS)
+    def test_chunks_of_steps_give_the_bits_of_one_chunk_per_epoch(self, monkeypatch, variant):
+        # 8 steps an epoch: one chunk by default, three (3, 3 and 2 steps) at the lowered bound
+        tax, ds, cfg = tiny_setup(epochs=2)
+        cfg = dataclasses.replace(cfg, **VARIANT_CONFIGS[variant])
+        real = trainer_mod.beta_sample
+        runs, draws = [], []
+        monkeypatch.setattr(trainer_mod, "beta_sample",
+                            lambda a, b, shape, rng: draws.append(shape) or real(a, b, shape, rng))
+        for chunked in (False, True):
+            if chunked:
+                three_step_chunks(monkeypatch, cfg, len(tax.leaves()))
+            encoder, classifier, log = train(cfg, ds, tax)
+            runs.append((checkpoint_bytes(encoder, classifier), log.to_csv()))
+        rows = [(8 * n, cfg.code_length) for n in (3, 3, 2)]
+        assert draws == [(64, cfg.code_length)] * 2 + rows * 2
+        assert runs[0] == runs[1]
+
+    def test_memory_stays_bounded_at_many_rows_and_b64(self):
+        # an epoch's distance blocks would take 8 * B bytes per row, 25 MiB here:
+        # chunks of steps keep each per-step array within train's chunk bound
+        tax = balanced_taxonomy((4, 4, 2))  # 32 leaves, 1600 rows each
+        ds = generate_synthetic(tax, per_class=1600, dim=8, diffusion=1.0, noise=0.3,
+                                rng=RngState.from_seed(0))
+        cfg = TrainConfig(code_length=8, hidden_sizes=(8,), batch_size=64, epochs=1)
+        tracemalloc.start()
+        try:
+            train(cfg, ds, tax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples == 51_200 and peak < 8 * 2**20
 
     def test_csv_header_and_shape(self):
         tax, ds, cfg = tiny_setup(epochs=1)
@@ -675,4 +732,5 @@ class TestTrainWorker:
         assert None not in tracer.spans
         names = [span[0] for span in tracer.spans]
         assert names.count("losses.kl_loss") == names.count("trainer.adam_step") == len(log.records) == 4
-        assert names.count("losses.sim_loss") == names.count("losses.total_loss") == 4
+        # train runs the loss kernel, which calls the public terms, not total_loss
+        assert names.count("losses.sim_loss") == 4 and names.count("losses.total_loss") == 0
