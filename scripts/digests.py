@@ -18,6 +18,10 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
 - ``cli/...``: every file and the stdout of ``gen-data -> train -> encode ->
   index -> eval -> eval --no-binarize -> query``, with the work directory
   masked in the manifests;
+- ``encode/...``: the ``.embeddings`` and ``.index`` files that ``encode``
+  writes for the first 1, 10, 511, 513 and all 1,600 rows of a dataset, each
+  set encoded alone, by an untrained encoder of the README's shape (D 32,
+  hidden 16, K 8) and of cli_pipeline's (D 128, hidden 256 and 128, K 64);
 - ``synthetic/...``: ``generate_synthetic`` features and labels for three
   taxonomies, one whose breadth-first order differs from its id order.
 
@@ -27,8 +31,8 @@ any tree, for example the base of a change and its head:
     PYTHONPATH=src python3 scripts/digests.py > head.json
 
 It takes about 9 s on a 2-core x86-64 machine with numpy 2.4.6 (8.3-9.5 s
-over three runs), about 1 s of it the 10-epoch shrewd run and 1.4 s the two
-6,400-row runs.  With ``--reverse-repeat`` it computes the sections in
+over three runs), about 1 s of it the 10-epoch shrewd run, 1.4 s the two
+6,400-row runs and 0.3 s the ten encodes.  With ``--reverse-repeat`` it computes the sections in
 reverse order, each twice, and exits 1 if a key gets two values, so outputs
 that depend on what ran before in the process show up both as that failure
 and as JSON that differs from a default run's.
@@ -50,11 +54,11 @@ import numpy as np
 from semhash import _threads
 from semhash.benchmark import VARIANT_CONFIGS, balanced_taxonomy, benchmark_config, make_benchmark_dataset
 from semhash.cli import main as cli_main
-from semhash.data import RngState, generate_synthetic
+from semhash.data import RngState, generate_synthetic, write_features, write_labels
 from semhash.hashing import binarize, build_index
 from semhash.hierarchy import parse_taxonomy
 from semhash.metrics import evaluate, evaluate_embeddings
-from semhash.model import encoder_forward, init_encoder
+from semhash.model import encoder_forward, init_classifier, init_encoder, save_checkpoint
 from semhash.trainer import TrainConfig, train
 
 K_MAX = 100
@@ -199,6 +203,31 @@ def cli_digests() -> dict[str, str]:
     return out
 
 
+def encode_digests() -> dict[str, str]:
+    taxonomy = balanced_taxonomy((4, 4, 2))
+    shapes = {"readme": (32, (16,), 8), "cli": (128, (256, 128), 64)}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "tax.txt").write_text(
+            "\n".join(f"{p} {c}" for p, c in balanced_taxonomy_edges((4, 4, 2))) + "\n"
+        )
+        for name, (dim, hidden, k) in shapes.items():
+            dataset = make_benchmark_dataset(taxonomy, 0, per_class=50, dim=dim)
+            rng = RngState.from_seed(1)
+            encoder = init_encoder(dim, hidden, k, rng)
+            save_checkpoint(d / "enc.checkpoint", encoder, init_classifier(k, 32, rng))
+            for n in (1, 10, 511, 513, 1600):
+                write_features(d / "part.features", dataset.features[:n])
+                write_labels(d / "part.labels", dataset.labels[:n], taxonomy)
+                cli_main(["encode", "--checkpoint", str(d / "enc.checkpoint"),
+                          "--features", str(d / "part.features"), "--labels", str(d / "part.labels"),
+                          "--taxonomy", str(d / "tax.txt"), "--out", str(d / "part")])
+                for ext in ("embeddings", "index"):
+                    out[f"encode/{name}/n{n}/{ext}"] = _sha((d / f"part.{ext}").read_bytes())
+    return out
+
+
 def synthetic_digests() -> dict[str, str]:
     taxonomies = {
         "balanced": balanced_taxonomy((4, 4, 2)),
@@ -215,7 +244,7 @@ def synthetic_digests() -> dict[str, str]:
     return out
 
 
-SECTIONS = (train_digests, eval_digests, tie_digests, cli_digests, synthetic_digests)
+SECTIONS = (train_digests, eval_digests, tie_digests, cli_digests, encode_digests, synthetic_digests)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,13 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .data import Dataset, RngState, generate_synthetic
-from .hashing import binarize, build_index
+from .hashing import encode
 from .hierarchy import Taxonomy, parse_taxonomy
 from .metrics import evaluate, evaluate_embeddings
-from .model import encoder_forward
 from .trainer import TrainConfig, train
 
 VARIANT_CONFIGS: dict[str, dict] = {
@@ -82,11 +79,9 @@ def run_variant(
     k_max: int = 100,
 ) -> VariantScore:
     encoder, _, _ = train(config, dataset, taxonomy)
-    batch, _ = encoder_forward(encoder, dataset.features)
-    ids = np.arange(dataset.n_samples)
-    index = build_index(binarize(batch), ids, dataset.labels)
+    values, index = encode(encoder, dataset)
     binary = evaluate(index, None, taxonomy, k_max)
-    continuous = evaluate_embeddings(batch.values, ids, dataset.labels, taxonomy, k_max)
+    continuous = evaluate_embeddings(values, index.ids, dataset.labels, taxonomy, k_max)
     return VariantScore(
         variant=variant,
         seed=config.seed,

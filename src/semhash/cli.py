@@ -28,7 +28,18 @@ from .data import (
 )
 from .errors import DivergedLoss, SemhashError, ShapeMismatch
 from .files import read_text, write_atomic, write_json
-from .hashing import HashCode, binarize, build_index, load_index, query_topk, save_index
+# the commands call encode and index_values; binarize, build_index and encoder_forward
+# are imported only for perfbench/spans.py, which wraps them here
+from .hashing import (
+    HashCode,
+    binarize,
+    build_index,
+    encode,
+    index_values,
+    load_index,
+    query_topk,
+    save_index,
+)
 from .hierarchy import load_taxonomy
 from .metrics import evaluate, evaluate_embeddings
 from .model import encoder_forward, load_checkpoint, save_checkpoint
@@ -41,7 +52,11 @@ EXIT_DIVERGED = 3
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:  # 1 MiB at a time: an input can be as large as memory
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(
@@ -119,24 +134,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_index(prefix: Path, embeddings: np.ndarray, labels: np.ndarray, threshold: float) -> Path:
-    """Save PREFIX.index of the float32 values that PREFIX.embeddings holds, so that
-    ``index`` on those embeddings reproduces ``encode``'s index."""
-    codes = binarize(embeddings, threshold=threshold)
-    index_path = prefix.with_name(prefix.name + ".index")
-    save_index(index_path, build_index(codes, np.arange(len(embeddings)), labels))
-    return index_path
-
-
 def cmd_encode(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.features, args.labels, taxonomy)
     encoder, _ = load_checkpoint(args.checkpoint)
-    batch, _ = encoder_forward(encoder, dataset.features)
-    embeddings = batch.values.astype(np.float32)
+    # the index is of the float32 values that PREFIX.embeddings holds, so that
+    # ``index`` on those embeddings reproduces it
+    embeddings, index = encode(encoder, dataset, args.threshold, np.float32)
 
     prefix = Path(args.out)
-    index_path = _write_index(prefix, embeddings, dataset.labels, args.threshold)
+    index_path = prefix.with_name(prefix.name + ".index")
+    save_index(index_path, index)
     emb_path = prefix.with_name(prefix.name + ".embeddings")
     write_features(emb_path, embeddings)
     _write_manifest(
@@ -154,7 +162,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.embeddings, args.labels, taxonomy)
     prefix = Path(args.out)
-    index_path = _write_index(prefix, dataset.features, dataset.labels, args.threshold)
+    index_path = prefix.with_name(prefix.name + ".index")
+    save_index(index_path, index_values(dataset.features, dataset.labels, args.threshold))
     _write_manifest(
         prefix,
         "index",

@@ -165,7 +165,7 @@ def read_features(path: str | Path) -> np.ndarray:
     with read_file(path, FEATURES_MAGIC, FEATURES_VERSION, 2) as ((n, d), take):
         if d < 1:  # every row would map to the same code
             raise ShapeMismatch(f"feature dimension must be >= 1, got {d}")
-        return take("<f4", n * d).reshape(n, d).astype(np.float32)
+        return take("<f4", n * d).reshape(n, d).astype(np.float32, copy=False)
 
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:

@@ -62,18 +62,21 @@ def file_header(magic: bytes, version: int, *fields: int) -> bytes:
 def read_file(path: str | Path, magic: bytes, version: int, n_fields: int):
     """``with`` block over a file written as ``file_header(...)`` + payload: ``(fields, take)``.
 
-    ``take(dtype, count)`` is the next ``count`` payload items as a read-only
-    array.  A short header, another magic, a payload shorter than the takes or
-    bytes left when the block ends raise ``MalformedFile``; another version
-    ``VersionMismatch``.  A ``ShapeMismatch`` or ``NonFiniteInput`` raised in
-    the block, by the type it builds, becomes a ``MalformedFile`` naming the file.
+    ``take(dtype, count)`` is the next ``count`` payload items as a writable
+    array over the one buffer that the file is read into.  A short header,
+    another magic, a payload shorter than the takes or bytes left when the
+    block ends raise ``MalformedFile``; another version ``VersionMismatch``.
+    A ``ShapeMismatch`` or ``NonFiniteInput`` raised in the block, by the type
+    it builds, becomes a ``MalformedFile`` naming the file.
     """
-    raw = Path(path).read_bytes()
+    with Path(path).open("rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw) :]  # shorter if the file shrank since its size was read
     offset = len(magic) + 4 * (1 + n_fields)
     if len(raw) < offset:
         raise MalformedFile(f"{path}: truncated header ({len(raw)} bytes)")
     if not raw.startswith(magic):
-        raise MalformedFile(f"{path}: bad magic {raw[: len(magic)]!r}")
+        raise MalformedFile(f"{path}: bad magic {bytes(raw[: len(magic)])!r}")
     found, *fields = struct.unpack_from(f"<{1 + n_fields}I", raw, len(magic))
     if found != version:
         raise VersionMismatch(f"{path}: unsupported version {found}")

@@ -14,13 +14,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import Dataset
 from .errors import EmptyIndex, LengthMismatch, NonFiniteInput, ShapeMismatch
 from .files import file_header, read_file, write_atomic
-from .model import _embedding_values
+from .model import EncoderParams, _embedding_values, _forward
 
 INDEX_MAGIC = b"SHRI"
 INDEX_VERSION = 1
 WORD_BITS = 64
+# rows per block of encode's forward pass and of packing: working memory stays one
+# block, and a row's bits do not depend on how many rows are encoded with it
+ENCODE_ROWS = 512
 
 
 def _n_words(code_length: int) -> int:
@@ -71,14 +75,30 @@ def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
     return HashCode(words=tuple(_pack(as_bool[None, :])[0].tolist()), code_length=bits.size)
 
 
-def binarize(z, threshold: float = 0.5) -> list[HashCode]:
-    """Threshold each embedding coordinate: bit = 1 iff value >= threshold; NaN/inf raise."""
+def _threshold(threshold: float) -> np.float64:
+    """``threshold`` as the float64 that codes compare with; ``NonFiniteInput`` unless finite."""
     if not math.isfinite(threshold):
         raise NonFiniteInput(f"threshold must be finite, got {threshold}")
+    return np.float64(threshold)
+
+
+def _packed(values: np.ndarray, threshold: float) -> np.ndarray:
+    """The N x W words of N x K embedding values: bit = 1 iff value >= threshold, compared
+    in float64 whatever the values' float type, ENCODE_ROWS rows at a time; NaN/inf raise."""
+    threshold = _threshold(threshold)
+    words = np.empty((len(values), _n_words(values.shape[1])), dtype=np.uint64)
+    for start in range(0, len(values), ENCODE_ROWS):
+        block = values[start : start + ENCODE_ROWS]
+        if not np.isfinite(block).all():
+            raise NonFiniteInput("embeddings contain NaN or inf")
+        words[start : start + ENCODE_ROWS] = _pack(block >= threshold)
+    return words
+
+
+def binarize(z, threshold: float = 0.5) -> list[HashCode]:
+    """Threshold each embedding coordinate: bit = 1 iff value >= threshold; NaN/inf raise."""
     values = _embedding_values(z)
-    if not np.isfinite(values).all():
-        raise NonFiniteInput("embeddings contain NaN or inf")
-    words = _pack(values >= threshold)
+    words = _packed(values, threshold)
     return [HashCode(words=tuple(row), code_length=values.shape[1]) for row in words.tolist()]
 
 
@@ -150,6 +170,38 @@ def build_index(
             raise LengthMismatch("all codes in an index must share one code length")
     words = np.array([c.words for c in codes], dtype=np.uint64)
     return HashIndex(words=words, ids=ids, labels=labels, code_length=k)
+
+
+def index_values(values: np.ndarray, labels, threshold: float = 0.5) -> HashIndex:
+    """The index of N x K embedding values at ``threshold``, with ids 0 to N - 1."""
+    return HashIndex(_packed(values, threshold), np.arange(len(values)), labels, values.shape[1])
+
+
+def encode(
+    encoder: EncoderParams, dataset: Dataset, threshold: float = 0.5, dtype=np.float64
+) -> tuple[np.ndarray, HashIndex]:
+    """The embeddings of ``dataset``'s features as ``dtype``, and the index of their codes.
+
+    The encoder runs over blocks of ENCODE_ROWS rows, the last padded with zero
+    rows whose outputs are dropped, so every row's embedding comes from a product
+    of one size and does not depend on the rows encoded with it.  The codes are
+    taken from the ``dtype`` values, as ``index_values`` takes them from saved
+    embeddings.  A non-finite threshold raises before the forward pass; an
+    overflowing unit saturates, and a NaN embedding raises ``NonFiniteInput``.
+    """
+    _threshold(threshold)
+    features = dataset.features
+    if features.shape[1] != encoder.in_dim:
+        raise ShapeMismatch(f"input dim {features.shape[1]} != encoder in-dim {encoder.in_dim}")
+    n = len(features)
+    values = np.empty((n, encoder.code_length), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, ENCODE_ROWS):
+            rows = features[start : start + ENCODE_ROWS]
+            if len(rows) < ENCODE_ROWS:
+                rows = np.pad(rows, ((0, ENCODE_ROWS - len(rows)), (0, 0)))  # zero rows
+            values[start : start + ENCODE_ROWS] = _forward(encoder.layers, rows)[1][-1][: n - start]
+    return values, index_values(values, dataset.labels, threshold)
 
 
 def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:

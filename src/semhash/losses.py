@@ -28,6 +28,8 @@ from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from .model import ClassifierParams, _embedding_values, classifier_forward
 
 _NU_EPS = 1e-12  # distance clamp before logs; keeps duplicates finite
+# the most bytes of differences that the pairwise pass holds per thread at once
+_PAIR_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -66,28 +68,36 @@ def _offdiag_mean(m: np.ndarray) -> np.ndarray:
 class _Pairs(NamedTuple):
     """One pass over a batch's pairs, shared by the similarity and divergence terms."""
 
-    sgn: np.ndarray  # B x B x K: sign(z_i - z_j), slot 1 of the work array
+    sgn: np.ndarray  # B x B x K: sign(z_i - z_j), in the work array
     manh: np.ndarray  # B x B: sum over K of |z_i - z_j|
     sq_z: np.ndarray  # B x B: sum over K of (z_i - z_j)^2
     sq_t: np.ndarray | None  # B x M: sum over K of (z_i - t_m)^2, or None without a target
 
 
-def _pair_rows(zv, tv, work, t_diff, pairs: _Pairs, rows: slice) -> None:
-    """Fill the rows ``rows`` of ``pairs``, using the same rows of ``work`` and ``t_diff``.
+def _pair_rows(zv, tv, pairs: _Pairs, rows: slice) -> None:
+    """Fill the rows ``rows`` of ``pairs``, in blocks of rows whose differences to
+    every embedding (and target) row fit one scratch array of _PAIR_BLOCK_BYTES.
 
     Each row's sums are numpy's contiguous sums over K, so a split into row
-    ranges gives the bits of one call over all rows.
+    ranges or blocks gives the bits of one call over all rows.
     """
-    diff = np.subtract(zv[rows, None, :], zv[None, :, :], out=work[0, rows])
-    np.sign(diff, out=work[1, rows])
-    np.abs(diff, out=diff)
-    diff.sum(axis=2, out=pairs.manh[rows])
-    np.square(diff, out=diff)  # |d| * |d| == d * d, bit for bit
-    diff.sum(axis=2, out=pairs.sq_z[rows])
-    if tv is not None:
-        diff = np.subtract(zv[rows, None, :], tv[None, :, :], out=t_diff[rows])
-        np.square(diff, out=diff)
-        diff.sum(axis=2, out=pairs.sq_t[rows])
+    b, k = zv.shape
+    width = b if tv is None else max(b, tv.shape[0])
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * width * k))
+    scratch = np.empty((min(step, rows.stop - rows.start), width, k))
+    for start in range(rows.start, rows.stop, step):
+        block = slice(start, min(start + step, rows.stop))
+        n = block.stop - start
+        diff = np.subtract(zv[block, None, :], zv[None, :, :], out=scratch[:n, :b])
+        np.sign(diff, out=pairs.sgn[block])
+        np.abs(diff, out=diff)
+        diff.sum(axis=2, out=pairs.manh[block])
+        np.square(diff, out=diff)  # |d| * |d| == d * d, bit for bit
+        diff.sum(axis=2, out=pairs.sq_z[block])
+        if tv is not None:
+            diff = np.subtract(zv[block, None, :], tv[None, :, :], out=scratch[:n, : tv.shape[0]])
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=pairs.sq_t[block])
 
 
 def _pairwise(
@@ -98,25 +108,21 @@ def _pairwise(
 ) -> _Pairs:
     """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
 
-    ``work`` is a C-contiguous float64 (2, B, B, K) array whose contents never
-    reach the result, or None to allocate one.  Slot 0 takes the differences,
-    first z - z, then z - target if M = B (else a fresh array); slot 1 the
-    signs.  With a ``worker``, ``_threads.halves`` splits the rows onto it.
+    ``work`` is a C-contiguous float64 B x B x K array that takes the signs, or
+    None to allocate one; the differences go through one scratch array of at
+    most _PAIR_BLOCK_BYTES (or of one row) per thread.  With a ``worker``,
+    ``_threads.halves`` splits the rows onto it.
     """
     b, k = zv.shape
-    shape = (2, b, b, k)
+    shape = (b, b, k)
     if work is None:
         work = np.empty(shape)
     elif not (isinstance(work, np.ndarray) and work.shape == shape
               and work.dtype == np.float64 and work.flags.c_contiguous):
         raise ShapeMismatch(f"work must be a C-contiguous float64 array of shape {shape}")
-    t_diff = sq_t = None
-    if tv is not None:
-        m = tv.shape[0]
-        t_diff = work[0] if m == b else np.empty((b, m, k))
-        sq_t = np.empty((b, m))
-    pairs = _Pairs(work[1], np.empty((b, b)), np.empty((b, b)), sq_t)
-    _threads.halves(partial(_pair_rows, zv, tv, work, t_diff, pairs), b, worker)
+    sq_t = None if tv is None else np.empty((b, tv.shape[0]))
+    pairs = _Pairs(work, np.empty((b, b)), np.empty((b, b)), sq_t)
+    _threads.halves(partial(_pair_rows, zv, tv, pairs), b, worker)
     return pairs
 
 

@@ -43,7 +43,7 @@ _SPLIT_WORK = 1 << 17
 # the most bytes that one of an epoch's per-step arrays (distance blocks, their
 # label side, targets, logits) takes for a chunk of steps, so that training's
 # memory does not grow with N * B
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -258,10 +258,10 @@ def train(
     weights = (config.lambda_sim, config.lambda1, config.lambda2)
     # steps per chunk: a step's widest array row is B distances, K targets or C logits
     chunk_rows = bsz * max(1, _CHUNK_BYTES // (8 * bsz * max(bsz, config.code_length, len(leaves))))
-    # the pairwise pass's scratch, reused by every step (the ragged batch is
-    # dropped, so B is fixed) and freed on return: fresh B x B x K arrays at
-    # each step are handed back to the OS when freed and page-faulted in again
-    work = np.empty((2, bsz, bsz, config.code_length))
+    # the pairwise pass's B x B x K sign slot, reused by every step (the ragged
+    # batch is dropped, so B is fixed) and freed on return: a fresh one at each
+    # step is handed back to the OS when freed and page-faulted in again
+    work = np.empty((bsz, bsz, config.code_length))
     # a blow-up ends in one DivergedLoss, not in numpy warnings; halves passes this to the worker
     with _threads.pool(bsz * bsz * config.code_length >= _SPLIT_WORK) as worker, \
             np.errstate(over="ignore", invalid="ignore"):

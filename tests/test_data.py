@@ -259,6 +259,26 @@ class TestDatasetFiles:
         assert back.dtype == np.float32
         assert back.tolist() == values
 
+    def test_reading_holds_one_copy_of_the_features(self, tmp_path):
+        # the file is read into one writable buffer, which the features are a view of
+        features = np.random.default_rng(0).normal(size=(20_000, 128)).astype(np.float32)
+        path = tmp_path / "big.features"
+        write_features(path, features)
+        tracemalloc.start()
+        try:
+            back = read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == features.tobytes() and back.flags.writeable
+        assert peak < 1.25 * features.nbytes
+
+    def test_bad_magic_is_named_as_bytes(self, tmp_path):
+        path = tmp_path / "bad.features"
+        path.write_bytes(b"XXXX" + bytes(12))
+        with pytest.raises(MalformedFile, match=r"bad.features: bad magic b'XXXX'$"):
+            read_features(path)
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_width_features_are_malformed_and_name_the_file(self, tmp_path, n):
         path = tmp_path / "flat.features"

@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semhash.hashing as hashing_mod
+from semhash.benchmark import balanced_taxonomy
+from semhash.data import Dataset, RngState, generate_synthetic
 from semhash.errors import (
     EmptyIndex,
     LengthMismatch,
@@ -18,14 +22,20 @@ from semhash.hashing import (
     HashIndex,
     binarize,
     build_index,
+    encode,
     hamming,
     hamming_to_all,
+    index_values,
     load_index,
     pack_bits,
     query_topk,
     save_index,
 )
 
+from semhash.hierarchy import parse_taxonomy
+from semhash.model import encoder_forward, init_encoder
+
+from conftest import overflowing_encoder
 from oracles import bf_hamming, bf_topk, unpack_bits
 
 
@@ -62,6 +72,105 @@ class TestBinarize:
             binarize(np.array([[bad, 0.7]]))
         with pytest.raises(NonFiniteInput):
             binarize(np.array([[0.2, 0.7], [0.4, bad]]), threshold=0.3)
+
+
+# (features D, hidden sizes, K) of the README's pipeline and of cli_pipeline's
+ENCODE_SHAPES = {"readme": (32, (16,), 8), "cli": (128, (256, 128), 64)}
+
+
+def encode_setup(shape: str, per_class: int = 50):
+    """An untrained encoder of one of ENCODE_SHAPES and 32 leaves' synthetic rows."""
+    dim, hidden, k = ENCODE_SHAPES[shape]
+    dataset = generate_synthetic(balanced_taxonomy((4, 4, 2)), per_class=per_class, dim=dim,
+                                 diffusion=1.0, noise=0.5, rng=RngState.from_seed(5))
+    return init_encoder(dim, hidden, k, RngState.from_seed(6)), dataset
+
+
+class TestEncode:
+    """encode runs the encoder over fixed row blocks and packs each block's codes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ENCODE_SHAPES)
+    def test_rows_encoded_alone_get_the_bits_they_get_inside_a_larger_set(self, shape, dtype):
+        encoder, dataset = encode_setup(shape)
+        values, index = encode(encoder, dataset, dtype=dtype)
+        assert len(dataset.features) == 1600 and values.dtype == dtype
+        for n in (1, 10, 511, 513):
+            alone, alone_index = encode(encoder, Dataset(dataset.features[:n], dataset.labels[:n]),
+                                        dtype=dtype)
+            assert alone.tobytes() == values[:n].tobytes()
+            assert alone_index.words.tobytes() == index.words[:n].tobytes()
+            np.testing.assert_array_equal(alone_index.ids, np.arange(n))
+
+    @pytest.mark.parametrize("shape", ENCODE_SHAPES)
+    def test_gives_the_bits_of_one_pass_over_all_rows_with_binarize(self, shape):
+        encoder, dataset = encode_setup(shape)
+        values, index = encode(encoder, dataset)
+        batch, _ = encoder_forward(encoder, dataset.features)
+        assert values.tobytes() == batch.values.tobytes()
+        want = build_index(binarize(batch), np.arange(len(values)), dataset.labels)
+        assert index.words.tobytes() == want.words.tobytes()
+        np.testing.assert_array_equal(index.labels, dataset.labels)
+        assert index.code_length == want.code_length
+
+    @pytest.mark.parametrize("n, dim", [(20_000, 128), (100_000, 64)])
+    def test_memory_stays_one_block_beyond_inputs_and_outputs(self, n, dim):
+        # a whole-batch forward pass held 635 MiB at N = 100,000 and D = 64
+        encoder = init_encoder(dim, (256, 128), 64, RngState.from_seed(0))
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.normal(size=(n, dim)).astype(np.float32), rng.integers(0, 32, n))
+        tracemalloc.start()
+        try:
+            values, index = encode(encoder, dataset, dtype=np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes + index.words.nbytes + 8 * 2**20
+
+    def test_a_non_finite_threshold_raises_before_the_forward_pass(self, monkeypatch):
+        encoder, dataset = encode_setup("readme", per_class=2)
+        calls = []
+        monkeypatch.setattr(hashing_mod, "_forward", lambda *a: calls.append(a))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInput, match="threshold must be finite"):
+                encode(encoder, dataset, bad)
+        assert calls == []
+
+    def test_a_forward_pass_that_makes_nan_raises(self):
+        dataset = Dataset(np.ones((3, 4), dtype=np.float32), np.zeros(3))
+        with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
+            encode(overflowing_encoder(4, [[1.0, -1.0]]), dataset)  # inf - inf
+
+    def test_an_encoder_of_another_input_width_is_a_shape_mismatch(self):
+        encoder, dataset = encode_setup("readme", per_class=2)
+        with pytest.raises(ShapeMismatch, match="input dim 31 != encoder in-dim 32"):
+            encode(encoder, Dataset(dataset.features[:, 1:], dataset.labels))
+
+
+class TestIndexValues:
+    def test_float32_values_are_compared_in_float64(self):
+        # float32(0.4) lies below the next float64 up, which rounds to it in float32
+        value = np.float32(0.4)
+        threshold = float(np.nextafter(np.float64(value), 1.0))
+        index = index_values(np.array([[value, 0.5]], dtype=np.float32), [0], threshold)
+        assert index.words.tolist() == [[0b10]]
+        want = build_index(binarize([[value, 0.5]], threshold), [0], [0])
+        assert index.words.tolist() == want.words.tolist()
+
+    def test_packs_in_blocks_the_words_of_one_pack(self):
+        rng = np.random.default_rng(1)
+        values = rng.uniform(0.0, 1.0, (2 * hashing_mod.ENCODE_ROWS + 3, 70))
+        index = index_values(values, np.zeros(len(values), dtype=np.int64), 0.3)
+        want = [code.words for code in binarize(values, 0.3)]
+        assert [tuple(row) for row in index.words.tolist()] == want
+        assert index.code_length == 70
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_or_threshold_raise(self, bad):
+        with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
+            index_values(np.array([[0.2, bad]]), [0])
+        with pytest.raises(NonFiniteInput, match="^threshold must be finite"):
+            index_values(np.array([[0.2, 0.7]]), [0], bad)
 
 
 class TestPacking:

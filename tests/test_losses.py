@@ -469,7 +469,7 @@ class TestTotalLoss:
     def test_reused_work_gives_the_bits_of_fresh_arrays(self, b, k):
         # NaN on the first call, then what the previous call left behind
         cfg = SimLossConfig()
-        work = np.full((2, b, b, k), np.nan)
+        work = np.full((b, b, k), np.nan)
         for seed in range(3):
             inputs = self._inputs(seed, b, k)
             got = total_loss(*inputs, 0.7, 1.3, cfg, work=work)
@@ -477,17 +477,17 @@ class TestTotalLoss:
             assert bits((got.total, got.grad_z)) == bits((want.total, want.grad_z))
 
     @pytest.mark.parametrize("work", [
-        pytest.param(np.empty((2, 4, 4, 4)), id="other-K"),
-        pytest.param(np.empty((1, 4, 4, 3)), id="one-slab"),
-        pytest.param(np.empty((2, 3, 4, 3)), id="other-B"),
-        pytest.param(np.empty((2, 4, 4, 3), dtype=np.float32), id="float32"),
-        pytest.param(np.empty((2, 4, 4, 3), order="F"), id="fortran-order"),
-        pytest.param(np.empty((2, 4, 4, 6))[..., ::2], id="strided"),
-        pytest.param(np.empty((2, 4, 4, 3)).tolist(), id="list"),
+        pytest.param(np.empty((4, 4, 4)), id="other-K"),
+        pytest.param(np.empty((2, 4, 4, 3)), id="two-slabs"),
+        pytest.param(np.empty((3, 4, 3)), id="other-B"),
+        pytest.param(np.empty((4, 4, 3), dtype=np.float32), id="float32"),
+        pytest.param(np.empty((4, 4, 3), order="F"), id="fortran-order"),
+        pytest.param(np.empty((4, 4, 6))[..., ::2], id="strided"),
+        pytest.param(np.empty((4, 4, 3)).tolist(), id="list"),
     ])
     def test_work_of_another_shape_dtype_or_layout_is_a_shape_mismatch(self, work):
         inputs = self._inputs(b=4, k=3)
-        with pytest.raises(ShapeMismatch, match=r"^work must be .* shape \(2, 4, 4, 3\)$"):
+        with pytest.raises(ShapeMismatch, match=r"^work must be .* shape \(4, 4, 3\)$"):
             total_loss(*inputs, 0.7, 1.3, SimLossConfig(), work=work)
 
     def test_grad_z_matches_finite_differences(self):
@@ -540,8 +540,9 @@ def pass_inputs(kind, b, k, m, seed):
 
 
 # (B, K) on both sides of train's two-thread bound of B * B * K = 2**17: odd B
-# gives halves of unequal size; a target of another row count M takes its
-# differences in a fresh array instead of the work array's first slot
+# gives halves of unequal size; at B = 64 and K = 64 each half fills its rows in
+# blocks of 8 (7 at M = 70), and a target of another row count M shares the
+# scratch of the z - z differences
 PASS_CASES = [
     pytest.param(kind, b, k, m, id=f"{kind}-b{b}k{k}m{m}")
     for kind in ("uniform", "ties", "duplicates", "huge")
@@ -558,7 +559,7 @@ class TestSharedPairwisePass:
         z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
         cfg = SimLossConfig()
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = _pairwise(z, target, np.full((2, b, b, k), np.nan), worker if threads == 2 else None)
+            pairs = _pairwise(z, target, np.full((b, b, k), np.nan), worker if threads == 2 else None)
             got = sim_loss(z, d, cfg, pairs=pairs)
             want = np_sim_loss(z, d, cfg)
             assert bits(got) == bits(want) == bits(sim_loss(z, d, cfg))
@@ -573,7 +574,7 @@ class TestSharedPairwisePass:
     def test_kl_loss_on_the_pass_is_bitwise_the_oracle(self, worker, threads, kind, b, k, m):
         z, target, _ = pass_inputs(kind, b, k, m, seed=b * k + m)
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = _pairwise(z, target, np.full((2, b, b, k), np.nan), worker if threads == 2 else None)
+            pairs = _pairwise(z, target, np.full((b, b, k), np.nan), worker if threads == 2 else None)
             got = kl_loss(z, target, pairs=pairs)
             assert bits(got) == bits(bf_kl_loss(z, target)) == bits(kl_loss(z, target))
 
@@ -587,7 +588,7 @@ class TestSharedPairwisePass:
         weights = (0.7, 1.3, 0.9)  # lambda1, lambda2, sim_weight
         with np.errstate(over="ignore", invalid="ignore"):
             got = total_loss(z, d, labels, clf, target, *weights[:2], cfg, weights[2],
-                             work=np.full((2, b, b, k), np.nan), worker=worker if threads == 2 else None)
+                             work=np.full((b, b, k), np.nan), worker=worker if threads == 2 else None)
             sim_v, sim_g = np_sim_loss(z, d, cfg)
             kl_v, kl_g = bf_kl_loss(z, target)
             cls_v, grad_logits = cls_loss(z @ clf.weights.T + clf.biases, labels)
@@ -643,26 +644,48 @@ class TestSharedPairwisePass:
             pairs = _pairwise(z, z, None, worker)
         assert np.isnan(pairs.sq_z[5, 5]) and np.isinf(pairs.sq_z[:5, 5]).all()
 
-    def test_total_loss_with_work_allocates_less_than_one_pairwise_array(self, worker):
-        # the target differences reuse the work array's first slot
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("m", [64, 70])
+    def test_the_pass_allocates_less_than_one_pairwise_array_beyond_the_sign_slot(
+        self, worker, threads, m
+    ):
+        # the differences go through one block-sized scratch per thread, not a B x B x K slot
         b = k = 64
-        z, target, d = pass_inputs("uniform", b, k, b, seed=2)
+        z, target, d = pass_inputs("uniform", b, k, m, seed=2)
         labels = np.arange(b) % 3
         clf = init_classifier(k, 3, RngState.from_seed(0))
-        buf = np.empty((2, b, b, k))
+        work = np.empty((b, b, k))
         one_array = b * b * k * 8  # bytes of one B x B x K float64 array
+        pool = worker if threads == 2 else None
         peaks = {}
         tracemalloc.start()
         try:
-            for name, work, pool in (("fresh", None, None), ("work", buf, None), ("worker", buf, worker)):
+            for name, slot in (("fresh", None), ("work", work)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                total_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=work, worker=pool)
+                total_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=slot, worker=pool)
                 peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peaks["fresh"] >= 2 * one_array  # numpy's buffers are traced
-        assert peaks["work"] < one_array and peaks["worker"] < one_array
+        assert one_array <= peaks["fresh"] < 2 * one_array  # numpy's buffers are traced
+        assert peaks["work"] < one_array
+
+    @pytest.mark.parametrize("b, k, m, blocks", [
+        (4, 16, 4, 1), (64, 64, 64, 8), (63, 64, 70, 9), (2, 2**16, 2, 2),
+    ])
+    def test_each_block_of_rows_fits_the_scratch(self, monkeypatch, b, k, m, blocks):
+        # on one thread, each block of rows makes two subtracts and two squares into the
+        # scratch, which holds at most _PAIR_BLOCK_BYTES, or one row of differences if larger
+        z, target, _ = pass_inputs("uniform", b, k, m, seed=3)
+        outs = []
+        for name in ("subtract", "square"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, functools.partial(
+                lambda real, *a, **kw: outs.append(kw["out"].nbytes) or real(*a, **kw), real))
+        _pairwise(z, target, None, None)
+        monkeypatch.undo()
+        assert len(outs) == 4 * blocks
+        assert max(outs) <= max(losses_mod._PAIR_BLOCK_BYTES, 8 * max(b, m) * k)
 
 
 @functools.cache
