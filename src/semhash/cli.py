@@ -1,9 +1,9 @@
 """Command-line pipeline: gen-data, train, encode, index, query, eval.
 
 Every command that writes files also writes PREFIX.<command>.manifest.json,
-recording the tool version, seed, config snapshot, SHA-256 digests of its
-inputs, and the output paths.  Exit codes: 0 success, 1 runtime error,
-2 usage error, 3 diverged training.
+recording the tool version, seed, config snapshot, SHA-256 digests of the
+input files named on its command line, and the output paths.  Exit codes:
+0 success, 1 runtime error, 2 usage error, 3 diverged training.
 """
 from __future__ import annotations
 
@@ -59,25 +59,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _outputs(args: argparse.Namespace, *suffixes: str) -> list[Path]:
+    """The files PREFIX.<suffix> that a command writes, for ``--out PREFIX``."""
+    prefix = Path(args.out)
+    return [prefix.with_name(f"{prefix.name}.{suffix}") for suffix in suffixes]
+
+
 def _write_manifest(
-    prefix: Path,
-    command: str,
-    seed: Optional[int],
-    config: dict,
-    inputs: list[Path],
-    outputs: list[Path],
-) -> Path:
+    args: argparse.Namespace, seed: Optional[int], config: dict, outputs: list[Path]
+) -> None:
+    """Write PREFIX.<command>.manifest.json, digesting each input file given on the command line."""
+    inputs = [Path(p) for p in (getattr(args, dest) for dest in args.files) if p is not None]
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "seed": seed,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    path = prefix.with_name(f"{prefix.name}.{command}.manifest.json")
+    (path,) = _outputs(args, f"{args.command}.manifest.json")
     write_json(path, manifest)
-    return path
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -90,24 +92,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         noise=args.noise,
         rng=RngState.from_seed(args.seed),
     )
-    prefix = Path(args.out)
-    features_path = prefix.with_name(prefix.name + ".features")
-    labels_path = prefix.with_name(prefix.name + ".labels")
+    outputs = features_path, labels_path = _outputs(args, "features", "labels")
     write_features(features_path, dataset.features)
     write_labels(labels_path, dataset.labels, taxonomy)
-    _write_manifest(
-        prefix,
-        "gen-data",
-        args.seed,
-        {
-            "per_class": args.per_class,
-            "dim": args.dim,
-            "diffusion": args.diffusion,
-            "noise": args.noise,
-        },
-        [Path(args.taxonomy)],
-        [features_path, labels_path],
-    )
+    config = {"per_class": args.per_class, "dim": args.dim,
+              "diffusion": args.diffusion, "noise": args.noise}
+    _write_manifest(args, args.seed, config, outputs)
     return EXIT_OK
 
 
@@ -117,19 +107,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.features, args.labels, taxonomy)
     encoder, classifier, log = train(config, dataset, taxonomy)
 
-    prefix = Path(args.out)
-    ckpt_path = prefix.with_name(prefix.name + ".checkpoint")
-    log_path = prefix.with_name(prefix.name + ".log.csv")
+    outputs = ckpt_path, log_path = _outputs(args, "checkpoint", "log.csv")
     save_checkpoint(ckpt_path, encoder, classifier)
     write_atomic(log_path, log.to_csv())
-    _write_manifest(
-        prefix,
-        "train",
-        config.seed,
-        asdict(config),
-        [Path(args.config), Path(args.features), Path(args.labels), Path(args.taxonomy)],
-        [ckpt_path, log_path],
-    )
+    _write_manifest(args, config.seed, asdict(config), outputs)
     print(f"trained {len(log.records)} steps; checkpoint digest {log.params_digest}")
     return EXIT_OK
 
@@ -142,36 +123,19 @@ def cmd_encode(args: argparse.Namespace) -> int:
     # ``index`` on those embeddings reproduces it
     embeddings, index = encode(encoder, dataset, args.threshold, np.float32)
 
-    prefix = Path(args.out)
-    index_path = prefix.with_name(prefix.name + ".index")
+    outputs = emb_path, index_path = _outputs(args, "embeddings", "index")
     save_index(index_path, index)
-    emb_path = prefix.with_name(prefix.name + ".embeddings")
     write_features(emb_path, embeddings)
-    _write_manifest(
-        prefix,
-        "encode",
-        None,
-        {"threshold": args.threshold},
-        [Path(args.checkpoint), Path(args.features), Path(args.labels), Path(args.taxonomy)],
-        [emb_path, index_path],
-    )
+    _write_manifest(args, None, {"threshold": args.threshold}, outputs)
     return EXIT_OK
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.embeddings, args.labels, taxonomy)
-    prefix = Path(args.out)
-    index_path = prefix.with_name(prefix.name + ".index")
-    save_index(index_path, index_values(dataset.features, dataset.labels, args.threshold))
-    _write_manifest(
-        prefix,
-        "index",
-        None,
-        {"threshold": args.threshold},
-        [Path(args.embeddings), Path(args.labels), Path(args.taxonomy)],
-        [index_path],
-    )
+    outputs = _outputs(args, "index")
+    save_index(outputs[0], index_values(dataset.features, dataset.labels, args.threshold))
+    _write_manifest(args, None, {"threshold": args.threshold}, outputs)
     return EXIT_OK
 
 
@@ -190,7 +154,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     index = load_index(args.index)
-    inputs = [Path(args.index), Path(args.taxonomy)]
     if args.no_binarize:
         if args.embeddings is None:
             raise SemhashError("--no-binarize requires --embeddings")
@@ -202,28 +165,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = evaluate_embeddings(
             values, index.ids, index.labels, taxonomy, args.k_max, per_query=args.per_query
         )
-        inputs.append(Path(args.embeddings))
     elif args.embeddings is not None:
         raise SemhashError("--embeddings requires --no-binarize")
     else:
         report = evaluate(index, None, taxonomy, args.k_max, per_query=args.per_query)
 
-    prefix = Path(args.out)
-    report_path = prefix.with_name(prefix.name + ".report.json")
-    curve_path = prefix.with_name(prefix.name + ".hp_curve.csv")
+    outputs = report_path, curve_path = _outputs(args, "report.json", "hp_curve.csv")
     write_json(report_path, report.to_json_dict())
     write_atomic(curve_path, report.hp_curve_csv())
-    _write_manifest(
-        prefix,
-        "eval",
-        None,
-        {"k_max": args.k_max, "no_binarize": args.no_binarize},
-        inputs,
-        [report_path, curve_path],
-    )
+    _write_manifest(args, None, {"k_max": args.k_max, "no_binarize": args.no_binarize}, outputs)
     mahp = report.mahp_at_k[args.k_max]
     print(f"map {report.map:.6f}  mahp@{args.k_max} {mahp:.6f}")
     return EXIT_OK
+
+
+def _input_file(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add ``flag``, which names an input file: the command's manifest digests it when given."""
+    action = p.add_argument(flag, **kwargs)
+    p.set_defaults(files=(*p.get_default("files"), action.dest))
+
+
+def _command(sub, name: str, help: str, func, *files: str) -> argparse.ArgumentParser:
+    """Add command ``name``, which writes files under ``--out`` and a manifest of them, with a
+    required path flag for each of its input ``files``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, files=())
+    for flag in files:
+        _input_file(p, f"--{flag}", required=True)
+    p.add_argument("--out", required=True, help="output path prefix")
+    return p
 
 
 @functools.cache
@@ -235,40 +205,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic hierarchical dataset")
-    p.add_argument("--taxonomy", required=True)
+    p = _command(sub, "gen-data", "generate a synthetic hierarchical dataset", cmd_gen_data,
+                 "taxonomy")
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--diffusion", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.5)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train encoder and classifier head")
-    p.add_argument("--config", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_train)
+    _command(sub, "train", "train encoder and classifier head", cmd_train,
+             "config", "features", "labels", "taxonomy")
 
-    p = sub.add_parser("encode", help="embed a dataset and build its binary index")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p = _command(sub, "encode", "embed a dataset and build its binary index", cmd_encode,
+                 "checkpoint", "features", "labels", "taxonomy")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("index", help="build a binary index from saved embeddings")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p = _command(sub, "index", "build a binary index from saved embeddings", cmd_index,
+                 "embeddings", "labels", "taxonomy")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="top-k Hamming neighbors of an indexed item")
     p.add_argument("--index", required=True)
@@ -276,16 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("eval", help="score retrieval quality of an index")
-    p.add_argument("--index", required=True)
-    p.add_argument("--taxonomy", required=True)
+    p = _command(sub, "eval", "score retrieval quality of an index", cmd_eval,
+                 "index", "taxonomy")
     p.add_argument("--k-max", type=int, default=50)
-    p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--no-binarize", action="store_true",
                    help="rank saved continuous embeddings by Manhattan distance instead")
-    p.add_argument("--embeddings", help="embeddings file (only with --no-binarize, which requires it)")
+    _input_file(p, "--embeddings",
+                help="embeddings file (only with --no-binarize, which requires it)")
     p.add_argument("--per-query", action="store_true")
-    p.set_defaults(func=cmd_eval)
     return parser
 
 

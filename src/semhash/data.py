@@ -38,6 +38,12 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """True if no entry is NaN or infinite, checked without an entry-sized temporary:
+    min and max propagate NaN and +-inf.  An array without entries is finite."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 @dataclass
 class RngState:
     """Deterministic counter-based random stream (Philox).
@@ -77,7 +83,7 @@ class Dataset:
             raise ShapeMismatch("dataset must contain at least one sample")
         if self.labels.shape != (n,):
             raise ShapeMismatch(f"{n} feature rows but {self.labels.shape[0]} labels")
-        if not np.all(np.isfinite(self.features)):
+        if not all_finite(self.features):
             raise NonFiniteInput("features contain non-finite values")
 
     @property
@@ -145,7 +151,7 @@ def generate_synthetic(
         means_overflow = not np.isfinite(means.astype(np.float32)).all()
     if means_overflow:
         raise InvalidShapeParam(f"diffusion {diffusion} overflows the float32 node means")
-    if not np.isfinite(features).all():
+    if not all_finite(features):
         raise InvalidShapeParam(f"noise {noise} overflows the float32 features")
     return Dataset(features=features, labels=labels)
 

@@ -220,14 +220,16 @@ def _ancestor_table(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
 def _lca_distances(t: Taxonomy, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Distances from the labels of ancestor table ``rows`` to those of ``cols``, one row per label.
 
-    Every pair shares the root.  Depth by depth below it, every pair sharing
-    that depth's ancestor takes its height, so the deepest shared ancestor,
-    the LCA, writes last.
+    Axes between a table's depth and label axes, such as one per training step,
+    are kept.  Every pair shares the root.  Depth by depth below it, every pair
+    sharing that depth's ancestor takes its height, so the deepest shared
+    ancestor, the LCA, writes last.
     """
     node_height = np.asarray(t._node_height, dtype=np.float64)
-    values = np.full((rows.shape[1], cols.shape[1]), node_height[t.root])
+    values = np.full((*rows.shape[1:], cols.shape[-1]), node_height[t.root])
     for row, col in zip(rows[1:], cols[1:]):
-        np.copyto(values, node_height[col][None, :], where=row[:, None] == col[None, :])
+        np.copyto(values, node_height[col][..., None, :],
+                  where=row[..., :, None] == col[..., None, :])
     # a one-node tree has height 0, and every distance in it is 0
     values /= max(t.height, 1)
     return values

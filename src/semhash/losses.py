@@ -108,18 +108,14 @@ def _pairwise(
 ) -> _Pairs:
     """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
 
-    ``work`` is a C-contiguous float64 B x B x K array that takes the signs, or
-    None to allocate one; the differences go through one scratch array of at
-    most _PAIR_BLOCK_BYTES (or of one row) per thread.  With a ``worker``,
-    ``_threads.halves`` splits the rows onto it.
+    ``work`` is the float64 B x B x K array that takes the signs (``train``'s
+    slot, reused by every step), or None to allocate one; the differences go
+    through one scratch array of at most _PAIR_BLOCK_BYTES (or of one row) per
+    thread.  With a ``worker``, ``_threads.halves`` splits the rows onto it.
     """
     b, k = zv.shape
-    shape = (b, b, k)
     if work is None:
-        work = np.empty(shape)
-    elif not (isinstance(work, np.ndarray) and work.shape == shape
-              and work.dtype == np.float64 and work.flags.c_contiguous):
-        raise ShapeMismatch(f"work must be a C-contiguous float64 array of shape {shape}")
+        work = np.empty((b, b, k))
     sq_t = None if tv is None else np.empty((b, tv.shape[0]))
     pairs = _Pairs(work, np.empty((b, b)), np.empty((b, b)), sq_t)
     _threads.halves(partial(_pair_rows, zv, tv, pairs), b, worker)
@@ -309,7 +305,9 @@ def _step_loss(zv, side, labels, classifier, tv, weights, cfg, work=None, worker
     ``weights`` is (sim_weight, lambda1, lambda2), and a term of weight 0 computes
     only its value.  Returns (sim, kl, logits, cls, grad_z, head gradients); at
     lambda2 = 0 the head's value is left to the caller, which takes it from the
-    logits with ``_cls_value``, so cls and the head gradients are None.
+    logits with ``_cls_value``, so cls and the head gradients are None.  The pairwise
+    pass takes its signs in ``work`` and its second half of rows on ``worker``, as
+    ``_pairwise`` describes them.
     """
     sim_weight, lambda1, lambda2 = weights
     pairs = _pairwise(zv, tv, work, worker)
@@ -342,9 +340,6 @@ def total_loss(
     lambda2: float,
     cfg: SimLossConfig,
     sim_weight: float = 1.0,
-    *,
-    work: np.ndarray | None = None,
-    worker: Executor | None = None,
 ) -> LossValue:
     """Weighted sum of the three terms with gradients of the total.
 
@@ -354,15 +349,12 @@ def total_loss(
     ``sim_weight=0`` supports head-only ablation runs.  A term of weight 0
     computes only its value (the labels are checked at any weight), so at
     ``lambda2=0`` the head's gradients are zero.  The similarity and
-    divergence terms share one pairwise pass, made in the scratch space
-    ``work`` as ``_pairwise`` describes it; with a ``worker``, that executor's
-    thread makes the second half of its rows.  Either way every bit is the same.
+    divergence terms share one pairwise pass.
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
     sim_v, kl_v, logits, cls_v, grad_z, head = _step_loss(
-        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg,
-        work, worker)
+        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg)
     if head is None:  # the labels are checked at any weight
         cls_v = float(_cls_value(*_cls_inputs(logits, labels))[0])
         head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))

@@ -16,9 +16,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import _threads
-from .data import Dataset, RngState, beta_sample, is_int
+from .data import Dataset, RngState, all_finite, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
-from .hierarchy import Taxonomy, distance_matrix
+# train takes its label distances from the leaves' ancestor table; distance_matrix
+# is imported only for perfbench/spans.py, which wraps it here
+from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, distance_matrix
 # train runs _step_loss; total_loss is imported only for perfbench/spans.py, which wraps it here
 from .losses import SimLossConfig, _cls_value, _label_side, _step_loss, total_loss
 # train runs _forward and _backward; perfbench/spans.py wraps the two checked forms here
@@ -225,7 +227,7 @@ def train(
     n = dataset.n_samples
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
-    if not np.isfinite(dataset.features).all():
+    if not all_finite(dataset.features):  # a Dataset's features can change after its check
         raise NonFiniteInput("features contain non-finite values")
     leaves = taxonomy.leaves()  # the head's classes
     class_of = {label: i for i, label in enumerate(leaves)}
@@ -235,7 +237,7 @@ def train(
         raise UnknownLabel(f"dataset label {exc} is not a leaf of the taxonomy") from None
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
-    dist = distance_matrix(taxonomy, leaves)
+    ancestors = _ancestor_table(taxonomy, leaves)  # (height + 1) x L: no L x L table
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
     classifier = init_classifier(config.code_length, len(leaves), init_rng)
     # the encoder and head become views into one buffer that Adam updates in place,
@@ -273,7 +275,8 @@ def train(
                 # draw per chunk equals one (bsz, K) draw per step, bit for bit
                 targets = beta_sample(*BETA_TARGET, (rows.size, config.code_length), target_rng)
                 ys = class_idx[rows]
-                w, d_scaled = _label_side(dist[ys[:, :, None], ys[:, None, :]], sim_cfg)
+                anc = ancestors[:, ys]  # (height + 1) x steps x B: each step's B x B block
+                w, d_scaled = _label_side(_lca_distances(taxonomy, anc, anc), sim_cfg)
                 logits = np.empty((len(ys), bsz, len(leaves)))
                 values = []
                 for s, y in enumerate(ys):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -714,6 +715,52 @@ def test_commands_sharing_a_prefix_keep_each_manifest(workdir):
         parse_config((workdir / "train.cfg").read_text())
     )
     assert str(workdir / "train.cfg") in train_manifest["inputs"]
+
+
+# each command line that writes a manifest, without its --out, and the suffixes of the
+# files it writes, in its manifest's order; every argument with a dot names a file
+MANIFEST_CASES = {
+    "gen-data": (["gen-data", "--taxonomy", "tax.txt", "--per-class", "2", "--dim", "3",
+                  "--seed", "1"], ["features", "labels"]),
+    "train": (["train", "--config", "train.cfg", "--features", "data.features",
+               "--labels", "data.labels", "--taxonomy", "tax.txt"], ["checkpoint", "log.csv"]),
+    "encode": (["encode", "--checkpoint", "run.checkpoint", "--features", "data.features",
+                "--labels", "data.labels", "--taxonomy", "tax.txt"], ["embeddings", "index"]),
+    "index": (["index", "--embeddings", "run.embeddings", "--labels", "data.labels",
+               "--taxonomy", "tax.txt"], ["index"]),
+    "eval": (["eval", "--index", "run.index", "--taxonomy", "tax.txt", "--k-max", "5"],
+             ["report.json", "hp_curve.csv"]),
+    "eval --no-binarize": (["eval", "--index", "run.index", "--taxonomy", "tax.txt",
+                            "--k-max", "5", "--no-binarize", "--embeddings", "run.embeddings"],
+                           ["report.json", "hp_curve.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_records_exactly_the_files_of_its_command_line(workdir, case, capsys):
+    run_pipeline(workdir)
+    argv, suffixes = MANIFEST_CASES[case]
+    inputs = [str(workdir / arg) for arg in argv if "." in arg]
+    before = set(workdir.iterdir())
+    assert main([str(workdir / arg) if "." in arg else arg for arg in argv]
+                + ["--out", str(workdir / "o")]) == 0
+    manifest_path = workdir / f"o.{argv[0]}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == argv[0]
+    # the input files of the command line, each with its digest (write_json sorts keys)
+    assert sorted(manifest["inputs"]) == sorted(inputs)
+    for path, digest in manifest["inputs"].items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    outputs = [str(workdir / f"o.{suffix}") for suffix in suffixes]
+    assert manifest["outputs"] == outputs
+    assert set(workdir.iterdir()) - before == {Path(p) for p in outputs} | {manifest_path}
+
+
+def test_query_writes_no_file(workdir, capsys):
+    run_pipeline(workdir)
+    before = set(workdir.iterdir())
+    assert main(["query", "--index", str(workdir / "run.index"), "--query-id", "0"]) == 0
+    assert set(workdir.iterdir()) == before
 
 
 def test_pipeline_json_artifacts_are_strict_json(workdir):

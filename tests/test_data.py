@@ -329,6 +329,24 @@ def test_non_finite_features_are_non_finite_input(bad):
         Dataset(features=features, labels=np.zeros(3, dtype=np.int64))
 
 
+def test_finiteness_check_allocates_no_array_the_size_of_the_features():
+    # 200,000 x 64 float32 features are 48.8 MiB; an isfinite mask of them would be 12.2 MiB
+    features = np.ones((200_000, 64), dtype=np.float32)
+    labels = np.zeros(200_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        Dataset(features=features, labels=labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_width_features_are_finite(n):
+    assert Dataset(features=np.ones((n, 0), dtype=np.float32), labels=np.zeros(n)).dim == 0
+
+
 def test_dataset_validates_membership(five_node_tax):
     # membership in the class list (the taxonomy's leaves) is checked where
     # the classes are used: train's leaf-class lookup

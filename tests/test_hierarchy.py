@@ -286,6 +286,23 @@ class TestLcaDistances:
         assert t.height == 0
         self.check(t, [0, 0], [0, 0, 0])
 
+    @given(tree_parent_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_leading_axes_give_the_blocks_of_the_leaves_matrix(self, parents, data):
+        # train's form: per step, the B x B block of its batch's leaves, gathered
+        # from the leaves' ancestor table instead of from their L x L matrix
+        t = taxonomy_from_parents(parents)
+        leaves = t.leaves()
+        steps, b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        ys = np.array(data.draw(st.lists(st.integers(0, len(leaves) - 1),
+                                         min_size=steps * b, max_size=steps * b)))
+        ys = ys.reshape(steps, b)
+        ancestors = _ancestor_table(t, leaves)[:, ys]
+        v = _lca_distances(t, ancestors, ancestors)
+        assert v.shape == (steps, b, b)
+        want = distance_matrix(t, leaves)[ys[:, :, None], ys[:, None, :]]
+        assert v.tobytes() == want.tobytes()
+
 
 def test_distance_matrix_leaves_at_mixed_depths():
     # leaves at depths 1, 2 and 3 under one root

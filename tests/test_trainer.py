@@ -619,6 +619,22 @@ class TestTrain:
             tracemalloc.stop()
         assert ds.n_samples == 51_200 and peak < 3 * 2**20
 
+    @pytest.mark.parametrize("batch_size", [4, 64])
+    def test_label_distances_need_no_table_of_all_leaf_pairs(self, batch_size):
+        # each chunk's distance blocks come from the leaves' ancestor table: at
+        # 1,000 leaves train peaks below their L x L float64 table (7.6 MiB)
+        tax = balanced_taxonomy((10, 10, 10))  # 1,000 leaves, 2 rows each
+        ds = generate_synthetic(tax, per_class=2, dim=16, diffusion=1.0, noise=0.3,
+                                rng=RngState.from_seed(0))
+        cfg = TrainConfig(code_length=16, hidden_sizes=(16,), batch_size=batch_size, epochs=1)
+        tracemalloc.start()
+        try:
+            train(cfg, ds, tax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(tax.leaves()) ** 2
+
     def test_csv_header_and_shape(self):
         tax, ds, cfg = tiny_setup(epochs=1)
         _, _, log = train(cfg, ds, tax)
