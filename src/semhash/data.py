@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from .files import file_header, read_file, read_text, write_atomic
+from .files import file_header, read_file, text_blocks, write_atomic
 from .hierarchy import Taxonomy
 
 FEATURES_MAGIC = b"SHRF"
@@ -175,20 +175,19 @@ def read_features(path: str | Path) -> np.ndarray:
 
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:
-    names = [t.name(int(label)) for label in labels]
-    write_atomic(path, "\n".join(names) + "\n")
+    t._check_leaves(set(map(int, labels)))  # before writing: read_labels reads only leaves
+    write_atomic(path, "\n".join(t.name(int(label)) for label in labels) + "\n")
 
 
 def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    ids = []
-    for name in lines:
-        name = name.strip()
-        node_id = t.leaf_labels.get(name)
-        if node_id is None:
-            raise UnknownLabel(f"{path}: label {name!r} is not a leaf of the taxonomy")
-        ids.append(node_id)
-    return np.asarray(ids, dtype=np.int64)
+    blocks = text_blocks(path)  # a block at a time: memory holds the ids, not the text
+    names = filter(None, (name.strip() for block in blocks for name in block.splitlines()))
+    try:
+        return np.fromiter(map(t.leaf_labels.__getitem__, names), dtype=np.int64)
+    except KeyError as exc:
+        for _ in blocks:  # bad bytes after an unknown label still make a MalformedFile
+            pass
+        raise UnknownLabel(f"{path}: label {exc.args[0]!r} is not a leaf of the taxonomy") from None
 
 
 def load_dataset(features_path: str | Path, labels_path: str | Path, t: Taxonomy) -> Dataset:

@@ -16,12 +16,19 @@ import numpy as np
 from .errors import MalformedFile, NonFiniteInput, ShapeMismatch, VersionMismatch
 
 
+def text_blocks(path: str | Path):
+    """A UTF-8 input file in blocks of whole lines, decoded as read; ``MalformedFile`` if not UTF-8."""
+    with Path(path).open(encoding="utf-8") as fh:
+        try:
+            while block := fh.read(1 << 16):
+                yield block + fh.readline()  # to the end of its last line
+        except UnicodeDecodeError:
+            raise MalformedFile(f"{path}: not UTF-8 text") from None
+
+
 def read_text(path: str | Path) -> str:
     """Contents of a UTF-8 text input file; ``MalformedFile`` if not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise MalformedFile(f"{path}: not UTF-8 text") from None
+    return "".join(text_blocks(path))
 
 
 def write_atomic(path: str | Path, *chunks) -> None:

@@ -298,16 +298,15 @@ def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     return float(value), grad
 
 
-def _step_loss(zv, side, labels, classifier, tv, weights, cfg, work=None, worker=None):
+def _step_loss(zv, side, labels, classifier, tv, weights, cfg, head_grads, work=None, worker=None):
     """The loss terms of checked float64 embeddings ``zv`` and target ``tv``, given the
     ``_label_side`` of their distance block; checks nothing of its own.
 
     ``weights`` is (sim_weight, lambda1, lambda2), and a term of weight 0 computes
-    only its value.  Returns (sim, kl, logits, cls, grad_z, head gradients); at
-    lambda2 = 0 the head's value is left to the caller, which takes it from the
-    logits with ``_cls_value``, so cls and the head gradients are None.  The pairwise
-    pass takes its signs in ``work`` and its second half of rows on ``worker``, as
-    ``_pairwise`` describes them.
+    only its value.  Returns (sim, kl, logits, cls, grad_z) and writes the head's gradients
+    into ``head_grads``, the caller's (weights, biases) arrays; at lambda2 = 0 they stay
+    untouched and cls is None: callers take it from the logits with ``_cls_value``.  The
+    pairwise pass takes its signs in ``work`` and its second half of rows on ``worker``.
     """
     sim_weight, lambda1, lambda2 = weights
     pairs = _pairwise(zv, tv, work, worker)
@@ -323,11 +322,13 @@ def _step_loss(zv, side, labels, classifier, tv, weights, cfg, work=None, worker
         kl_v = _kl_value(pairs)[0]
     logits = classifier_forward(classifier, zv)
     if not lambda2:
-        return sim_v, kl_v, logits, None, grad_z, None
+        return sim_v, kl_v, logits, None, grad_z
     cls_v, grad_logits = cls_loss(logits, labels)
     grad_z += lambda2 * (grad_logits @ classifier.weights)
-    head = (lambda2 * (grad_logits.T @ zv), lambda2 * grad_logits.sum(axis=0))
-    return sim_v, kl_v, logits, cls_v, grad_z, head
+    grad_w, grad_b = head_grads  # in place: lambda2 * (grad_logits.T @ zv), lambda2 * column sums
+    np.multiply(lambda2, np.matmul(grad_logits.T, zv, out=grad_w), out=grad_w)
+    np.multiply(lambda2, grad_logits.sum(axis=0, out=grad_b), out=grad_b)
+    return sim_v, kl_v, logits, cls_v, grad_z
 
 
 def total_loss(
@@ -353,11 +354,10 @@ def total_loss(
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
-    sim_v, kl_v, logits, cls_v, grad_z, head = _step_loss(
-        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg)
-    if head is None:  # the labels are checked at any weight
-        cls_v = float(_cls_value(*_cls_inputs(logits, labels))[0])
-        head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))
+    head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))
+    sim_v, kl_v, logits, _, grad_z = _step_loss(
+        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg, head)
+    cls_v = float(_cls_value(*_cls_inputs(logits, labels))[0])  # checks the labels at any weight
     return LossValue(
         total=sim_weight * sim_v + lambda1 * kl_v + lambda2 * cls_v,
         sim=sim_v,

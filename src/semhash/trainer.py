@@ -229,12 +229,11 @@ def train(
         raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
     if not all_finite(dataset.features):  # a Dataset's features can change after its check
         raise NonFiniteInput("features contain non-finite values")
-    leaves = taxonomy.leaves()  # the head's classes
-    class_of = {label: i for i, label in enumerate(leaves)}
-    try:
-        class_idx = np.array([class_of[int(l)] for l in dataset.labels], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownLabel(f"dataset label {exc} is not a leaf of the taxonomy") from None
+    leaves = taxonomy.leaves()  # the head's classes, in id order
+    class_idx = np.searchsorted(leaves, dataset.labels)
+    unknown = dataset.labels[np.take(leaves, class_idx, mode="clip") != dataset.labels]
+    if unknown.size:
+        raise UnknownLabel(f"dataset label {unknown[0]} is not a leaf of the taxonomy")
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
     ancestors = _ancestor_table(taxonomy, leaves)  # (height + 1) x L: no L x L table
@@ -285,31 +284,25 @@ def train(
                     x, acts = _forward(encoder.layers, dataset.features[rows[s]])
                     if not np.isfinite(acts[-1]).all():  # parameters are finite: an overflow made a NaN
                         raise DivergedLoss(f"step {step}: embeddings became non-finite")
-                    sim, kl, logits[s], cls, grad_z, head = _step_loss(
+                    sim, kl, logits[s], cls, grad_z = _step_loss(
                         acts[-1], (w[s], d_scaled[s]), y, classifier,
-                        targets[s * bsz : (s + 1) * bsz], weights, sim_cfg, work, worker)
+                        targets[s * bsz : (s + 1) * bsz], weights, sim_cfg, grads[-2:], work, worker)
                     # at lambda2 = 0 the frozen head's cls is finite with the embeddings
                     part = weights[0] * sim + weights[1] * kl
-                    if not math.isfinite(part if head is None else part + weights[2] * cls):
-                        if head is None:
-                            cls = float(_cls_value(logits[s], y)[0])
+                    if not math.isfinite(part if cls is None else part + weights[2] * cls):
+                        cls = float(_cls_value(logits[s], y)[0])  # cls_loss's bits at lambda2 > 0
                         raise DivergedLoss(
                             f"step {step}: non-finite total (sim={sim!r}, kl={kl!r}, cls={cls!r})")
                     _backward(encoder.layers, x, acts, grad_z, layer_grads)
-                    if head is not None:
-                        for view, head_grad in zip(grads[-2:], head):
-                            np.copyto(view, head_grad)
                     params, adam = adam_step(buf, grad, adam, step, config.learning_rate, *ADAM)
                     if not np.isfinite(params).all():
                         raise DivergedLoss(f"step {step}: parameters became non-finite")
-                    values.append((sim, kl, cls))
-                if not weights[2]:  # the frozen head's values, for the whole chunk at once
-                    values = [(sim, kl, cls) for (sim, kl, _), cls in
-                              zip(values, _cls_value(logits, ys)[0].tolist())]
+                    values.append((sim, kl))
+                cls_values = _cls_value(logits, ys)[0].tolist()  # at lambda2 > 0, cls_loss's bits
                 log.records.extend(
                     StepRecord(step - len(values) + i, sim, kl, cls,
                                weights[0] * sim + weights[1] * kl + weights[2] * cls)
-                    for i, (sim, kl, cls) in enumerate(values, start=1))
+                    for i, ((sim, kl), cls) in enumerate(zip(values, cls_values), start=1))
                 del w, d_scaled, logits  # freed before the next chunk's are made
 
     log.params_digest = hashlib.sha256(checkpoint_bytes(encoder, classifier)).hexdigest()

@@ -14,6 +14,7 @@ from semhash.data import (
     generate_synthetic,
     load_dataset,
     read_features,
+    read_labels,
     write_features,
     write_labels,
 )
@@ -23,8 +24,10 @@ from semhash.errors import (
     InvalidShapeParam,
     MalformedFile,
     NonFiniteInput,
+    NotALeaf,
     ShapeMismatch,
     UnknownLabel,
+    UnknownNode,
     VersionMismatch,
 )
 from semhash.files import file_header
@@ -222,6 +225,55 @@ class TestDatasetFiles:
         l.write_text("A\n")
         with pytest.raises(UnknownLabel):
             load_dataset(f, l, five_node_tax)
+
+    def test_label_lines_are_stripped_and_blank_ones_skipped(self, tmp_path, five_node_tax):
+        # lines end at every break that str.splitlines knows, not only at the newline
+        t = five_node_tax
+        path = tmp_path / "d.labels"
+        path.write_bytes(b"\n  a1 \r\n\n\tb1\ra2\x0ba1\x0c \r\n" + "b1\u2028a2".encode())
+        assert read_labels(path, t).tolist() == [t.node_id(n) for n in ("a1", "b1", "a2", "a1", "b1", "a2")]
+
+    def test_unknown_label_names_the_file_and_the_label(self, tmp_path, five_node_tax):
+        path = tmp_path / "d.labels"
+        path.write_text("a1\n b1 \n bird \na2\n")
+        with pytest.raises(UnknownLabel, match=r"d.labels: label 'bird' is not a leaf of the taxonomy$"):
+            read_labels(path, five_node_tax)
+
+    @pytest.mark.parametrize("rows_before_bad_bytes", [0, 1, 50_000])
+    def test_non_utf8_label_file_is_malformed_after_an_unknown_label(
+            self, tmp_path, five_node_tax, rows_before_bad_bytes):
+        # the unknown label comes first; the bad bytes sit in the same block of the
+        # file or, at 50,000 rows, well past the first block that is read
+        path = tmp_path / "d.labels"
+        path.write_bytes(b"bird\n" + b"a1\n" * rows_before_bad_bytes + b"\xff\na2\n")
+        with pytest.raises(MalformedFile, match=r"d.labels: not UTF-8 text$"):
+            read_labels(path, five_node_tax)
+
+    def test_reading_labels_holds_the_ids_not_the_text(self, tmp_path):
+        # 200,000 labels (1.4 MB of text) are 1.6 MB of ids; a list of the names and
+        # one of their ids, beside the decoded text, peaked at 15 MiB
+        t = balanced_taxonomy((4, 4, 2))
+        labels = np.array(t.leaves())[np.random.default_rng(0).integers(0, 32, 200_000)]
+        path = tmp_path / "big.labels"
+        write_labels(path, labels, t)
+        tracemalloc.start()
+        try:
+            back = read_labels(path, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.dtype == np.int64 and back.tolist() == labels.tolist()
+        assert peak < 5 * 2**20
+
+    def test_inner_node_labels_are_not_written(self, tmp_path, five_node_tax):
+        # read_labels refuses an inner node's name, so write_labels writes nothing
+        t = five_node_tax
+        path = tmp_path / "d.labels"
+        with pytest.raises(NotALeaf, match="node 'A' is not a leaf"):
+            write_labels(path, [t.node_id("a1"), t.node_id("A")], t)
+        with pytest.raises(UnknownNode):
+            write_labels(path, [t.node_id("a1"), len(t)], t)
+        assert list(tmp_path.iterdir()) == []
 
     def test_row_count_mismatch(self, tmp_path, five_node_tax):
         f, l = tmp_path / "d.features", tmp_path / "d.labels"

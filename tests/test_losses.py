@@ -416,9 +416,10 @@ def step_loss(z, d, labels, clf, target, lambda1, lambda2, cfg, sim_weight=1.0, 
               work=None, worker=None):
     """``_step_loss``, the path ``train`` runs, with a sign slot and a worker: the total
     (summed as ``total_loss`` sums it), grad_z and the (sim, kl, cls) values."""
-    sim, kl, _, cls, grad_z, _ = losses_mod._step_loss(
+    head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
+    sim, kl, _, cls, grad_z = losses_mod._step_loss(
         z, _label_side(d, cfg), labels, clf, target, (sim_weight, lambda1, lambda2), cfg,
-        work, worker)
+        head, work, worker)
     return sim_weight * sim + lambda1 * kl + lambda2 * cls, grad_z, (sim, kl, cls)
 
 
@@ -467,6 +468,30 @@ class TestTotalLoss:
         labels[-1] = clf.n_classes
         with pytest.raises(LabelOutOfRange):
             total_loss(z, d, labels, clf, target, 1.0, 0.0, SimLossConfig())
+
+    @pytest.mark.parametrize("b, k, c", [(2, 1, 2), (5, 4, 3), (64, 64, 32)])
+    def test_step_loss_writes_the_head_gradients_into_the_given_arrays(self, b, k, c):
+        # over NaN left in them: lambda2 * (grad_logits.T @ z) and lambda2 * the column
+        # sums of grad_logits, from cls_loss on the step's logits, bit for bit
+        cfg = SimLossConfig()
+        z, d, labels, clf, target = self._inputs(3, b, k, c)
+        head = (np.full_like(clf.weights, np.nan), np.full_like(clf.biases, np.nan))
+        _, _, logits, cls, _ = losses_mod._step_loss(
+            z, _label_side(d, cfg), labels, clf, target, (0.9, 0.7, 1.3), cfg, head)
+        assert logits.tobytes() == classifier_forward(clf, z).tobytes()
+        want_cls, grad_logits = cls_loss(logits, labels)
+        assert cls == want_cls
+        assert head[0].tobytes() == (1.3 * (grad_logits.T @ z)).tobytes()
+        assert head[1].tobytes() == (1.3 * grad_logits.sum(axis=0)).tobytes()
+
+    def test_step_loss_leaves_the_head_arrays_untouched_at_zero_head_weight(self):
+        cfg = SimLossConfig()
+        z, d, labels, clf, target = self._inputs()
+        head = (np.full_like(clf.weights, 7.5), np.full_like(clf.biases, -2.25))
+        result = losses_mod._step_loss(
+            z, _label_side(d, cfg), labels, clf, target, (0.9, 0.7, 0.0), cfg, head)
+        assert len(result) == 5 and result[3] is None
+        assert (head[0] == 7.5).all() and (head[1] == -2.25).all()
 
     def test_total_is_exact_weighted_sum(self):
         for seed in range(5):
@@ -692,7 +717,7 @@ def leaf_distances(branching: tuple[int, ...]) -> np.ndarray:
 
 
 class TestStackedOverSteps:
-    """train computes a chunk's label sides and frozen-head values over a leading step axis."""
+    """train computes a chunk's label sides and head values over a leading step axis."""
 
     @settings(max_examples=60, deadline=None)
     @given(b=st.one_of(st.sampled_from([2, 3, 4, 63, 64, 65, 130]), st.integers(2, 130)),

@@ -465,6 +465,27 @@ class TestTrain:
         with pytest.raises(DivergedLoss, match=r"^step 1: non-finite total \(sim=nan, kl=\S+, cls=\d"):
             train(cfg, ds, tax)
 
+    def test_logged_cls_is_each_steps_cls_loss_value_across_chunks(self, monkeypatch):
+        # the log takes every cls from one call per chunk; at lambda2 > 0 each is the
+        # bits of cls_loss on the step's logits, as the step's loss kernel returned it
+        tax, ds, cfg = tiny_setup(epochs=2)
+        assert cfg.lambda2 > 0
+        three_step_chunks(monkeypatch, cfg, len(tax.leaves()))  # 8 steps an epoch: 3 chunks
+        returned, recomputed = [], []
+        real = trainer_mod._step_loss
+
+        def record(*args):
+            sim, kl, logits, cls, grad_z = real(*args)
+            returned.append(cls)
+            recomputed.append(cls_loss(logits, args[2])[0])
+            return sim, kl, logits, cls, grad_z
+
+        monkeypatch.setattr(trainer_mod, "_step_loss", record)
+        _, _, log = train(cfg, ds, tax)
+        assert len(log.records) == 16
+        logged = [r.cls.hex() for r in log.records]
+        assert logged == [c.hex() for c in returned] == [c.hex() for c in recomputed]
+
     def test_diverged_loss_at_zero_head_weight_reports_the_steps_cls(self, monkeypatch):
         # the head's value is otherwise computed per chunk: the step that raises computes its own
         tax, ds, cfg = tiny_setup()
