@@ -75,7 +75,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":  # a float, bool or string label is no node id
+            raise ShapeMismatch(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise ShapeMismatch(f"features must be 2-D, got shape {self.features.shape}")
         n = self.features.shape[0]
@@ -175,8 +178,9 @@ def read_features(path: str | Path) -> np.ndarray:
 
 
 def write_labels(path: str | Path, labels: np.ndarray, t: Taxonomy) -> None:
-    t._check_leaves(set(map(int, labels)))  # before writing: read_labels reads only leaves
-    write_atomic(path, "\n".join(t.name(int(label)) for label in labels) + "\n")
+    ids = np.asarray(labels).tolist()
+    t._check_leaves(sorted(set(ids)))  # before writing: read_labels reads only leaves
+    write_atomic(path, "\n".join([t.nodes[i].name for i in ids]) + "\n")
 
 
 def read_labels(path: str | Path, t: Taxonomy) -> np.ndarray:

@@ -38,7 +38,7 @@ class Taxonomy:
 
     The pass reports a cycle before it counts roots.  ``root``, ``height``,
     ``order`` (the nodes breadth-first from the root, children in id order),
-    ``leaf_labels`` and the depth and height tables are derived, not given.
+    ``leaf_labels`` and the depth, height and ancestor tables are derived, not given.
     Immutable after construction; safe for concurrent reads.
     """
 
@@ -53,6 +53,9 @@ class Taxonomy:
     _depth: list[int] = field(init=False, repr=False)
     _node_height: list[int] = field(init=False, repr=False)
     _name_to_id: dict[str, int] = field(init=False, repr=False)
+    # left out of ==, which arrays make ambiguous; the fields above determine them
+    _ancestors: np.ndarray = field(init=False, repr=False, compare=False)
+    _heights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
@@ -101,6 +104,14 @@ class Taxonomy:
             if self._children[i]:
                 self._node_height[i] = 1 + max(self._node_height[c] for c in self._children[i])
         self.height = self._node_height[self.root]
+        # a one-node tree has height 0, and every distance in it is 0
+        self._heights = np.array(self._node_height, dtype=np.float64) / max(self.height, 1)
+        # each node's ancestor at every depth: its parent's above its own, then itself
+        self._ancestors = np.full((self.height + 1, n), self.root, dtype=np.int64)
+        for i in self.order[1:]:
+            d = self._depth[i]
+            self._ancestors[1:d, i] = self._ancestors[1:d, self._parent[i]]
+            self._ancestors[d:, i] = i
 
         self._name_to_id = {node.name: node.id for node in self.nodes}
         if len(self._name_to_id) != n:
@@ -141,7 +152,8 @@ class Taxonomy:
         return [node.id for node in self.nodes if not self._children[node.id]]
 
     def _check_id(self, node_id) -> None:
-        if not isinstance(node_id, (int, np.integer)) or not 0 <= node_id < len(self.nodes):
+        if (isinstance(node_id, bool) or not isinstance(node_id, (int, np.integer))
+                or not 0 <= node_id < len(self.nodes)):
             raise UnknownNode(f"unknown node id {node_id!r}")
 
     def _check_leaves(self, node_ids: Sequence[int]) -> None:
@@ -199,37 +211,20 @@ def semantic_distance(t: Taxonomy, a: int, b: int) -> float:
 def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
     """Pairwise semantic distances for an ordered list of leaf labels."""
     t._check_leaves(labels)
-    ancestors = _ancestor_table(t, labels)
+    ancestors = t._ancestors[:, labels]
     return _lca_distances(t, ancestors, ancestors)
 
 
-def _ancestor_table(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
-    """Each label's ancestor at every depth, (height + 1) x n.
-
-    A leaf stands in for itself below its own depth.
-    """
-    ancestors = np.empty((t.height + 1, len(labels)), dtype=np.int64)
-    for i, node in enumerate(labels):
-        for depth in range(t.height, -1, -1):
-            if depth < t._depth[node]:
-                node = t._parent[node]  # type: ignore[assignment]
-            ancestors[depth, i] = node
-    return ancestors
-
-
 def _lca_distances(t: Taxonomy, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Distances from the labels of ancestor table ``rows`` to those of ``cols``, one row per label.
+    """Distances from the labels of ``rows`` to those of ``cols``, one row per label.
 
-    Axes between a table's depth and label axes, such as one per training step,
-    are kept.  Every pair shares the root.  Depth by depth below it, every pair
-    sharing that depth's ancestor takes its height, so the deepest shared
-    ancestor, the LCA, writes last.
+    Both are column slices of the ancestor table ``t._ancestors``.  Axes between a
+    table's depth and label axes, such as one per training step, are kept.  Every
+    pair shares the root.  Depth by depth below it, every pair sharing that depth's
+    ancestor takes its height, so the deepest shared ancestor, the LCA, writes last.
     """
-    node_height = np.asarray(t._node_height, dtype=np.float64)
-    values = np.full((*rows.shape[1:], cols.shape[-1]), node_height[t.root])
+    values = np.full((*rows.shape[1:], cols.shape[-1]), t._heights[t.root])
     for row, col in zip(rows[1:], cols[1:]):
-        np.copyto(values, node_height[col][..., None, :],
+        np.copyto(values, t._heights[col][..., None, :],
                   where=row[..., :, None] == col[..., None, :])
-    # a one-node tree has height 0, and every distance in it is 0
-    values /= max(t.height, 1)
     return values

@@ -19,7 +19,7 @@ import numpy as np
 from . import _threads
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
 from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
-from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, semantic_distance
+from .hierarchy import Taxonomy, _lca_distances, semantic_distance
 from .model import _embedding_values
 # not called here; perfbench/spans.py patches this module's ``distance_matrix``
 # by name, so the name stays
@@ -212,7 +212,7 @@ def _score(
     label_ids, label_rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
     label_ids = label_ids.tolist()
     t._check_leaves(label_ids)
-    ancestors = _ancestor_table(t, label_ids)
+    ancestors = t._ancestors[:, label_ids]
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
     block = max(1, _BLOCK_BYTES // (8 * n_items * _threads.WORKERS))

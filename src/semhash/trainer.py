@@ -20,7 +20,7 @@ from .data import Dataset, RngState, all_finite, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 # train takes its label distances from the leaves' ancestor table; distance_matrix
 # is imported only for perfbench/spans.py, which wraps it here
-from .hierarchy import Taxonomy, _ancestor_table, _lca_distances, distance_matrix
+from .hierarchy import Taxonomy, _lca_distances, distance_matrix
 # train runs _step_loss; total_loss is imported only for perfbench/spans.py, which wraps it here
 from .losses import SimLossConfig, _cls_value, _label_side, _step_loss, total_loss
 # train runs _forward and _backward; perfbench/spans.py wraps the two checked forms here
@@ -236,7 +236,7 @@ def train(
         raise UnknownLabel(f"dataset label {unknown[0]} is not a leaf of the taxonomy")
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
-    ancestors = _ancestor_table(taxonomy, leaves)  # (height + 1) x L: no L x L table
+    ancestors = taxonomy._ancestors[:, leaves]  # (height + 1) x L: no L x L table
     encoder = init_encoder(dataset.dim, config.hidden_sizes, config.code_length, init_rng)
     classifier = init_classifier(config.code_length, len(leaves), init_rng)
     # the encoder and head become views into one buffer that Adam updates in place,

@@ -44,6 +44,18 @@ def bf_lca(parent_of, depth_of, a, b):
     return max(common, key=lambda n: depth_of[n])
 
 
+def ancestor_table(t, labels) -> np.ndarray:
+    """Each label's ancestor at every depth, (height + 1) x len(labels), found by
+    walking up its parents; a label stands in for itself below its own depth."""
+    table = np.empty((t.height + 1, len(labels)), dtype=np.int64)
+    for i, node in enumerate(labels):
+        for depth in range(t.height, -1, -1):
+            if depth < t.depth(node):
+                node = t.parent(node)
+            table[depth, i] = node
+    return table
+
+
 def bf_parse_taxonomy(text):
     """Parse an edge-list taxonomy from its documented rules.
 

@@ -275,6 +275,32 @@ class TestDatasetFiles:
             write_labels(path, [t.node_id("a1"), len(t)], t)
         assert list(tmp_path.iterdir()) == []
 
+    def test_smallest_bad_id_is_reported(self, tmp_path, five_node_tax):
+        t = five_node_tax
+        with pytest.raises(UnknownNode, match="^unknown node id 7$"):
+            write_labels(tmp_path / "d.labels", [t.node_id("a1"), 9, 7, 8], t)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [np.array([1.0, 2.7]), np.array([True, False])])
+    def test_float_and_bool_ids_are_not_written(self, tmp_path, five_node_tax, labels):
+        # neither is truncated or read as an id
+        with pytest.raises(UnknownNode):
+            write_labels(tmp_path / "d.labels", labels, five_node_tax)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_written_bytes_are_the_names_one_a_line(self, tmp_path, wordnet_like_tax, dtype):
+        t = wordnet_like_tax
+        labels = np.array(t.leaves(), dtype=dtype)[np.random.default_rng(1).integers(0, 5, 50)]
+        write_labels(tmp_path / "d.labels", labels, t)
+        want = "".join(f"{t.nodes[int(label)].name}\n" for label in labels)
+        assert (tmp_path / "d.labels").read_bytes() == want.encode()
+
+    def test_no_labels_write_one_newline(self, tmp_path, five_node_tax):
+        for labels in ([], np.array([], dtype=np.int64)):
+            write_labels(tmp_path / "d.labels", labels, five_node_tax)
+            assert (tmp_path / "d.labels").read_bytes() == b"\n"
+
     def test_row_count_mismatch(self, tmp_path, five_node_tax):
         f, l = tmp_path / "d.features", tmp_path / "d.labels"
         write_features(f, np.zeros((2, 2), dtype=np.float32))
@@ -396,7 +422,22 @@ def test_finiteness_check_allocates_no_array_the_size_of_the_features():
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_zero_width_features_are_finite(n):
-    assert Dataset(features=np.ones((n, 0), dtype=np.float32), labels=np.zeros(n)).dim == 0
+    assert Dataset(features=np.ones((n, 0), dtype=np.float32),
+                   labels=np.zeros(n, dtype=np.int64)).dim == 0
+
+
+@pytest.mark.parametrize("labels", [[3.9, 4.2], [True, False], ["3", "4"], [2**64, 1]])
+def test_non_integer_labels_are_a_shape_mismatch(labels):
+    # a cast to int64 would truncate floats, read bools and digit strings as ids,
+    # and overflow on an integer beyond uint64
+    with pytest.raises(ShapeMismatch, match="^labels must be integers, got dtype "):
+        Dataset(features=np.zeros((2, 2), dtype=np.float32), labels=labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint32, np.int64])
+def test_integer_labels_become_int64(dtype):
+    ds = Dataset(features=np.zeros((2, 2), dtype=np.float32), labels=np.array([3, 4], dtype=dtype))
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [3, 4]
 
 
 def test_dataset_validates_membership(five_node_tax):

@@ -135,7 +135,7 @@ class TestEncode:
         assert calls == []
 
     def test_a_forward_pass_that_makes_nan_raises(self):
-        dataset = Dataset(np.ones((3, 4), dtype=np.float32), np.zeros(3))
+        dataset = Dataset(np.ones((3, 4), dtype=np.float32), np.zeros(3, dtype=np.int64))
         with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
             encode(overflowing_encoder(4, [[1.0, -1.0]]), dataset)  # inf - inf
 

@@ -18,7 +18,6 @@ from semhash.errors import (
 from semhash.hierarchy import (
     Taxonomy,
     TaxonomyNode,
-    _ancestor_table,
     _lca_distances,
     distance_matrix,
     parse_taxonomy,
@@ -27,7 +26,7 @@ from semhash.hierarchy import (
 from semhash.metrics import relevance
 
 from conftest import random_taxonomy, taxonomy_from_parents, tree_parent_lists
-from oracles import bf_lca, bf_parse_taxonomy, serialize_taxonomy
+from oracles import ancestor_table, bf_lca, bf_parse_taxonomy, serialize_taxonomy
 
 
 class TestParse:
@@ -163,7 +162,7 @@ class TestSemanticDistance:
         with pytest.raises(NotALeaf):
             semantic_distance(t, t.node_id("A"), t.node_id("a1"))
 
-    @pytest.mark.parametrize("bad", [99, -1, 1.5, "a", None])
+    @pytest.mark.parametrize("bad", [99, -1, 1.5, "a", None, True, False])
     def test_unknown_ids_rejected(self, five_node_tax, bad):
         t = five_node_tax
         a1 = t.node_id("a1")
@@ -177,6 +176,14 @@ class TestSemanticDistance:
         ):
             with pytest.raises(UnknownNode):
                 call()
+
+    def test_bool_is_not_a_node_id(self, five_node_tax):
+        # isinstance(True, int) holds, but True is no more node 1 than 1.0 is;
+        # test_unknown_ids_rejected covers the distance functions
+        t = five_node_tax
+        for lookup in (t.name, t.parent, t.depth, t.node_height):
+            with pytest.raises(UnknownNode, match="^unknown node id True$"):
+                lookup(True)
 
     def test_unknown_id_reported_before_non_leaf(self, five_node_tax):
         t = five_node_tax
@@ -250,7 +257,7 @@ class TestLcaDistances:
 
     @staticmethod
     def check(t, rows, cols):
-        v = _lca_distances(t, _ancestor_table(t, rows), _ancestor_table(t, cols))
+        v = _lca_distances(t, t._ancestors[:, rows], t._ancestors[:, cols])
         assert v.dtype == np.float64 and v.shape == (len(rows), len(cols))
         # the matching block of the square matrix over both lists, bit for bit
         block = distance_matrix(t, rows + cols)[: len(rows), len(rows) :]
@@ -297,7 +304,7 @@ class TestLcaDistances:
         ys = np.array(data.draw(st.lists(st.integers(0, len(leaves) - 1),
                                          min_size=steps * b, max_size=steps * b)))
         ys = ys.reshape(steps, b)
-        ancestors = _ancestor_table(t, leaves)[:, ys]
+        ancestors = t._ancestors[:, leaves][:, ys]
         v = _lca_distances(t, ancestors, ancestors)
         assert v.shape == (steps, b, b)
         want = distance_matrix(t, leaves)[ys[:, :, None], ys[:, None, :]]
@@ -317,6 +324,30 @@ def test_distance_matrix_leaves_at_mixed_depths():
         [1, 2 / 3, 0, 1 / 3, 0],
     ])
     np.testing.assert_array_equal(v, expected)
+
+
+class TestAncestorTable:
+    """The (height + 1) x n table that __post_init__ fills over the breadth-first order."""
+
+    @given(tree_parent_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_parent_walk(self, parents):
+        t = taxonomy_from_parents(parents)
+        want = ancestor_table(t, range(len(t)))
+        assert t._ancestors.dtype == np.int64
+        assert t._ancestors.tobytes() == want.tobytes() and t._ancestors.shape == want.shape
+
+    def test_one_node_taxonomy(self):
+        t = Taxonomy([TaxonomyNode(0, "only", None)])
+        np.testing.assert_array_equal(t._ancestors, [[0]])
+        np.testing.assert_array_equal(t._heights, [0.0])
+
+    def test_two_parses_of_one_text_are_equal(self, five_node_tax, wordnet_like_tax):
+        # the array tables take no part in ==, so it compares the lists and stays a bool
+        text = "root a\nroot b\na a1\na a2"
+        assert parse_taxonomy(text) == parse_taxonomy(text)
+        assert parse_taxonomy(text) != parse_taxonomy(text + "\nb b1")
+        assert five_node_tax != wordnet_like_tax
 
 
 @given(tree_parent_lists)
