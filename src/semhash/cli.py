@@ -26,7 +26,7 @@ from .data import (
     write_features,
     write_labels,
 )
-from .errors import DivergedLoss, SemhashError, ShapeMismatch
+from .errors import DivergedLoss, SemhashError
 from .files import read_text, write_atomic, write_json
 # the commands call encode and index_values; binarize, build_index and encoder_forward
 # are imported only for perfbench/spans.py, which wraps them here
@@ -157,13 +157,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.no_binarize:
         if args.embeddings is None:
             raise SemhashError("--no-binarize requires --embeddings")
-        values = read_features(args.embeddings)
-        if values.shape[0] != len(index):
-            raise ShapeMismatch(
-                f"{values.shape[0]} embedding rows but {len(index)} index entries"
-            )
         report = evaluate_embeddings(
-            values, index.ids, index.labels, taxonomy, args.k_max, per_query=args.per_query
+            read_features(args.embeddings), index.ids, index.labels, taxonomy, args.k_max,
+            per_query=args.per_query,
         )
     elif args.embeddings is not None:
         raise SemhashError("--embeddings requires --no-binarize")

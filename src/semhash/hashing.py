@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, is_int
 from .errors import EmptyIndex, LengthMismatch, NonFiniteInput, ShapeMismatch
 from .files import file_header, read_file, write_atomic
 from .model import EncoderParams, _embedding_values, _forward
@@ -116,10 +116,17 @@ def _in_range(values, name: str, bits: int, dtype=np.int64) -> np.ndarray:
     return array.astype(dtype, copy=False)
 
 
-def _check_unique_ids(ids: np.ndarray) -> None:
-    values, counts = np.unique(ids, return_counts=True)
-    if np.any(counts > 1):
-        raise ShapeMismatch(f"duplicate sample id {values[counts > 1][0]}")
+def _entries(ids, labels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` rows' unique sample ids in [0, 2**63) and labels in [0, 2**32), as int64;
+    ``LengthMismatch`` unless there are ``n`` of each, and a repeated id names the smallest."""
+    ids, labels = _in_range(ids, "sample ids", 63), _in_range(labels, "labels", 32)
+    if ids.shape != (n,) or labels.shape != (n,):
+        raise LengthMismatch(f"{n} rows but sample ids {ids.shape} and labels {labels.shape}")
+    ordered = np.sort(ids)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ShapeMismatch(f"duplicate sample id {repeated[0]}")
+    return ids, labels
 
 
 @dataclass
@@ -133,20 +140,15 @@ class HashIndex:
 
     def __post_init__(self) -> None:
         self.words = np.ascontiguousarray(_in_range(self.words, "code words", 64, np.uint64))
-        self.ids = _in_range(self.ids, "sample ids", 63)
-        self.labels = _in_range(self.labels, "labels", 32)
         if self.code_length < 1:
             raise ShapeMismatch(f"code length must be >= 1, got {self.code_length}")
         if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"words shape {self.words.shape} incompatible with K={self.code_length}"
             )
-        n = self.words.shape[0]
-        if self.ids.shape != (n,) or self.labels.shape != (n,):
-            raise LengthMismatch("ids and labels must parallel the code list")
-        _check_unique_ids(self.ids)
+        self.ids, self.labels = _entries(self.ids, self.labels, len(self.words))
         mask = np.uint64(_pad_mask(self.code_length))
-        if n and np.any(self.words[:, -1] & ~mask):
+        if len(self.words) and np.any(self.words[:, -1] & ~mask):
             raise ShapeMismatch("padding bits above the code length must be zero")
 
     def __len__(self) -> int:
@@ -231,8 +233,8 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     """Exact top-k by (Hamming distance, sample id) over a full scan."""
     if len(index) == 0:
         raise EmptyIndex("index is empty")
-    if k < 1:
-        raise ShapeMismatch(f"k must be >= 1, got {k}")
+    if not is_int(k) or k < 1:
+        raise ShapeMismatch(f"k must be an integer >= 1, got {k}")
     if q.code_length != index.code_length:
         raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
     dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _threads
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
-from .hashing import HashIndex, _check_unique_ids, _in_range, _rank_by_id, hamming_to_all
+from .data import is_int
+from .hashing import HashIndex, _entries, _rank_by_id, hamming_to_all
 from .hierarchy import Taxonomy, _lca_distances, semantic_distance
 from .model import _embedding_values
 # not called here; perfbench/spans.py patches this module's ``distance_matrix``
@@ -118,8 +119,8 @@ def _score_ranking(
 ) -> MetricsReport:
     """Score a complete ranking as given: positions as distances and ids, -1 as the query id."""
     n = len(ranked_labels)
-    if k_max < 1 or k_max > n:  # before any label is checked
-        raise KTooLarge(f"k={k_max} outside [1, {n}]")
+    if not is_int(k_max) or not 1 <= k_max <= n:  # before any label is checked
+        raise KTooLarge(f"k={k_max} outside the integers [1, {n}]")
     for label in ranked_labels:  # the first bad (query, item) pair decides the error
         t._check_leaves([query_label, label])
     positions = np.arange(n)
@@ -205,8 +206,8 @@ def _score(
     own_col = np.searchsorted(item_ids[by_id], query_ids)
     has_own = np.isin(query_ids, item_ids)
     min_candidates = n_items - int(has_own.any())
-    if k_max < 1 or k_max > min_candidates:
-        raise KTooLarge(f"k_max={k_max} outside [1, {min_candidates}]")
+    if not is_int(k_max) or not 1 <= k_max <= min_candidates:
+        raise KTooLarge(f"k_max={k_max} outside the integers [1, {min_candidates}]")
 
     # each block's relevances against the L distinct labels come from their ancestor table
     label_ids, label_rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
@@ -300,14 +301,10 @@ def evaluate_embeddings(
     per_query: bool = False,
 ) -> MetricsReport:
     """Leave-one-out evaluation of continuous embeddings under Manhattan ranking."""
-    ids = _in_range(ids, "sample ids", 63)  # the index's rule for its ids and labels
-    labels_arr = _in_range(labels, "labels", 32)
     values = _embedding_values(values)
-    if values.shape[0] != ids.shape[0] or ids.shape != labels_arr.shape:
-        raise ShapeMismatch("values, ids and labels must be parallel")
+    ids, labels = _entries(ids, labels, len(values))  # the index's rule for its entries
     if not np.isfinite(values).all():
         raise NonFiniteInput("embeddings contain NaN or inf")
-    _check_unique_ids(ids)
 
     def distances(rows: slice) -> np.ndarray:
         queries = values[rows]
@@ -319,4 +316,4 @@ def evaluate_embeddings(
             diff.sum(axis=1, out=row)
         return out
 
-    return _score(distances, ids, labels_arr, ids, labels_arr, t, k_max, per_query, "manhattan")
+    return _score(distances, ids, labels, ids, labels, t, k_max, per_query, "manhattan")

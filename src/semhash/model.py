@@ -23,6 +23,14 @@ CHECKPOINT_VERSION = 1
 _GRAD_CHECK_STEP = 1e-5  # gradient_check moves each coordinate this far each way
 
 
+def _check_layer(name: str, w: np.ndarray, b: np.ndarray) -> None:
+    """Check a dense layer: out x in weights with both widths at least 1, out biases, all finite."""
+    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0] or 0 in w.shape:
+        raise ShapeMismatch(f"{name} weights {w.shape} / biases {b.shape}")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise NonFiniteInput(f"{name} has non-finite parameters")
+
+
 @dataclass
 class EncoderParams:
     """Ordered (weights, biases) pairs; weights are out x in, every width at least 1."""
@@ -35,14 +43,11 @@ class EncoderParams:
             raise ShapeMismatch("encoder needs at least one layer")
         prev_out = None
         for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0] or 0 in w.shape:
-                raise ShapeMismatch(f"layer {i}: weights {w.shape} / biases {b.shape}")
+            _check_layer(f"layer {i}", w, b)
             if prev_out is not None and w.shape[1] != prev_out:
                 raise ShapeMismatch(
                     f"layer {i}: in-dim {w.shape[1]} != previous out-dim {prev_out}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NonFiniteInput(f"layer {i}: non-finite parameters")
             prev_out = w.shape[0]
         if prev_out != self.code_length:
             raise ShapeMismatch(
@@ -62,14 +67,7 @@ class ClassifierParams:
     biases: np.ndarray  # C
 
     def __post_init__(self) -> None:
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ShapeMismatch("classifier weights must be 2-D, biases 1-D")
-        if self.weights.shape[0] != self.biases.shape[0] or 0 in self.weights.shape:
-            raise ShapeMismatch(
-                f"classifier weights {self.weights.shape} / biases {self.biases.shape}"
-            )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise NonFiniteInput("classifier has non-finite parameters")
+        _check_layer("classifier", self.weights, self.biases)
 
     @property
     def n_classes(self) -> int:

@@ -31,6 +31,14 @@ def bf_topk(db_bits, ids, query_bits, k):
     return [(i, d) for d, i in scored[:k]]
 
 
+def smallest_duplicate(ids):
+    """The smallest id that occurs more than once, or None."""
+    seen, repeated = set(), set()
+    for i in map(int, ids):
+        (repeated if i in seen else seen).add(i)
+    return min(repeated, default=None)
+
+
 def bf_lca(parent_of, depth_of, a, b):
     """Deepest common element of the two ancestor chains."""
     def chain(x):

@@ -601,6 +601,54 @@ def test_eval_no_binarize_rejects_non_finite_embeddings(workdir, capsys, bad):
     assert not (workdir / "e.report.json").exists()
 
 
+def test_eval_no_binarize_of_embeddings_one_row_short_is_one_error_line(workdir, capsys):
+    t = parse_taxonomy(TAX_TEXT)
+    labels = t.leaves()
+    values = np.linspace(0.0, 1.0, 4 * len(labels)).reshape(len(labels), 4)
+    save_index(workdir / "e.index", build_index(binarize(values), range(len(labels)), labels))
+    write_features(workdir / "e.embeddings", values[1:])
+    rc = main([
+        "eval", "--index", str(workdir / "e.index"), "--taxonomy", str(workdir / "tax.txt"),
+        "--k-max", "3", "--out", str(workdir / "e"),
+        "--no-binarize", "--embeddings", str(workdir / "e.embeddings"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: {len(labels) - 1} rows but sample ids ({len(labels)},) "
+                   f"and labels ({len(labels)},)"]
+    assert not (workdir / "e.report.json").exists()
+
+
+def test_no_command_imports_numpy_ma(workdir):
+    # the first plain ``np.unique(x)`` in a process imports numpy.ma, about 1 MiB
+    # of resident memory; every command runs in one child process without it
+    commands = [shlex.split(line) for line in [
+        "gen-data --taxonomy tax.txt --per-class 6 --dim 12 --seed 11 --out data",
+        "train --config train.cfg --features data.features --labels data.labels"
+        " --taxonomy tax.txt --out run",
+        "encode --checkpoint run.checkpoint --features data.features --labels data.labels"
+        " --taxonomy tax.txt --out run",
+        "index --embeddings run.embeddings --labels data.labels --taxonomy tax.txt --out rebuilt",
+        "eval --index run.index --taxonomy tax.txt --k-max 5 --out run",
+        "eval --index run.index --taxonomy tax.txt --k-max 5 --no-binarize"
+        " --embeddings run.embeddings --out cont",
+        "query --index run.index --query-id 0 --k 3",
+    ]]
+    script = (
+        "import sys\n"
+        "from semhash.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(semhash.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert (workdir / "cont.report.json").exists()
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("name", ["train.cfg", "tax.txt", "data.labels"])
 def test_non_utf8_text_input_is_one_error_line(workdir, capsys, name):
     gen_data(workdir)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semhash.hashing as hashing_mod
@@ -34,7 +34,7 @@ from semhash.hashing import (
 from semhash.model import encoder_forward, init_encoder
 
 from conftest import overflowing_encoder
-from oracles import bf_hamming, bf_topk, unpack_bits
+from oracles import bf_hamming, bf_topk, smallest_duplicate, unpack_bits
 
 
 def random_codes(rng, n, k):
@@ -387,6 +387,36 @@ def test_build_index_rejects_mixed_lengths():
 def test_build_index_rejects_empty():
     with pytest.raises(EmptyIndex):
         build_index([], [], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    distinct=st.lists(st.integers(0, 2**63 - 1), max_size=12, unique=True),
+    repeats=st.lists(st.integers(0, 11), max_size=3),
+    dtype=st.sampled_from([np.int64, np.uint64]),
+    n_off=st.sampled_from([0, 0, 0, -1, 1]),
+    seed=st.integers(0, 2**16),
+)
+@example(distinct=[], repeats=[], dtype=np.int64, n_off=0, seed=0)
+@example(distinct=[], repeats=[], dtype=np.uint64, n_off=1, seed=0)
+def test_entries_are_checked_by_length_then_for_the_smallest_repeated_id(
+    distinct, repeats, dtype, n_off, seed
+):
+    # shuffled ids with 0-3 repeats of drawn ids, and labels parallel to them
+    ids = distinct + [distinct[r % len(distinct)] for r in repeats if distinct]
+    ids = np.random.default_rng(seed).permutation(np.array(ids, dtype=dtype))
+    labels = np.arange(len(ids), dtype=dtype) % 5
+    n = len(ids) + n_off
+    if n != len(ids):
+        with pytest.raises(LengthMismatch, match=rf"^{n} rows but sample ids \({len(ids)},\)"):
+            hashing_mod._entries(ids, labels, n)
+    elif (repeated := smallest_duplicate(ids)) is not None:
+        with pytest.raises(ShapeMismatch, match=f"^duplicate sample id {repeated}$"):
+            hashing_mod._entries(ids, labels, n)
+    else:
+        got_ids, got_labels = hashing_mod._entries(ids, labels, n)
+        assert got_ids.dtype == got_labels.dtype == np.int64
+        assert got_ids.tolist() == ids.tolist() and got_labels.tolist() == labels.tolist()
 
 
 def test_build_index_rejects_duplicate_ids():

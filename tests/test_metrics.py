@@ -20,10 +20,11 @@ from semhash.errors import (
     NoRelevantItems,
     NonFiniteInput,
     NotALeaf,
+    SemhashError,
     ShapeMismatch,
     UnknownNode,
 )
-from semhash.hashing import binarize, build_index, pack_bits
+from semhash.hashing import HashIndex, binarize, build_index, pack_bits, query_topk
 from semhash.metrics import (
     MetricsReport,
     ahp_at_k,
@@ -329,6 +330,52 @@ class TestEvaluateEmbeddings:
         labels = [a1 + 0.5 if float_labels else a1] * 3
         with pytest.raises(ShapeMismatch, match=f"^{name} must be integers"):
             evaluate_embeddings(np.zeros((3, 2)), ids, labels, t, k_max=1)
+
+
+@pytest.mark.parametrize("ids, labels", [
+    ([0, 2, 0], [3, 3, 4]),
+    ([0, -1, 2], [3, 3, 4]),
+    ([0, 1.5, 2], [3, 3, 4]),
+    ([0, 1, 2**63], [3, 3, 4]),
+    ([0, 1, 2], [3, 3.5, 4]),
+    ([0, 1, 2], [3, 3, 2**32]),
+    ([0, 1], [3, 3, 4]),  # not one id and one label for each of the three rows
+    ([0, 1, 2], [3, 3, 4, 4]),
+    ([[0, 1, 2]], [3, 3, 4]),
+])
+def test_an_index_and_evaluate_embeddings_reject_bad_entries_alike(five_node_tax, ids, labels):
+    with pytest.raises(SemhashError) as by_index:
+        HashIndex(np.zeros((3, 1), np.uint64), ids, labels, 8)
+    with pytest.raises(SemhashError) as by_eval:
+        evaluate_embeddings(np.zeros((3, 2)), ids, labels, five_node_tax, k_max=1)
+    assert type(by_eval.value) is type(by_index.value)
+    assert str(by_eval.value) == str(by_index.value)
+
+
+def cutoff_entry_points(t):
+    """Each function that takes a cutoff, as a call on a cutoff up to 3, with the error class
+    it raises for a cutoff that is not an integer."""
+    labels = [leaf(t, name) for name in ("a1", "a1", "a2", "b1")]
+    values = np.linspace(0.0, 1.0, 32).reshape(4, 8)
+    index = build_index(binarize(values), range(4), labels)
+    return {
+        "query_topk": (lambda k: query_topk(index, index.codes()[0], k), ShapeMismatch),
+        "evaluate": (lambda k: evaluate(index, None, t, k_max=k), KTooLarge),
+        "evaluate_embeddings": (lambda k: evaluate_embeddings(values, range(4), labels, t, k),
+                                KTooLarge),
+        "hp_at_k": (lambda k: hp_at_k(labels, labels[0], k, t), KTooLarge),
+        "ahp_at_k": (lambda k: ahp_at_k(labels, labels[0], k, t), KTooLarge),
+    }
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3), True], ids=repr)
+@pytest.mark.parametrize("entry", ["query_topk", "evaluate", "evaluate_embeddings",
+                                   "hp_at_k", "ahp_at_k"])
+def test_a_cutoff_that_is_not_an_integer_is_rejected(five_node_tax, entry, k):
+    run, error = cutoff_entry_points(five_node_tax)[entry]
+    run(np.int64(3))  # a numpy integer is a cutoff
+    with pytest.raises(error, match="integer"):
+        run(k)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
