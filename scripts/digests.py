@@ -6,8 +6,8 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
 - ``train/...``: ``params_digest`` and ``log.csv`` of the benchmark variants
   at seeds 0 and 1 (one epoch each), of the train_b4 benchmark's own run
   (``shrewd-e10``: shrewd at seed 0 over its full 10 epochs), of B=64,
-  K=64 and B=63, K=64 runs, whose steps split the pairwise pass into equal
-  and unequal row halves when two CPUs are free, and of shrewd and shred at
+  K=64 and B=63, K=64 runs, whose pairwise passes fill 8-row blocks (the
+  last one of 7 rows at B=63), and of shrewd and shred at
   B=64, K=64 over 6,400 rows (``*-b64k64-n6400``: seed 0, two epochs of 100
   steps, which train runs in chunks of 32, 32, 32 and 4 steps);
 - ``eval/...``: ``report.json`` with per-query values and ``hp_curve.csv`` of

@@ -6,7 +6,7 @@ import os
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 
-# threads for eval's query blocks and a step's pairwise rows: the caller's and at most one worker
+# threads for eval's query blocks: the caller's and at most one worker
 WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
 )

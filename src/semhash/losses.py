@@ -16,19 +16,16 @@ absolute-value kinks and nearest-neighbor assignments held locally constant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _threads
 from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from .model import ClassifierParams, _embedding_values, classifier_forward
 
 _NU_EPS = 1e-12  # distance clamp before logs; keeps duplicates finite
-# the most bytes of differences that the pairwise pass holds per thread at once
+# the most bytes of differences that the pairwise pass holds at once
 _PAIR_BLOCK_BYTES = 1 << 18
 
 
@@ -74,19 +71,26 @@ class _Pairs(NamedTuple):
     sq_t: np.ndarray | None  # B x M: sum over K of (z_i - t_m)^2, or None without a target
 
 
-def _pair_rows(zv, tv, pairs: _Pairs, rows: slice) -> None:
-    """Fill the rows ``rows`` of ``pairs``, in blocks of rows whose differences to
-    every embedding (and target) row fit one scratch array of _PAIR_BLOCK_BYTES.
+def _pairwise(zv: np.ndarray, tv: np.ndarray | None, work: np.ndarray | None = None) -> _Pairs:
+    """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
 
-    Each row's sums are numpy's contiguous sums over K, so a split into row
-    ranges or blocks gives the bits of one call over all rows.
+    ``work`` is the float64 B x B x K array that takes the signs (``train``'s
+    slot, reused by every step), or None to allocate one.  The rows are filled
+    in blocks whose differences to every embedding (and target) row fit one
+    scratch array of _PAIR_BLOCK_BYTES (or of one row, if a row is larger).
+    Each row's sums are numpy's contiguous sums over K, so the blocks give the
+    bits of one call over all rows.
     """
     b, k = zv.shape
+    if work is None:
+        work = np.empty((b, b, k))
+    sq_t = None if tv is None else np.empty((b, tv.shape[0]))
+    pairs = _Pairs(work, np.empty((b, b)), np.empty((b, b)), sq_t)
     width = b if tv is None else max(b, tv.shape[0])
     step = max(1, _PAIR_BLOCK_BYTES // (8 * width * k))
-    scratch = np.empty((min(step, rows.stop - rows.start), width, k))
-    for start in range(rows.start, rows.stop, step):
-        block = slice(start, min(start + step, rows.stop))
+    scratch = np.empty((min(step, b), width, k))
+    for start in range(0, b, step):
+        block = slice(start, min(start + step, b))
         n = block.stop - start
         diff = np.subtract(zv[block, None, :], zv[None, :, :], out=scratch[:n, :b])
         np.sign(diff, out=pairs.sgn[block])
@@ -98,27 +102,6 @@ def _pair_rows(zv, tv, pairs: _Pairs, rows: slice) -> None:
             diff = np.subtract(zv[block, None, :], tv[None, :, :], out=scratch[:n, : tv.shape[0]])
             np.square(diff, out=diff)
             diff.sum(axis=2, out=pairs.sq_t[block])
-
-
-def _pairwise(
-    zv: np.ndarray,
-    tv: np.ndarray | None,
-    work: np.ndarray | None = None,
-    worker: Executor | None = None,
-) -> _Pairs:
-    """The pairwise pass of B x K embeddings ``zv`` (and an M x K target ``tv``).
-
-    ``work`` is the float64 B x B x K array that takes the signs (``train``'s
-    slot, reused by every step), or None to allocate one; the differences go
-    through one scratch array of at most _PAIR_BLOCK_BYTES (or of one row) per
-    thread.  With a ``worker``, ``_threads.halves`` splits the rows onto it.
-    """
-    b, k = zv.shape
-    if work is None:
-        work = np.empty((b, b, k))
-    sq_t = None if tv is None else np.empty((b, tv.shape[0]))
-    pairs = _Pairs(work, np.empty((b, b)), np.empty((b, b)), sq_t)
-    _threads.halves(partial(_pair_rows, zv, tv, pairs), b, worker)
     return pairs
 
 
@@ -298,7 +281,7 @@ def cls_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
     return float(value), grad
 
 
-def _step_loss(zv, side, labels, classifier, tv, weights, cfg, head_grads, work=None, worker=None):
+def _step_loss(zv, side, labels, classifier, tv, weights, cfg, head_grads, work=None):
     """The loss terms of checked float64 embeddings ``zv`` and target ``tv``, given the
     ``_label_side`` of their distance block; checks nothing of its own.
 
@@ -306,10 +289,10 @@ def _step_loss(zv, side, labels, classifier, tv, weights, cfg, head_grads, work=
     only its value.  Returns (sim, kl, logits, cls, grad_z) and writes the head's gradients
     into ``head_grads``, the caller's (weights, biases) arrays; at lambda2 = 0 they stay
     untouched and cls is None: callers take it from the logits with ``_cls_value``.  The
-    pairwise pass takes its signs in ``work`` and its second half of rows on ``worker``.
+    pairwise pass takes its signs in ``work``.
     """
     sim_weight, lambda1, lambda2 = weights
-    pairs = _pairwise(zv, tv, work, worker)
+    pairs = _pairwise(zv, tv, work)
     if sim_weight:
         sim_v, sim_g = sim_loss(zv, None, cfg, pairs=pairs, side=side)
         grad_z = sim_weight * sim_g

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import _threads
 from .data import Dataset, RngState, all_finite, beta_sample, is_int
 from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 # train takes its label distances from the leaves' ancestor table; distance_matrix
@@ -39,9 +38,6 @@ from .model import (
 VARIANTS = ("shrewd", "shred")
 BETA_TARGET = (0.1, 0.1)  # the divergence term's Beta(alpha, beta) target
 ADAM = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
-# B * B * K from which a step's pairwise pass runs on two row halves: below it,
-# handing half the rows to a worker thread costs more than it saves
-_SPLIT_WORK = 1 << 17
 # the most bytes that one of an epoch's per-step arrays (distance blocks, their
 # label side, targets, logits) takes for a chunk of steps, so that training's
 # memory does not grow with N * B
@@ -248,6 +244,7 @@ def train(
     views, grads = ([vec[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
                     for vec in (buf, grad))
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
+    del flat  # the initial arrays, which buf has copied, are not kept for the run
     layer_grads = list(zip(grads[:-2:2], grads[1:-2:2]))
     adam = AdamState.zeros_like(buf)
     sim_cfg = SimLossConfig()  # gamma, rho and the tau floor at their defaults
@@ -263,9 +260,8 @@ def train(
     # batch is dropped, so B is fixed) and freed on return: a fresh one at each
     # step is handed back to the OS when freed and page-faulted in again
     work = np.empty((bsz, bsz, config.code_length))
-    # a blow-up ends in one DivergedLoss, not in numpy warnings; halves passes this to the worker
-    with _threads.pool(bsz * bsz * config.code_length >= _SPLIT_WORK) as worker, \
-            np.errstate(over="ignore", invalid="ignore"):
+    # a blow-up ends in one DivergedLoss, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             perm = shuffle_rng.generator.permutation(n)
             for first in range(0, epoch_rows, chunk_rows):
@@ -286,7 +282,7 @@ def train(
                         raise DivergedLoss(f"step {step}: embeddings became non-finite")
                     sim, kl, logits[s], cls, grad_z = _step_loss(
                         acts[-1], (w[s], d_scaled[s]), y, classifier,
-                        targets[s * bsz : (s + 1) * bsz], weights, sim_cfg, grads[-2:], work, worker)
+                        targets[s * bsz : (s + 1) * bsz], weights, sim_cfg, grads[-2:], work)
                     # at lambda2 = 0 the frozen head's cls is finite with the embeddings
                     part = weights[0] * sim + weights[1] * kl
                     if not math.isfinite(part if cls is None else part + weights[2] * cls):

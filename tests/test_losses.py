@@ -1,8 +1,6 @@
 import functools
 import math
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -412,14 +410,13 @@ class TestLossInputChecks:
             WITH_TARGET[name](self.Z, self.D, np.zeros((0, 3)))
 
 
-def step_loss(z, d, labels, clf, target, lambda1, lambda2, cfg, sim_weight=1.0, *,
-              work=None, worker=None):
-    """``_step_loss``, the path ``train`` runs, with a sign slot and a worker: the total
-    (summed as ``total_loss`` sums it), grad_z and the (sim, kl, cls) values."""
+def step_loss(z, d, labels, clf, target, lambda1, lambda2, cfg, sim_weight=1.0, *, work=None):
+    """``_step_loss``, the path ``train`` runs, with a sign slot: the total (summed as
+    ``total_loss`` sums it), grad_z and the (sim, kl, cls) values."""
     head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
     sim, kl, _, cls, grad_z = losses_mod._step_loss(
         z, _label_side(d, cfg), labels, clf, target, (sim_weight, lambda1, lambda2), cfg,
-        head, work, worker)
+        head, work)
     return sim_weight * sim + lambda1 * kl + lambda2 * cls, grad_z, (sim, kl, cls)
 
 
@@ -538,12 +535,6 @@ class TestTotalLoss:
         np.testing.assert_allclose(lv.grad_classifier[0], gw, rtol=1e-4, atol=1e-8)
 
 
-@pytest.fixture(scope="module")
-def worker():
-    with ThreadPoolExecutor(1) as pool:
-        yield pool
-
-
 def pass_inputs(kind, b, k, m, seed):
     """Embeddings, an m-row target and label distances of one kind."""
     rng = np.random.default_rng(seed)
@@ -560,27 +551,26 @@ def pass_inputs(kind, b, k, m, seed):
     return z, target, symmetric_distances(rng, b)
 
 
-# (B, K) on both sides of train's two-thread bound of B * B * K = 2**17: odd B
-# gives halves of unequal size; at B = 64 and K = 64 each half fills its rows in
-# blocks of 8 (7 at M = 70), and a target of another row count M shares the
+# at K = 64 the pass fills its rows in blocks of 8, whose last block has 7 rows at
+# B = 63, or in blocks of 7 at M = 70; a target of another row count M shares the
 # scratch of the z - z differences
 PASS_CASES = [
     pytest.param(kind, b, k, m, id=f"{kind}-b{b}k{k}m{m}")
     for kind in ("uniform", "ties", "duplicates", "huge")
-    for b, k, m in ((2, 1, 2), (3, 5, 3), (4, 16, 4), (9, 17, 5), (64, 64, 64), (63, 64, 70))
+    for b, k, m in ((2, 1, 2), (3, 5, 3), (4, 16, 4), (9, 17, 5), (64, 64, 64), (63, 64, 64),
+                    (63, 64, 70))
 ]
 
 
 class TestSharedPairwisePass:
-    """One pairwise pass feeds both embedding terms, on one thread or on two row halves."""
+    """One pairwise pass feeds both embedding terms."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
-    def test_sim_loss_on_the_pass_is_bitwise_the_straight_form(self, worker, threads, kind, b, k, m):
+    def test_sim_loss_on_the_pass_is_bitwise_the_straight_form(self, kind, b, k, m):
         z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
         cfg = SimLossConfig()
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = _pairwise(z, target, np.full((b, b, k), np.nan), worker if threads == 2 else None)
+            pairs = _pairwise(z, target, np.full((b, b, k), np.nan))
             got = sim_loss(z, d, cfg, pairs=pairs)
             want = np_sim_loss(z, d, cfg)
             assert bits(got) == bits(want) == bits(sim_loss(z, d, cfg))
@@ -590,18 +580,16 @@ class TestSharedPairwisePass:
             tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
             np.testing.assert_allclose(got[1], want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
-    def test_kl_loss_on_the_pass_is_bitwise_the_oracle(self, worker, threads, kind, b, k, m):
+    def test_kl_loss_on_the_pass_is_bitwise_the_oracle(self, kind, b, k, m):
         z, target, _ = pass_inputs(kind, b, k, m, seed=b * k + m)
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = _pairwise(z, target, np.full((b, b, k), np.nan), worker if threads == 2 else None)
+            pairs = _pairwise(z, target, np.full((b, b, k), np.nan))
             got = kl_loss(z, target, pairs=pairs)
             assert bits(got) == bits(bf_kl_loss(z, target)) == bits(kl_loss(z, target))
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
-    def test_total_loss_is_bitwise_the_sum_of_the_oracles(self, worker, threads, kind, b, k, m):
+    def test_total_loss_is_bitwise_the_sum_of_the_oracles(self, kind, b, k, m):
         z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
         labels = np.arange(b) % 3
         clf = init_classifier(k, 3, RngState.from_seed(b))
@@ -610,7 +598,7 @@ class TestSharedPairwisePass:
         with np.errstate(over="ignore", invalid="ignore"):
             total, grad_z, values = step_loss(
                 z, d, labels, clf, target, *weights[:2], cfg, weights[2],
-                work=np.full((b, b, k), np.nan), worker=worker if threads == 2 else None)
+                work=np.full((b, b, k), np.nan))
             sim_v, sim_g = np_sim_loss(z, d, cfg)
             kl_v, kl_g = bf_kl_loss(z, target)
             cls_v, grad_logits = cls_loss(z @ clf.weights.T + clf.biases, labels)
@@ -620,72 +608,22 @@ class TestSharedPairwisePass:
         assert [np.float64(v).tobytes() for v in values] == [
             np.float64(v).tobytes() for v in (sim_v, kl_v, cls_v)]
 
-    def test_the_worker_fills_the_second_half_of_the_rows(self, worker, monkeypatch):
-        calls = []
-        real = losses_mod._pair_rows
-
-        def recorded(*args):
-            calls.append((args[-1], threading.current_thread() is threading.main_thread()))
-            return real(*args)
-
-        monkeypatch.setattr(losses_mod, "_pair_rows", recorded)
-        z, target, _ = pass_inputs("uniform", 7, 3, 7, seed=0)
-        _pairwise(z, target, None, worker)
-        assert sorted(calls, key=lambda c: c[0].start) == [(slice(0, 4), True), (slice(4, 7), False)]
-
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_an_error_on_either_half_reaches_the_caller_after_the_worker_is_done(
-        self, worker, monkeypatch, failing
-    ):
-        real = losses_mod._pair_rows
-        finished = []
-
-        def failing_half(*args):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            if on_worker == (failing == "worker"):
-                raise FloatingPointError(f"{failing} half")
-            real(*args)
-            finished.append(on_worker)
-
-        monkeypatch.setattr(losses_mod, "_pair_rows", failing_half)
-        z, target, d = pass_inputs("uniform", 8, 4, 8, seed=1)
-        labels = np.zeros(8, dtype=np.int64)
-        clf = init_classifier(4, 2, RngState.from_seed(0))
-        with pytest.raises(FloatingPointError, match=f"^{failing} half$"):
-            step_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), worker=worker)
-        assert finished == [failing == "caller"]  # the other half ran to its end
-
-    def test_the_worker_keeps_the_callers_numpy_error_state(self, worker):
-        # inf - inf happens only in the rows of the infinite point, which the
-        # worker fills: the caller's rows take finite - inf = -inf
-        z = np.zeros((6, 1))
-        z[5, 0] = np.inf
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            _pairwise(z, z, None, worker)
-        with np.errstate(invalid="ignore"):
-            pairs = _pairwise(z, z, None, worker)
-        assert np.isnan(pairs.sq_z[5, 5]) and np.isinf(pairs.sq_z[:5, 5]).all()
-
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [64, 70])
-    def test_the_pass_allocates_less_than_one_pairwise_array_beyond_the_sign_slot(
-        self, worker, threads, m
-    ):
-        # the differences go through one block-sized scratch per thread, not a B x B x K slot
+    def test_the_pass_allocates_less_than_one_pairwise_array_beyond_the_sign_slot(self, m):
+        # the differences go through one block-sized scratch, not a B x B x K slot
         b = k = 64
         z, target, d = pass_inputs("uniform", b, k, m, seed=2)
         labels = np.arange(b) % 3
         clf = init_classifier(k, 3, RngState.from_seed(0))
         work = np.empty((b, b, k))
         one_array = b * b * k * 8  # bytes of one B x B x K float64 array
-        pool = worker if threads == 2 else None
         peaks = {}
         tracemalloc.start()
         try:
             for name, slot in (("fresh", None), ("work", work)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                step_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=slot, worker=pool)
+                step_loss(z, d, labels, clf, target, 1.0, 1.0, SimLossConfig(), work=slot)
                 peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -693,10 +631,10 @@ class TestSharedPairwisePass:
         assert peaks["work"] < one_array
 
     @pytest.mark.parametrize("b, k, m, blocks", [
-        (4, 16, 4, 1), (64, 64, 64, 8), (63, 64, 70, 9), (2, 2**16, 2, 2),
+        (4, 16, 4, 1), (64, 64, 64, 8), (63, 64, 64, 8), (63, 64, 70, 9), (2, 2**16, 2, 2),
     ])
     def test_each_block_of_rows_fits_the_scratch(self, monkeypatch, b, k, m, blocks):
-        # on one thread, each block of rows makes two subtracts and two squares into the
+        # each block of rows makes two subtracts and two squares into the
         # scratch, which holds at most _PAIR_BLOCK_BYTES, or one row of differences if larger
         z, target, _ = pass_inputs("uniform", b, k, m, seed=3)
         outs = []
@@ -704,7 +642,7 @@ class TestSharedPairwisePass:
             real = getattr(np, name)
             monkeypatch.setattr(np, name, functools.partial(
                 lambda real, *a, **kw: outs.append(kw["out"].nbytes) or real(*a, **kw), real))
-        _pairwise(z, target, None, None)
+        _pairwise(z, target)
         monkeypatch.undo()
         assert len(outs) == 4 * blocks
         assert max(outs) <= max(losses_mod._PAIR_BLOCK_BYTES, 8 * max(b, m) * k)

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 import semhash
 import semhash._threads as threads_mod
-import semhash.losses as losses_mod
 import semhash.trainer as trainer_mod
 from oracles import bf_adam, bf_train
 from test_perfbench import load_spans
@@ -553,6 +553,34 @@ class TestTrain:
         assert all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
 
+    def test_the_initial_arrays_are_dead_once_copied_into_the_buffer(self, monkeypatch):
+        # the buffer holds the only copy of the parameters for the whole run
+        tax, ds, cfg = tiny_setup(epochs=1)
+        refs, alive = [], []
+        real_encoder, real_classifier, real_adam = (
+            trainer_mod.init_encoder, trainer_mod.init_classifier, trainer_mod.adam_step)
+
+        def init_encoder(*args, **kwargs):
+            encoder = real_encoder(*args, **kwargs)
+            refs.extend(weakref.ref(a) for layer in encoder.layers for a in layer)
+            return encoder
+
+        def init_classifier(*args, **kwargs):
+            classifier = real_classifier(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (classifier.weights, classifier.biases))
+            return classifier
+
+        def adam_step(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_adam(*args, **kwargs)
+
+        for name, fn in (("init_encoder", init_encoder), ("init_classifier", init_classifier),
+                         ("adam_step", adam_step)):
+            monkeypatch.setattr(trainer_mod, name, fn)
+        train(cfg, ds, tax)
+        assert len(refs) == 2 * len(cfg.hidden_sizes) + 4
+        assert alive[0] == 0
+
     @pytest.mark.parametrize("hidden, variant, batch_size, chunked", [
         pytest.param(hidden, variant, 8, False, id=f"{name}-{variant}")
         for name, hidden in (("linear", ()), ("two_hidden", (16, 12)))
@@ -665,99 +693,42 @@ class TestTrain:
 
 
 def b64_setup(epochs=1):
-    # B * B * K = 2**18, above the bound from which a step's pairwise pass
-    # runs on two row halves; 128 samples make two steps an epoch
+    # cli_pipeline's batch size and code length; 128 samples make two steps an epoch
     tax = balanced_taxonomy((4, 2))
     ds = generate_synthetic(tax, per_class=16, dim=8, diffusion=1.0, noise=0.3,
                             rng=RngState.from_seed(100))
     cfg = TrainConfig(code_length=64, hidden_sizes=(16,), batch_size=64, epochs=epochs, seed=0)
-    assert cfg.batch_size**2 * cfg.code_length >= trainer_mod._SPLIT_WORK
     return tax, ds, cfg
 
 
-def record_pass_threads(monkeypatch) -> list:
-    """Patch the pairwise kernel to log (on the main thread, live thread count) per call."""
-    calls = []
-    real = losses_mod._pair_rows
+class TestTrainThreads:
+    """``train`` runs on the caller's thread alone, even where eval may start a worker."""
 
-    def recorded(*args):
-        calls.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-        return real(*args)
-
-    monkeypatch.setattr(losses_mod, "_pair_rows", recorded)
-    return calls
-
-
-class TestTrainWorker:
-    """``train`` runs the pairwise pass of a large step on two threads, and leaves none behind."""
-
-    def test_two_threads_give_the_bits_of_one(self, monkeypatch):
-        tax, ds, cfg = b64_setup(epochs=2)
-        runs = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(threads_mod, "WORKERS", workers)
-            encoder, classifier, log = train(cfg, ds, tax)
-            runs[workers] = (checkpoint_bytes(encoder, classifier), log.to_csv())
-        assert runs[1] == runs[2]
-
-    def test_no_thread_is_left_after_train_returns(self, monkeypatch):
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_thread_is_started_at_b64_with_two_workers(self, monkeypatch, fails):
         monkeypatch.setattr(threads_mod, "WORKERS", 2)
-        calls = record_pass_threads(monkeypatch)
+        seen = []
+        real = trainer_mod.adam_step
+
+        def adam_step(*args, **kwargs):
+            seen.append(set(threading.enumerate()))
+            if fails:
+                raise RuntimeError("adam failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", adam_step)
         tax, ds, cfg = b64_setup()
         before = set(threading.enumerate())
-        _, _, log = train(cfg, ds, tax)
-        assert set(threading.enumerate()) == before
-        # each step's pass: one half on this thread, one on the worker
-        assert sorted(calls) == sorted([(True, len(before) + 1), (False, len(before) + 1)] * len(log.records))
-
-    def test_no_thread_is_left_after_train_raises(self, monkeypatch):
-        monkeypatch.setattr(threads_mod, "WORKERS", 2)
-        calls = record_pass_threads(monkeypatch)
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("adam failed")
-
-        monkeypatch.setattr(trainer_mod, "adam_step", failing)
-        tax, ds, cfg = b64_setup()
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="^adam failed$"):
-            train(cfg, ds, tax)
-        assert set(threading.enumerate()) == before
-        assert (False, len(before) + 1) in calls
-
-    def test_an_error_in_the_worker_is_raised_on_the_caller(self, monkeypatch):
-        monkeypatch.setattr(threads_mod, "WORKERS", 2)
-        real = losses_mod._pair_rows
-
-        def failing_on_worker(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker failed")
-            return real(*args)
-
-        monkeypatch.setattr(losses_mod, "_pair_rows", failing_on_worker)
-        tax, ds, cfg = b64_setup()
-        before = set(threading.enumerate())
-        with pytest.raises(FloatingPointError, match="^worker failed$"):
-            train(cfg, ds, tax)
+        if fails:
+            with pytest.raises(RuntimeError, match="^adam failed$"):
+                train(cfg, ds, tax)
+        else:
+            _, _, log = train(cfg, ds, tax)
+            assert len(log.records) == 2
+        assert seen == [before] * (1 if fails else 2)
         assert set(threading.enumerate()) == before
 
-    @pytest.mark.parametrize("workers, setup", [
-        pytest.param(1, b64_setup, id="one-cpu"),
-        pytest.param(2, tiny_setup, id="below-the-bound"),
-    ])
-    def test_no_thread_is_started(self, monkeypatch, workers, setup):
-        monkeypatch.setattr(threads_mod, "WORKERS", workers)
-        calls = record_pass_threads(monkeypatch)
-        tax, ds, cfg = setup()
-        before = threading.active_count()
-        _, _, log = train(cfg, ds, tax)
-        assert calls == [(True, before)] * len(log.records)
-
-    def test_traced_train_on_two_threads_fills_every_span(self, monkeypatch):
-        # the worker runs only the private kernel, so the tracer's one span
-        # stack sees the calls of one thread
-        monkeypatch.setattr(threads_mod, "WORKERS", 2)
-        calls = record_pass_threads(monkeypatch)
+    def test_traced_train_fills_every_span(self):
         tax, ds, cfg = b64_setup(epochs=2)
         tracer = load_spans().Tracer()
         tracer.rep = 1
@@ -766,7 +737,6 @@ class TestTrainWorker:
             _, _, log = trainer_mod.train(cfg, ds, tax)
         finally:
             tracer.uninstall()
-        assert any(not on_main for on_main, _ in calls)
         assert None not in tracer.spans
         names = [span[0] for span in tracer.spans]
         assert names.count("losses.kl_loss") == names.count("trainer.adam_step") == len(log.records) == 4
