@@ -562,9 +562,19 @@ PASS_CASES = [
 ]
 
 
+@pytest.fixture(params=["default-blocks", "one-row-blocks"])
+def row_blocks(request, monkeypatch):
+    """The pass's row blocks as shipped, or one row each: a 1-byte bound on the block's
+    differences leaves room for no more than one row, so any row's sums that depended
+    on its block's rows would show against the oracles."""
+    if request.param == "one-row-blocks":
+        monkeypatch.setattr(losses_mod, "_PAIR_BLOCK_BYTES", 1)
+
+
 class TestSharedPairwisePass:
     """One pairwise pass feeds both embedding terms."""
 
+    @pytest.mark.usefixtures("row_blocks")
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
     def test_sim_loss_on_the_pass_is_bitwise_the_straight_form(self, kind, b, k, m):
         z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
@@ -580,6 +590,7 @@ class TestSharedPairwisePass:
             tau_z = batch_scale(np.abs(z[:, None] - z[None]).sum(axis=2), cfg.tau_floor)
             np.testing.assert_allclose(got[1], want_grad, rtol=1e-12, atol=1e-12 / (b * tau_z))
 
+    @pytest.mark.usefixtures("row_blocks")
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
     def test_kl_loss_on_the_pass_is_bitwise_the_oracle(self, kind, b, k, m):
         z, target, _ = pass_inputs(kind, b, k, m, seed=b * k + m)
@@ -588,6 +599,7 @@ class TestSharedPairwisePass:
             got = kl_loss(z, target, pairs=pairs)
             assert bits(got) == bits(bf_kl_loss(z, target)) == bits(kl_loss(z, target))
 
+    @pytest.mark.usefixtures("row_blocks")
     @pytest.mark.parametrize("kind, b, k, m", PASS_CASES)
     def test_total_loss_is_bitwise_the_sum_of_the_oracles(self, kind, b, k, m):
         z, target, d = pass_inputs(kind, b, k, m, seed=b * k + m)
