@@ -244,7 +244,6 @@ def train(
     views, grads = ([vec[end - p.size : end].reshape(p.shape) for p, end in zip(flat, ends)]
                     for vec in (buf, grad))
     encoder, classifier = _unflatten(views, len(encoder.layers), config.code_length)
-    del flat  # the initial arrays, which buf has copied, are not kept for the run
     layer_grads = list(zip(grads[:-2:2], grads[1:-2:2]))
     adam = AdamState.zeros_like(buf)
     sim_cfg = SimLossConfig()  # gamma, rho and the tau floor at their defaults

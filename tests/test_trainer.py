@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -552,34 +551,6 @@ class TestTrain:
         assert base is not None and base.ndim == 1
         assert all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
-
-    def test_the_initial_arrays_are_dead_once_copied_into_the_buffer(self, monkeypatch):
-        # the buffer holds the only copy of the parameters for the whole run
-        tax, ds, cfg = tiny_setup(epochs=1)
-        refs, alive = [], []
-        real_encoder, real_classifier, real_adam = (
-            trainer_mod.init_encoder, trainer_mod.init_classifier, trainer_mod.adam_step)
-
-        def init_encoder(*args, **kwargs):
-            encoder = real_encoder(*args, **kwargs)
-            refs.extend(weakref.ref(a) for layer in encoder.layers for a in layer)
-            return encoder
-
-        def init_classifier(*args, **kwargs):
-            classifier = real_classifier(*args, **kwargs)
-            refs.extend(weakref.ref(a) for a in (classifier.weights, classifier.biases))
-            return classifier
-
-        def adam_step(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in refs))
-            return real_adam(*args, **kwargs)
-
-        for name, fn in (("init_encoder", init_encoder), ("init_classifier", init_classifier),
-                         ("adam_step", adam_step)):
-            monkeypatch.setattr(trainer_mod, name, fn)
-        train(cfg, ds, tax)
-        assert len(refs) == 2 * len(cfg.hidden_sizes) + 4
-        assert alive[0] == 0
 
     @pytest.mark.parametrize("hidden, variant, batch_size, chunked", [
         pytest.param(hidden, variant, 8, False, id=f"{name}-{variant}")
