@@ -10,8 +10,10 @@ variant ordering are directly visible.
 """
 import argparse
 import csv
+import io
 import sys
 import time
+from pathlib import Path
 
 from semhash.benchmark import (
     VARIANT_CONFIGS,
@@ -21,6 +23,7 @@ from semhash.benchmark import (
     run_variant,
 )
 from semhash.errors import SemhashError
+from semhash.files import write_atomic
 
 
 def main(argv=None) -> int:
@@ -40,15 +43,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if args.out and not Path(args.out).parent.is_dir():  # before any training run
+        parser.error(f"--out's directory does not exist: {Path(args.out).parent}")
     try:
         rows = compare_variants(args)
     except SemhashError as exc:  # a value the library rejects is a usage error too
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        try:
+            write_atomic(args.out, text.getvalue())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"\nwrote {len(rows)} rows to {args.out}")
     return 0
 

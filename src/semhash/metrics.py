@@ -251,8 +251,7 @@ def _score(
             del rel, dists, top, hits  # at most one block's arrays per thread are alive
         return scores
 
-    with _threads.pool(len(starts) > 1) as worker:  # hp_at_k scores one block: no executor
-        parts = _threads.halves(score_blocks, len(starts), worker)
+    parts = _threads.halves(score_blocks, len(starts))
     aps, ahp_per_query = zip(*(score for part in parts for score in part))
 
     hp_curve = [(k + 1, math.fsum(hp_rows[:, k]) / n_queries) for k in range(k_max)]

@@ -230,6 +230,14 @@ def train(
     unknown = dataset.labels[np.take(leaves, class_idx, mode="clip") != dataset.labels]
     if unknown.size:
         raise UnknownLabel(f"dataset label {unknown[0]} is not a leaf of the taxonomy")
+    # numpy makes no array over intp-max bytes: check the float64 arrays the config sizes
+    fans = [int(n) for n in (dataset.dim, *config.hidden_sizes, config.code_length)]
+    sizes = [*(a * b for a, b in zip(fans, fans[1:])), len(leaves) * fans[-1],
+             int(config.batch_size) ** 2 * fans[-1]]  # the layers, the C x K head, the sign slot
+    for name, size in zip(["hidden_sizes"] * len(config.hidden_sizes) + ["code_length"] * 2
+                          + ["batch_size"], sizes):
+        if 8 * size > np.iinfo(np.intp).max:
+            raise ConfigError(f"{name} is too large: an array it sizes would exceed numpy's limit")
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
     ancestors = taxonomy._ancestors[:, leaves]  # (height + 1) x L: no L x L table

@@ -465,6 +465,28 @@ def test_train_rejects_zero_width_features(workdir, capsys):
     assert not any(workdir.glob("m.*"))
 
 
+@pytest.mark.parametrize("config, setting", [
+    ("code_length = 8\nhidden_sizes = 1000000000000000000\n", "hidden_sizes"),
+    ("code_length = 1000000000000000000\nhidden_sizes = 4\n", "code_length"),
+], ids=["hidden_sizes", "code_length"])
+def test_train_with_a_layer_too_large_for_numpy_is_one_error_line(tmp_path, capsys, config, setting):
+    (tmp_path / "tax.txt").write_text(
+        "root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n"
+    )
+    (tmp_path / "oversize.cfg").write_text(config)
+    assert main(["gen-data", "--taxonomy", str(tmp_path / "tax.txt"), "--per-class", "20",
+                 "--dim", "8", "--seed", "1", "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--config", str(tmp_path / "oversize.cfg"),
+               "--features", str(tmp_path / "data.features"),
+               "--labels", str(tmp_path / "data.labels"),
+               "--taxonomy", str(tmp_path / "tax.txt"), "--out", str(tmp_path / "m")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {setting} is too large: an array it sizes would exceed numpy's limit\n"
+    assert not any(tmp_path.glob("m.*"))
+
+
 def test_train_on_features_with_a_nan_is_one_error_line(workdir, capsys):
     assert gen_data(workdir) == 0
     features = read_features(workdir / "data.features")

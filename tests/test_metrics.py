@@ -613,6 +613,23 @@ class TestBlockedScorer:
         assert evaluate(index, None, t, k_max=2).n_queries == 3
         assert evaluate_embeddings([[0.0], [1.0], [1.0]], [4, 5, 6], [a1, a2, b1], t, 2).n_queries == 3
 
+    def test_one_block_opens_no_executor_and_keeps_its_values(self, monkeypatch, five_node_tax):
+        t = five_node_tax
+        a1, a2, b1 = (t.node_id(name) for name in ("a1", "a2", "b1"))
+        index = build_index([pack_bits([0]), pack_bits([1]), pack_bits([1])], [4, 5, 6], [a1, a2, b1])
+        monkeypatch.setattr(threads_mod, "WORKERS", 1)
+        serial = evaluate(index, None, t, k_max=2, per_query=True)
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("an executor was opened")
+
+        monkeypatch.setattr(threads_mod, "WORKERS", 2)
+        monkeypatch.setattr(threads_mod, "ThreadPoolExecutor", no_executor)
+        assert hp_at_k([a1, b1, a2], a1, 2, t) == pytest.approx(2.0 / 3.0)
+        one_block = evaluate(index, None, t, k_max=2, per_query=True)  # 3 queries, 1 block
+        assert one_block.to_json_dict() == serial.to_json_dict()
+        assert repr(one_block.per_query) == repr(serial.per_query)
+
     def test_short_switch_interval_keeps_the_bits(self, layouts):
         rng, bits, ids, labels = kernel_case(1, 65)
         n = len(ids)

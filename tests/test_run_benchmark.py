@@ -57,3 +57,33 @@ def test_value_the_library_rejects_is_a_usage_error(tmp_path, capsys, flag, valu
     assert "Traceback" not in err
     assert f"error: {message}" in err.splitlines()[-1]
     assert not out.exists()
+
+
+def no_runs(args):
+    raise AssertionError("a training run was started")
+
+
+def test_out_in_a_missing_directory_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
+    script = load_script()
+    monkeypatch.setattr(script, "compare_variants", no_runs)
+    out = tmp_path / "missing" / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--seeds", "1", *SMALL, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: --out's directory does not exist: {out.parent}")
+    assert not out.parent.exists()
+
+
+def test_a_failed_write_is_one_error_line_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    script = load_script()
+    monkeypatch.setattr(script, "compare_variants", lambda args: [{"seed": 0, "variant": "shrewd"}])
+    out = tmp_path / "f.csv"
+    out.mkdir()  # a directory where the file should go: the rename over it fails
+    assert script.main(["--seeds", "1", *SMALL, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"] and not any(out.iterdir())
