@@ -23,7 +23,8 @@ Two source trees give equal JSON exactly when these outputs are byte-identical:
   set encoded alone, by an untrained encoder of the README's shape (D 32,
   hidden 16, K 8) and of cli_pipeline's (D 128, hidden 256 and 128, K 64);
 - ``synthetic/...``: ``generate_synthetic`` features and labels for three
-  taxonomies, one whose breadth-first order differs from its id order.
+  taxonomies, one whose breadth-first order differs from its id order, drawn
+  through ``make_benchmark_dataset``, a call that older trees take too.
 
 semhash is imported from ``PYTHONPATH``, so one copy of this script can digest
 any tree, for example the base of a change and its head:
@@ -54,7 +55,7 @@ import numpy as np
 from semhash import _threads
 from semhash.benchmark import VARIANT_CONFIGS, balanced_taxonomy, benchmark_config, make_benchmark_dataset
 from semhash.cli import main as cli_main
-from semhash.data import RngState, generate_synthetic, write_features, write_labels
+from semhash.data import RngState, write_features, write_labels
 from semhash.hashing import binarize, build_index
 from semhash.hierarchy import parse_taxonomy
 from semhash.metrics import evaluate, evaluate_embeddings
@@ -181,7 +182,7 @@ def cli_digests() -> dict[str, str]:
             "train": ["train", "--config", f"{d}/train.cfg", *data, "--out", f"{d}/run"],
             "encode": ["encode", "--checkpoint", f"{d}/run.checkpoint", *data, "--out", f"{d}/run"],
             "index": ["index", "--embeddings", f"{d}/run.embeddings", "--labels", f"{d}/data.labels",
-                      "--taxonomy", f"{d}/tax.txt", "--out", f"{d}/low", "--threshold", "0.4"],
+                      "--taxonomy", f"{d}/tax.txt", "--out", f"{d}/rebuilt"],
             "eval-hamming": ["eval", "--index", f"{d}/run.index", "--taxonomy", f"{d}/tax.txt",
                              "--k-max", str(K_MAX), "--out", f"{d}/bin", "--per-query"],
             "eval-manhattan": ["eval", "--index", f"{d}/run.index", "--taxonomy", f"{d}/tax.txt",
@@ -237,8 +238,7 @@ def synthetic_digests() -> dict[str, str]:
     }
     out = {}
     for name, taxonomy in taxonomies.items():
-        dataset = generate_synthetic(taxonomy, per_class=5, dim=9, diffusion=1.0, noise=0.5,
-                                     rng=RngState.from_seed(3))
+        dataset = make_benchmark_dataset(taxonomy, 3, per_class=5, dim=9, noise=0.5)
         out[f"synthetic/{name}/features"] = _sha(np.ascontiguousarray(dataset.features).tobytes())
         out[f"synthetic/{name}/labels"] = _sha(np.ascontiguousarray(dataset.labels).tobytes())
     return out

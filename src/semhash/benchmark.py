@@ -100,6 +100,5 @@ def make_benchmark_dataset(
     noise: float = 0.6,
 ) -> Dataset:
     return generate_synthetic(
-        taxonomy, per_class=per_class, dim=dim,
-        diffusion=1.0, noise=noise, rng=RngState.from_seed(seed),
+        taxonomy, per_class=per_class, dim=dim, noise=noise, rng=RngState.from_seed(seed)
     )

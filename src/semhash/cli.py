@@ -88,15 +88,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         taxonomy,
         per_class=args.per_class,
         dim=args.dim,
-        diffusion=args.diffusion,
         noise=args.noise,
         rng=RngState.from_seed(args.seed),
     )
     outputs = features_path, labels_path = _outputs(args, "features", "labels")
     write_features(features_path, dataset.features)
     write_labels(labels_path, dataset.labels, taxonomy)
-    config = {"per_class": args.per_class, "dim": args.dim,
-              "diffusion": args.diffusion, "noise": args.noise}
+    config = {"per_class": args.per_class, "dim": args.dim, "noise": args.noise}
     _write_manifest(args, args.seed, config, outputs)
     return EXIT_OK
 
@@ -121,12 +119,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
     encoder, _ = load_checkpoint(args.checkpoint)
     # the index is of the float32 values that PREFIX.embeddings holds, so that
     # ``index`` on those embeddings reproduces it
-    embeddings, index = encode(encoder, dataset, args.threshold, np.float32)
+    embeddings, index = encode(encoder, dataset, np.float32)
 
     outputs = emb_path, index_path = _outputs(args, "embeddings", "index")
     save_index(index_path, index)
     write_features(emb_path, embeddings)
-    _write_manifest(args, None, {"threshold": args.threshold}, outputs)
+    _write_manifest(args, None, {}, outputs)
     return EXIT_OK
 
 
@@ -134,8 +132,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     dataset = load_dataset(args.embeddings, args.labels, taxonomy)
     outputs = _outputs(args, "index")
-    save_index(outputs[0], index_values(dataset.features, dataset.labels, args.threshold))
-    _write_manifest(args, None, {"threshold": args.threshold}, outputs)
+    save_index(outputs[0], index_values(dataset.features, dataset.labels))
+    _write_manifest(args, None, {}, outputs)
     return EXIT_OK
 
 
@@ -206,19 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--diffusion", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.5)
 
     _command(sub, "train", "train encoder and classifier head", cmd_train,
              "config", "features", "labels", "taxonomy")
 
-    p = _command(sub, "encode", "embed a dataset and build its binary index", cmd_encode,
-                 "checkpoint", "features", "labels", "taxonomy")
-    p.add_argument("--threshold", type=float, default=0.5)
+    _command(sub, "encode", "embed a dataset and build its binary index", cmd_encode,
+             "checkpoint", "features", "labels", "taxonomy")
 
-    p = _command(sub, "index", "build a binary index from saved embeddings", cmd_index,
-                 "embeddings", "labels", "taxonomy")
-    p.add_argument("--threshold", type=float, default=0.5)
+    _command(sub, "index", "build a binary index from saved embeddings", cmd_index,
+             "embeddings", "labels", "taxonomy")
 
     p = sub.add_parser("query", help="top-k Hamming neighbors of an indexed item")
     p.add_argument("--index", required=True)

@@ -2,8 +2,8 @@
 
 Feature files are binary (magic ``SHRF``), label files are one label name
 per line.  Synthetic features are drawn by a Gaussian diffusion down the
-taxonomy: each node's mean is its parent's mean plus isotropic noise, so
-feature-space distances correlate with semantic distances.
+taxonomy: each node's mean is its parent's mean plus unit-variance isotropic
+noise, so feature-space distances correlate with semantic distances.
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ class Dataset:
         if n < 1:
             raise ShapeMismatch("dataset must contain at least one sample")
         if self.labels.shape != (n,):
-            raise ShapeMismatch(f"{n} feature rows but {self.labels.shape[0]} labels")
+            raise ShapeMismatch(f"{n} feature rows but labels of shape {self.labels.shape}")
         if not all_finite(self.features):
             raise NonFiniteInput("features contain non-finite values")
 
@@ -106,27 +106,21 @@ def beta_sample(alpha: float, beta: float, shape: tuple[int, int], rng: RngState
     return np.clip(sample, _OPEN_LO, _OPEN_HI, out=sample)
 
 
-def generate_synthetic(
-    t: Taxonomy,
-    per_class: int,
-    dim: int,
-    diffusion: float,
-    noise: float,
-    rng: RngState,
-) -> Dataset:
+def generate_synthetic(t: Taxonomy, per_class: int, dim: int, noise: float, rng: RngState) -> Dataset:
     """Sample a dataset whose feature geometry mirrors the taxonomy.
 
-    The root mean is the origin; every child mean adds Gaussian(0, diffusion^2)
-    offsets; each sample adds Gaussian(0, noise^2) on top of its leaf mean.
+    The root mean is the origin; every child mean adds Gaussian(0, 1) offsets;
+    each sample adds Gaussian(0, noise^2) on top of its leaf mean.
     Output has per_class rows for each leaf, grouped in leaf id order.
     """
-    if per_class < 1 or dim < 1:
-        raise InvalidShapeParam("per_class and dim must be >= 1")
-    for name, value in (("diffusion", diffusion), ("noise", noise)):
-        if not math.isfinite(value):
-            raise InvalidShapeParam(f"{name} must be finite, got {value}")
-    if diffusion <= 0 or noise < 0:
-        raise InvalidShapeParam("diffusion must be > 0 and noise >= 0")
+    if not (is_int(per_class) and is_int(dim)) or per_class < 1 or dim < 1:
+        raise InvalidShapeParam(
+            f"per_class and dim must be >= 1 and integers, got {per_class!r}, {dim!r}"
+        )
+    if not math.isfinite(noise):
+        raise InvalidShapeParam(f"noise must be finite, got {noise}")
+    if noise < 0:
+        raise InvalidShapeParam("noise must be >= 0")
     leaves = t.leaves()
     # numpy cannot allocate an array of more than intp-max bytes; check the float64
     # node means, then the features at float64 width, before allocating either
@@ -142,18 +136,15 @@ def generate_synthetic(
     means = np.zeros((len(t), dim), dtype=np.float64)
     features = np.empty((per_class * len(leaves), dim), dtype=np.float32)
     labels = np.empty(per_class * len(leaves), dtype=np.int64)
-    # a finite but huge spread overflows; that is reported below by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        # breadth-first from the root, children in id order, so draws are ordered
-        for node in t.order[1:]:
-            means[node] = means[t.parent(node)] + diffusion * gen.standard_normal(dim)
+    # breadth-first from the root, children in id order, so draws are ordered
+    for node in t.order[1:]:
+        means[node] = means[t.parent(node)] + gen.standard_normal(dim)
+    # a finite but huge noise overflows; that is reported below by name
+    with np.errstate(over="ignore"):
         for i, leaf in enumerate(leaves):
             block = slice(i * per_class, (i + 1) * per_class)
             features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
             labels[block] = leaf
-        means_overflow = not np.isfinite(means.astype(np.float32)).all()
-    if means_overflow:
-        raise InvalidShapeParam(f"diffusion {diffusion} overflows the float32 node means")
     if not all_finite(features):
         raise InvalidShapeParam(f"noise {noise} overflows the float32 features")
     return Dataset(features=features, labels=labels)

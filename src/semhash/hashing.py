@@ -7,7 +7,6 @@ deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,8 +43,8 @@ class HashCode:
     code_length: int
 
     def __post_init__(self) -> None:
-        if self.code_length < 1:
-            raise ShapeMismatch("code length must be >= 1")
+        if not is_int(self.code_length) or self.code_length < 1:
+            raise ShapeMismatch(f"code length must be an integer >= 1, got {self.code_length!r}")
         if len(self.words) != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"{len(self.words)} words for code length {self.code_length}"
@@ -75,30 +74,22 @@ def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
     return HashCode(words=tuple(_pack(as_bool[None, :])[0].tolist()), code_length=bits.size)
 
 
-def _threshold(threshold: float) -> np.float64:
-    """``threshold`` as the float64 that codes compare with; ``NonFiniteInput`` unless finite."""
-    if not math.isfinite(threshold):
-        raise NonFiniteInput(f"threshold must be finite, got {threshold}")
-    return np.float64(threshold)
-
-
-def _packed(values: np.ndarray, threshold: float) -> np.ndarray:
-    """The N x W words of N x K embedding values: bit = 1 iff value >= threshold, compared
-    in float64 whatever the values' float type, ENCODE_ROWS rows at a time; NaN/inf raise."""
-    threshold = _threshold(threshold)
+def _packed(values: np.ndarray) -> np.ndarray:
+    """The N x W words of N x K embedding values: bit = 1 iff value >= 0.5, which is exact
+    in every float type, ENCODE_ROWS rows at a time; NaN/inf raise."""
     words = np.empty((len(values), _n_words(values.shape[1])), dtype=np.uint64)
     for start in range(0, len(values), ENCODE_ROWS):
         block = values[start : start + ENCODE_ROWS]
         if not np.isfinite(block).all():
             raise NonFiniteInput("embeddings contain NaN or inf")
-        words[start : start + ENCODE_ROWS] = _pack(block >= threshold)
+        words[start : start + ENCODE_ROWS] = _pack(block >= 0.5)
     return words
 
 
-def binarize(z, threshold: float = 0.5) -> list[HashCode]:
-    """Threshold each embedding coordinate: bit = 1 iff value >= threshold; NaN/inf raise."""
+def binarize(z) -> list[HashCode]:
+    """Threshold each embedding coordinate: bit = 1 iff value >= 0.5; NaN/inf raise."""
     values = _embedding_values(z)
-    words = _packed(values, threshold)
+    words = _packed(values)
     return [HashCode(words=tuple(row), code_length=values.shape[1]) for row in words.tolist()]
 
 
@@ -140,8 +131,8 @@ class HashIndex:
 
     def __post_init__(self) -> None:
         self.words = np.ascontiguousarray(_in_range(self.words, "code words", 64, np.uint64))
-        if self.code_length < 1:
-            raise ShapeMismatch(f"code length must be >= 1, got {self.code_length}")
+        if not is_int(self.code_length) or self.code_length < 1:
+            raise ShapeMismatch(f"code length must be an integer >= 1, got {self.code_length!r}")
         if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"words shape {self.words.shape} incompatible with K={self.code_length}"
@@ -174,24 +165,21 @@ def build_index(
     return HashIndex(words=words, ids=ids, labels=labels, code_length=k)
 
 
-def index_values(values: np.ndarray, labels, threshold: float = 0.5) -> HashIndex:
-    """The index of N x K embedding values at ``threshold``, with ids 0 to N - 1."""
-    return HashIndex(_packed(values, threshold), np.arange(len(values)), labels, values.shape[1])
+def index_values(values: np.ndarray, labels) -> HashIndex:
+    """The index of N x K embedding values' codes, with ids 0 to N - 1."""
+    return HashIndex(_packed(values), np.arange(len(values)), labels, values.shape[1])
 
 
-def encode(
-    encoder: EncoderParams, dataset: Dataset, threshold: float = 0.5, dtype=np.float64
-) -> tuple[np.ndarray, HashIndex]:
+def encode(encoder: EncoderParams, dataset: Dataset, dtype=np.float64) -> tuple[np.ndarray, HashIndex]:
     """The embeddings of ``dataset``'s features as ``dtype``, and the index of their codes.
 
     The encoder runs over blocks of ENCODE_ROWS rows, the last padded with zero
     rows whose outputs are dropped, so every row's embedding comes from a product
     of one size and does not depend on the rows encoded with it.  The codes are
     taken from the ``dtype`` values, as ``index_values`` takes them from saved
-    embeddings.  A non-finite threshold raises before the forward pass; an
-    overflowing unit saturates, and a NaN embedding raises ``NonFiniteInput``.
+    embeddings.  An overflowing unit saturates, and a NaN embedding raises
+    ``NonFiniteInput``.
     """
-    _threshold(threshold)
     features = dataset.features
     if features.shape[1] != encoder.in_dim:
         raise ShapeMismatch(f"input dim {features.shape[1]} != encoder in-dim {encoder.in_dim}")
@@ -203,7 +191,7 @@ def encode(
             if len(rows) < ENCODE_ROWS:
                 rows = np.pad(rows, ((0, ENCODE_ROWS - len(rows)), (0, 0)))  # zero rows
             values[start : start + ENCODE_ROWS] = _forward(encoder.layers, rows)[1][-1][: n - start]
-    return values, index_values(values, dataset.labels, threshold)
+    return values, index_values(values, dataset.labels)
 
 
 def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:

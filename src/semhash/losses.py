@@ -285,17 +285,17 @@ def _step_loss(zv, side, labels, classifier, tv, weights, cfg, head_grads, work=
     """The loss terms of checked float64 embeddings ``zv`` and target ``tv``, given the
     ``_label_side`` of their distance block; checks nothing of its own.
 
-    ``weights`` is (sim_weight, lambda1, lambda2), and a term of weight 0 computes
+    ``weights`` is (lambda_sim, lambda1, lambda2), and a term of weight 0 computes
     only its value.  Returns (sim, kl, logits, cls, grad_z) and writes the head's gradients
     into ``head_grads``, the caller's (weights, biases) arrays; at lambda2 = 0 they stay
     untouched and cls is None: callers take it from the logits with ``_cls_value``.  The
     pairwise pass takes its signs in ``work``.
     """
-    sim_weight, lambda1, lambda2 = weights
+    lambda_sim, lambda1, lambda2 = weights
     pairs = _pairwise(zv, tv, work)
-    if sim_weight:
+    if lambda_sim:
         sim_v, sim_g = sim_loss(zv, None, cfg, pairs=pairs, side=side)
-        grad_z = sim_weight * sim_g
+        grad_z = lambda_sim * sim_g
     else:
         sim_v, grad_z = _sim_value(side, cfg, pairs)[0], np.zeros_like(zv)
     if lambda1:
@@ -323,26 +323,25 @@ def total_loss(
     lambda1: float,
     lambda2: float,
     cfg: SimLossConfig,
-    sim_weight: float = 1.0,
 ) -> LossValue:
     """Weighted sum of the three terms with gradients of the total.
 
     ``grad_z`` backpropagates the classification term through the linear head;
-    ``grad_classifier`` carries the lambda2-scaled head gradients.  With the
-    default ``sim_weight`` the total is sim + lambda1*kl + lambda2*cls;
-    ``sim_weight=0`` supports head-only ablation runs.  A term of weight 0
-    computes only its value (the labels are checked at any weight), so at
-    ``lambda2=0`` the head's gradients are zero.  The similarity and
-    divergence terms share one pairwise pass.
+    ``grad_classifier`` carries the lambda2-scaled head gradients.  The total
+    is sim + lambda1*kl + lambda2*cls; head-only ablations run through
+    ``train``'s ``lambda_sim``.  A term of weight 0 computes only its value
+    (the labels are checked at any weight), so at ``lambda2=0`` the head's
+    gradients are zero.  The similarity and divergence terms share one
+    pairwise pass.
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
     head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))
     sim_v, kl_v, logits, _, grad_z = _step_loss(
-        zv, _label_side(d, cfg), labels, classifier, tv, (sim_weight, lambda1, lambda2), cfg, head)
+        zv, _label_side(d, cfg), labels, classifier, tv, (1.0, lambda1, lambda2), cfg, head)
     cls_v = float(_cls_value(*_cls_inputs(logits, labels))[0])  # checks the labels at any weight
     return LossValue(
-        total=sim_weight * sim_v + lambda1 * kl_v + lambda2 * cls_v,
+        total=sim_v + lambda1 * kl_v + lambda2 * cls_v,
         sim=sim_v,
         kl=kl_v,
         cls=cls_v,

@@ -114,8 +114,6 @@ def parse_config(text: str) -> TrainConfig:
                 values[key] = kind(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value for {key}: {value!r}") from None
-        if kind is float and not math.isfinite(values[key]):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
     return TrainConfig(**values)
 
 

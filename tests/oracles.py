@@ -119,7 +119,7 @@ def bf_parse_taxonomy(text):
     return roots[0], max(depth.values()), leaves, depth, node_height
 
 
-def bf_generate_synthetic(t, per_class, dim, diffusion, noise, rng):
+def bf_generate_synthetic(t, per_class, dim, noise, rng):
     """``(features, labels)`` of ``generate_synthetic`` from a FIFO queue of nodes.
 
     Node means are drawn breadth-first from the root, children in id order,
@@ -134,7 +134,7 @@ def bf_generate_synthetic(t, per_class, dim, diffusion, noise, rng):
     while queue:
         node = queue.pop(0)
         for child in children[node]:
-            means[child] = means[node] + diffusion * gen.standard_normal(dim)
+            means[child] = means[node] + gen.standard_normal(dim)
             queue.append(child)
     features = np.concatenate(
         [means[leaf] + noise * gen.standard_normal((per_class, dim)) for leaf in leaves]

@@ -119,7 +119,7 @@ class TestBetaSample:
 
 class TestGenerateSynthetic:
     def test_zero_noise_duplicates_within_class(self, five_node_tax):
-        ds = generate_synthetic(five_node_tax, per_class=2, dim=6, diffusion=1.0, noise=0.0,
+        ds = generate_synthetic(five_node_tax, per_class=2, dim=6, noise=0.0,
                                 rng=RngState.from_seed(4))
         assert ds.n_samples == 2 * len(five_node_tax.leaves())
         for i in range(0, ds.n_samples, 2):
@@ -127,7 +127,7 @@ class TestGenerateSynthetic:
             assert ds.labels[i] == ds.labels[i + 1]
 
     def test_same_seed_bit_identical(self, wordnet_like_tax):
-        kw = dict(per_class=3, dim=5, diffusion=1.0, noise=0.3)
+        kw = dict(per_class=3, dim=5, noise=0.3)
         d1 = generate_synthetic(wordnet_like_tax, rng=RngState.from_seed(7), **kw)
         d2 = generate_synthetic(wordnet_like_tax, rng=RngState.from_seed(7), **kw)
         np.testing.assert_array_equal(d1.features, d2.features)
@@ -141,7 +141,7 @@ class TestGenerateSynthetic:
     def test_matches_queue_oracle(self, text, seed):
         t = parse_taxonomy(text)
         assert t.order != list(range(len(t)))
-        kw = dict(per_class=3, dim=5, diffusion=1.0, noise=0.3)
+        kw = dict(per_class=3, dim=5, noise=0.3)
         ds = generate_synthetic(t, rng=RngState.from_seed(seed), **kw)
         features, labels = bf_generate_synthetic(t, rng=RngState.from_seed(seed), **kw)
         assert ds.features.tobytes() == features.tobytes()
@@ -155,7 +155,7 @@ class TestGenerateSynthetic:
         sem = distance_matrix(t, leaves)
         iu = np.triu_indices(len(leaves), k=1)
         for seed in range(5):
-            ds = generate_synthetic(t, per_class=10, dim=64, diffusion=1.0, noise=0.1,
+            ds = generate_synthetic(t, per_class=10, dim=64, noise=0.1,
                                     rng=RngState.from_seed(seed))
             means = np.stack([
                 ds.features[ds.labels == leaf].mean(axis=0) for leaf in leaves
@@ -168,7 +168,7 @@ class TestGenerateSynthetic:
         tax = balanced_taxonomy((4, 2))  # 8 leaves, 500 rows each
         tracemalloc.start()
         try:
-            ds = generate_synthetic(tax, per_class=500, dim=256, diffusion=1.0, noise=0.5,
+            ds = generate_synthetic(tax, per_class=500, dim=256, noise=0.5,
                                     rng=RngState.from_seed(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -179,26 +179,27 @@ class TestGenerateSynthetic:
     def test_invalid_params(self, five_node_tax):
         rng = RngState.from_seed(0)
         with pytest.raises(InvalidShapeParam):
-            generate_synthetic(five_node_tax, 0, 4, 1.0, 0.1, rng)
+            generate_synthetic(five_node_tax, 0, 4, 0.1, rng)
         with pytest.raises(InvalidShapeParam):
-            generate_synthetic(five_node_tax, 2, 4, 0.0, 0.1, rng)
-        with pytest.raises(InvalidShapeParam):
-            generate_synthetic(five_node_tax, 2, 4, 1.0, -0.1, rng)
-        for diffusion, noise, name in ((1.0, np.nan, "noise"), (1.0, np.inf, "noise"),
-                                       (np.nan, 0.1, "diffusion"), (np.inf, 0.1, "diffusion")):
-            with pytest.raises(InvalidShapeParam, match=f"{name} must be finite"):
-                generate_synthetic(five_node_tax, 2, 4, diffusion, noise, rng)
+            generate_synthetic(five_node_tax, 2, 4, -0.1, rng)
+        for noise in (np.nan, np.inf):
+            with pytest.raises(InvalidShapeParam, match="noise must be finite"):
+                generate_synthetic(five_node_tax, 2, 4, noise, rng)
 
-    @pytest.mark.parametrize("diffusion, noise, name", [
-        (1e308, 0.1, "diffusion"), (1e39, 0.1, "diffusion"),
-        (1.0, 1e300, "noise"), (1.0, 1e39, "noise"),
+    @pytest.mark.parametrize("per_class, dim", [
+        (2.5, 4), (2, np.nan), (2, 4.0), (True, 4), (2, "4"),
     ])
-    def test_overflowing_spread_names_the_parameter(self, five_node_tax, diffusion, noise, name):
+    def test_sizes_that_are_no_integers_are_invalid(self, five_node_tax, per_class, dim):
+        with pytest.raises(InvalidShapeParam, match="^per_class and dim must be >= 1 and integers, got "):
+            generate_synthetic(five_node_tax, per_class, dim, 0.1, RngState.from_seed(0))
+
+    @pytest.mark.parametrize("noise", [1e300, 1e39])
+    def test_overflowing_noise_is_named(self, five_node_tax, noise):
         # finite values whose draws overflow float64 or the float32 features
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(InvalidShapeParam, match=f"^{name} .* overflows"):
-                generate_synthetic(five_node_tax, 2, 4, diffusion, noise, RngState.from_seed(0))
+            with pytest.raises(InvalidShapeParam, match="^noise .* overflows"):
+                generate_synthetic(five_node_tax, 2, 4, noise, RngState.from_seed(0))
         assert not caught
 
 
@@ -305,7 +306,7 @@ class TestDatasetFiles:
         f, l = tmp_path / "d.features", tmp_path / "d.labels"
         write_features(f, np.zeros((2, 2), dtype=np.float32))
         l.write_text("a1\n")
-        with pytest.raises(ShapeMismatch, match="^2 feature rows but 1 labels$"):
+        with pytest.raises(ShapeMismatch, match=r"^2 feature rows but labels of shape \(1,\)$"):
             load_dataset(f, l, five_node_tax)
 
     def test_zero_row_features_are_an_empty_dataset(self, tmp_path, five_node_tax):
@@ -316,8 +317,8 @@ class TestDatasetFiles:
             load_dataset(f, l, five_node_tax)
 
     def test_generate_save_load_roundtrip(self, tmp_path, wordnet_like_tax):
-        ds = generate_synthetic(wordnet_like_tax, per_class=4, dim=7, diffusion=1.0,
-                                noise=0.2, rng=RngState.from_seed(11))
+        ds = generate_synthetic(wordnet_like_tax, per_class=4, dim=7, noise=0.2,
+                                rng=RngState.from_seed(11))
         f, l = tmp_path / "r.features", tmp_path / "r.labels"
         write_features(f, ds.features)
         write_labels(l, ds.labels, wordnet_like_tax)
@@ -432,6 +433,11 @@ def test_non_integer_labels_are_a_shape_mismatch(labels):
     # and overflow on an integer beyond uint64
     with pytest.raises(ShapeMismatch, match="^labels must be integers, got dtype "):
         Dataset(features=np.zeros((2, 2), dtype=np.float32), labels=labels)
+
+
+def test_a_label_that_is_no_array_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match=r"^3 feature rows but labels of shape \(\)$"):
+        Dataset(np.zeros((3, 2)), 0)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint32, np.int64])

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -31,7 +32,7 @@ from semhash.hashing import (
     query_topk,
     save_index,
 )
-from semhash.model import encoder_forward, init_encoder
+from semhash.model import EncoderParams, encoder_forward, init_encoder
 
 from conftest import overflowing_encoder
 from oracles import bf_hamming, bf_topk, smallest_duplicate, unpack_bits
@@ -69,7 +70,7 @@ class TestBinarize:
         with pytest.raises(NonFiniteInput):
             binarize(np.array([[bad, 0.7]]))
         with pytest.raises(NonFiniteInput):
-            binarize(np.array([[0.2, 0.7], [0.4, bad]]), threshold=0.3)
+            binarize(np.array([[0.2, 0.7], [0.4, bad]]))
 
 
 # (features D, hidden sizes, K) of the README's pipeline and of cli_pipeline's
@@ -80,7 +81,7 @@ def encode_setup(shape: str, per_class: int = 50):
     """An untrained encoder of one of ENCODE_SHAPES and 32 leaves' synthetic rows."""
     dim, hidden, k = ENCODE_SHAPES[shape]
     dataset = generate_synthetic(balanced_taxonomy((4, 4, 2)), per_class=per_class, dim=dim,
-                                 diffusion=1.0, noise=0.5, rng=RngState.from_seed(5))
+                                 noise=0.5, rng=RngState.from_seed(5))
     return init_encoder(dim, hidden, k, RngState.from_seed(6)), dataset
 
 
@@ -125,15 +126,6 @@ class TestEncode:
             tracemalloc.stop()
         assert peak < values.nbytes + index.words.nbytes + 8 * 2**20
 
-    def test_a_non_finite_threshold_raises_before_the_forward_pass(self, monkeypatch):
-        encoder, dataset = encode_setup("readme", per_class=2)
-        calls = []
-        monkeypatch.setattr(hashing_mod, "_forward", lambda *a: calls.append(a))
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(NonFiniteInput, match="threshold must be finite"):
-                encode(encoder, dataset, bad)
-        assert calls == []
-
     def test_a_forward_pass_that_makes_nan_raises(self):
         dataset = Dataset(np.ones((3, 4), dtype=np.float32), np.zeros(3, dtype=np.int64))
         with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
@@ -146,28 +138,31 @@ class TestEncode:
 
 
 class TestIndexValues:
-    def test_float32_values_are_compared_in_float64(self):
-        # float32(0.4) lies below the next float64 up, which rounds to it in float32
-        value = np.float32(0.4)
-        threshold = float(np.nextafter(np.float64(value), 1.0))
-        index = index_values(np.array([[value, 0.5]], dtype=np.float32), [0], threshold)
-        assert index.words.tolist() == [[0b10]]
-        want = build_index(binarize([[value, 0.5]], threshold), [0], [0])
-        assert index.words.tolist() == want.words.tolist()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_bit_is_set_from_half_up_in_either_float_type(self, dtype):
+        # 0.5 is exact in both types, so the neighbours of 0.5 in each fall on either side
+        half = dtype(0.5)
+        values = np.array([[np.nextafter(half, 0), half, np.nextafter(half, 1)]], dtype=dtype)
+        assert unpack_bits(binarize(values)[0]).tolist() == [0, 1, 1]
+        assert index_values(values, [0]).words.tolist() == [[0b110]]
+        # a constant encoder whose sigmoid, 0.5 + s/4 near 0, gives these values as dtype
+        bias = 4 * (values[0].astype(np.float64) - 0.5)
+        encoder = EncoderParams(layers=[(np.zeros((3, 2)), bias)], code_length=3)
+        embeddings, index = encode(encoder, Dataset(np.zeros((1, 2)), [0]), dtype)
+        assert embeddings.tobytes() == values.tobytes()
+        assert index.words.tolist() == [[0b110]]
 
     def test_packs_in_blocks_the_words_of_one_pack(self):
         rng = np.random.default_rng(1)
         values = rng.uniform(0.0, 1.0, (2 * hashing_mod.ENCODE_ROWS + 3, 70))
-        index = index_values(values, np.zeros(len(values), dtype=np.int64), 0.3)
-        assert index.words.tobytes() == hashing_mod._pack(values >= 0.3).tobytes()
+        index = index_values(values, np.zeros(len(values), dtype=np.int64))
+        assert index.words.tobytes() == hashing_mod._pack(values >= 0.5).tobytes()
         assert index.code_length == 70
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_values_or_threshold_raise(self, bad):
+    def test_non_finite_values_raise(self, bad):
         with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
             index_values(np.array([[0.2, bad]]), [0])
-        with pytest.raises(NonFiniteInput, match="^threshold must be finite"):
-            index_values(np.array([[0.2, 0.7]]), [0], bad)
 
 
 class TestPacking:
@@ -310,6 +305,14 @@ class TestHashIndex:
     def test_zero_code_length_is_a_shape_mismatch(self):
         with pytest.raises(ShapeMismatch, match="code length"):
             HashIndex(np.zeros((2, 0), np.uint64), [0, 1], [0, 0], 0)
+
+    @pytest.mark.parametrize("k", [2.5, 1.0, True, np.float64(2)])
+    def test_a_code_length_that_is_no_integer_is_a_shape_mismatch(self, k):
+        message = re.escape(f"code length must be an integer >= 1, got {k!r}")
+        with pytest.raises(ShapeMismatch, match=message):
+            HashIndex(np.zeros((2, 1), np.uint64), [0, 1], [0, 0], k)
+        with pytest.raises(ShapeMismatch, match=message):  # the query side's code too
+            HashCode((0,), k)
 
 
 class TestIndexFile:

@@ -410,14 +410,14 @@ class TestLossInputChecks:
             WITH_TARGET[name](self.Z, self.D, np.zeros((0, 3)))
 
 
-def step_loss(z, d, labels, clf, target, lambda1, lambda2, cfg, sim_weight=1.0, *, work=None):
+def step_loss(z, d, labels, clf, target, lambda1, lambda2, cfg, lambda_sim=1.0, *, work=None):
     """``_step_loss``, the path ``train`` runs, with a sign slot: the total (summed as
     ``total_loss`` sums it), grad_z and the (sim, kl, cls) values."""
     head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
     sim, kl, _, cls, grad_z = losses_mod._step_loss(
-        z, _label_side(d, cfg), labels, clf, target, (sim_weight, lambda1, lambda2), cfg,
+        z, _label_side(d, cfg), labels, clf, target, (lambda_sim, lambda1, lambda2), cfg,
         head, work)
-    return sim_weight * sim + lambda1 * kl + lambda2 * cls, grad_z, (sim, kl, cls)
+    return lambda_sim * sim + lambda1 * kl + lambda2 * cls, grad_z, (sim, kl, cls)
 
 
 class TestTotalLoss:
@@ -439,26 +439,31 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("zero", ["sim_loss", "kl_loss", "cls_loss"])
     def test_a_zero_weight_term_computes_only_its_value(self, monkeypatch, zero):
-        # the term's value is still reported, its public loss (value and gradient)
-        # is not called, and the gradients equal the weighted sum with that term at 0
+        # in the step kernel, which train runs at its (lambda_sim, lambda1, lambda2):
+        # the term's value is still reported (the head's from the logits), its public
+        # loss (value and gradient) is not called, and the gradients equal the
+        # weighted sum with that term at 0
         z, d, labels, clf, target = self._inputs()
         cfg = SimLossConfig()
         sim_v, sim_g = sim_loss(z, d, cfg)
         kl_v, kl_g = kl_loss(z, target)
         cls_v, grad_logits = cls_loss(classifier_forward(clf, z), labels)
         weights = {"sim_loss": 0.9, "kl_loss": 0.7, "cls_loss": 1.3, zero: 0.0}
+        w_sim, w_kl, w_cls = weights["sim_loss"], weights["kl_loss"], weights["cls_loss"]
         calls = []
         real = getattr(losses_mod, zero)
         monkeypatch.setattr(losses_mod, zero, lambda *a, **k: calls.append(1) or real(*a, **k))
-        lv = total_loss(z, d, labels, clf, target, weights["kl_loss"], weights["cls_loss"], cfg,
-                        weights["sim_loss"])
+        head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
+        sim, kl, logits, cls, grad_z = losses_mod._step_loss(
+            z, _label_side(d, cfg), labels, clf, target, (w_sim, w_kl, w_cls), cfg, head)
         assert calls == []
-        assert (lv.sim, lv.kl, lv.cls) == (sim_v, kl_v, cls_v)
-        w_sim, w_kl, w_cls = weights["sim_loss"], weights["kl_loss"], weights["cls_loss"]
+        if cls is None:
+            cls = float(_cls_value(logits, labels)[0])
+        assert (sim, kl, cls) == (sim_v, kl_v, cls_v)
         np.testing.assert_array_equal(
-            lv.grad_z, w_sim * sim_g + w_kl * kl_g + w_cls * (grad_logits @ clf.weights))
-        np.testing.assert_array_equal(lv.grad_classifier[0], w_cls * (grad_logits.T @ z))
-        np.testing.assert_array_equal(lv.grad_classifier[1], w_cls * grad_logits.sum(axis=0))
+            grad_z, w_sim * sim_g + w_kl * kl_g + w_cls * (grad_logits @ clf.weights))
+        np.testing.assert_array_equal(head[0], w_cls * (grad_logits.T @ z))
+        np.testing.assert_array_equal(head[1], w_cls * grad_logits.sum(axis=0))
 
     def test_labels_are_checked_at_zero_head_weight(self):
         z, d, labels, clf, target = self._inputs()
@@ -494,8 +499,8 @@ class TestTotalLoss:
         for seed in range(5):
             z, d, labels, clf, target = self._inputs(seed)
             cfg = SimLossConfig()
-            lv = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg, sim_weight=0.9)
-            assert lv.total == 0.9 * lv.sim + 0.7 * lv.kl + 1.3 * lv.cls
+            lv = total_loss(z, d, labels, clf, target, 0.7, 1.3, cfg)
+            assert lv.total == lv.sim + 0.7 * lv.kl + 1.3 * lv.cls
 
     @pytest.mark.parametrize("b, k", [(2, 1), (9, 17), (64, 64)])
     def test_reused_work_gives_the_bits_of_fresh_arrays(self, b, k):
@@ -606,7 +611,7 @@ class TestSharedPairwisePass:
         labels = np.arange(b) % 3
         clf = init_classifier(k, 3, RngState.from_seed(b))
         cfg = SimLossConfig()
-        weights = (0.7, 1.3, 0.9)  # lambda1, lambda2, sim_weight
+        weights = (0.7, 1.3, 0.9)  # lambda1, lambda2, lambda_sim
         with np.errstate(over="ignore", invalid="ignore"):
             total, grad_z, values = step_loss(
                 z, d, labels, clf, target, *weights[:2], cfg, weights[2],

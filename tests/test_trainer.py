@@ -255,10 +255,17 @@ class TestConfig:
         assert type(getattr(parsed, f.name)) is type(f.default)
 
     @pytest.mark.parametrize("key, value", [(key, "1.5") for key in INT_KEYS] + [
-        (key, value) for key in FLOAT_KEYS for value in ("nan", "inf")
+        (key, "x") for key in FLOAT_KEYS
     ])
     def test_bad_number_is_a_config_error_naming_its_line(self, key, value):
         with pytest.raises(ConfigError, match=f"^line 2: .*{key}"):
+            parse_config(f"# one bad value\n{key} = {value}\nseed = 1\n")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_in_a_config_fails_the_setting_check(self, key, value):
+        # a number that parses is checked once, by TrainConfig
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
             parse_config(f"# one bad value\n{key} = {value}\nseed = 1\n")
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -306,7 +313,7 @@ class TestConfig:
 
 def tiny_setup(seed=0, epochs=4):
     tax = balanced_taxonomy((4, 2))  # 8 leaves
-    ds = generate_synthetic(tax, per_class=8, dim=8, diffusion=1.0, noise=0.3,
+    ds = generate_synthetic(tax, per_class=8, dim=8, noise=0.3,
                             rng=RngState.from_seed(100 + seed))
     cfg = TrainConfig(
         code_length=8, hidden_sizes=(16,), batch_size=8, epochs=epochs,
@@ -335,7 +342,7 @@ def poison_the_similarity_value(monkeypatch):
 def readme_setup():
     """The README's taxonomy and ``gen-data --per-class 50 --dim 32 --seed 7`` dataset."""
     tax = parse_taxonomy("root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n")
-    ds = generate_synthetic(tax, per_class=50, dim=32, diffusion=1.0, noise=0.5,
+    ds = generate_synthetic(tax, per_class=50, dim=32, noise=0.5,
                             rng=RngState.from_seed(7))
     return tax, ds
 
@@ -350,7 +357,7 @@ from semhash.model import checkpoint_bytes
 from semhash.trainer import TrainConfig, train
 
 tax = balanced_taxonomy((4, 2))
-ds = generate_synthetic(tax, per_class=8, dim=8, diffusion=1.0, noise=0.3,
+ds = generate_synthetic(tax, per_class=8, dim=8, noise=0.3,
                         rng=RngState.from_seed(100))
 runs = []
 for arg in sys.argv[1:]:
@@ -393,7 +400,7 @@ class TestTrain:
         # mean total over the final 10 steps beats the first 10, every seed
         tax = balanced_taxonomy((4, 2))
         for seed in range(5):
-            ds = generate_synthetic(tax, per_class=8, dim=8, diffusion=1.0, noise=0.3,
+            ds = generate_synthetic(tax, per_class=8, dim=8, noise=0.3,
                                     rng=RngState.from_seed(200 + seed))
             cfg = TrainConfig(code_length=8, hidden_sizes=(16,), batch_size=8,
                               epochs=50, learning_rate=1e-3, seed=seed)
@@ -415,7 +422,7 @@ class TestTrain:
 
     def test_ragged_batch_dropped(self):
         tax = balanced_taxonomy((4, 2))
-        ds = generate_synthetic(tax, per_class=9, dim=8, diffusion=1.0, noise=0.3,
+        ds = generate_synthetic(tax, per_class=9, dim=8, noise=0.3,
                                 rng=RngState.from_seed(5))  # 72 samples
         cfg = TrainConfig(code_length=8, hidden_sizes=(16,), batch_size=16, epochs=1,
                           learning_rate=1e-3, seed=0)
@@ -524,7 +531,7 @@ class TestTrain:
         # each step's rows are cast by encoder_forward, so the float32 dataset is
         # the only N x D feature matrix alive, and train's own peak stays below it
         tax = balanced_taxonomy((4, 2))  # 8 leaves, 500 rows each
-        ds = generate_synthetic(tax, per_class=500, dim=256, diffusion=1.0, noise=0.3,
+        ds = generate_synthetic(tax, per_class=500, dim=256, noise=0.3,
                                 rng=RngState.from_seed(0))
         cfg = TrainConfig(code_length=8, hidden_sizes=(8,), batch_size=4, epochs=1)
         tracemalloc.start()
@@ -628,7 +635,7 @@ class TestTrain:
         # chunks of steps keep each per-step array within train's chunk bound of
         # 256 KiB (1 MiB chunks peaked at 4.8 MiB)
         tax = balanced_taxonomy((4, 4, 2))  # 32 leaves, 1600 rows each
-        ds = generate_synthetic(tax, per_class=1600, dim=8, diffusion=1.0, noise=0.3,
+        ds = generate_synthetic(tax, per_class=1600, dim=8, noise=0.3,
                                 rng=RngState.from_seed(0))
         cfg = TrainConfig(code_length=8, hidden_sizes=(8,), batch_size=64, epochs=1)
         tracemalloc.start()
@@ -644,7 +651,7 @@ class TestTrain:
         # each chunk's distance blocks come from the leaves' ancestor table: at
         # 1,000 leaves train peaks below their L x L float64 table (7.6 MiB)
         tax = balanced_taxonomy((10, 10, 10))  # 1,000 leaves, 2 rows each
-        ds = generate_synthetic(tax, per_class=2, dim=16, diffusion=1.0, noise=0.3,
+        ds = generate_synthetic(tax, per_class=2, dim=16, noise=0.3,
                                 rng=RngState.from_seed(0))
         cfg = TrainConfig(code_length=16, hidden_sizes=(16,), batch_size=batch_size, epochs=1)
         tracemalloc.start()
@@ -666,7 +673,7 @@ class TestTrain:
 def b64_setup(epochs=1):
     # cli_pipeline's batch size and code length; 128 samples make two steps an epoch
     tax = balanced_taxonomy((4, 2))
-    ds = generate_synthetic(tax, per_class=16, dim=8, diffusion=1.0, noise=0.3,
+    ds = generate_synthetic(tax, per_class=16, dim=8, noise=0.3,
                             rng=RngState.from_seed(100))
     cfg = TrainConfig(code_length=64, hidden_sizes=(16,), batch_size=64, epochs=epochs, seed=0)
     return tax, ds, cfg
