@@ -26,6 +26,11 @@ WORD_BITS = 64
 ENCODE_ROWS = 512
 
 
+def _check_code_length(code_length: int) -> None:
+    if not is_int(code_length) or code_length < 1:
+        raise ShapeMismatch(f"code length must be an integer >= 1, got {code_length!r}")
+
+
 def _n_words(code_length: int) -> int:
     return (code_length + WORD_BITS - 1) // WORD_BITS
 
@@ -43,8 +48,7 @@ class HashCode:
     code_length: int
 
     def __post_init__(self) -> None:
-        if not is_int(self.code_length) or self.code_length < 1:
-            raise ShapeMismatch(f"code length must be an integer >= 1, got {self.code_length!r}")
+        _check_code_length(self.code_length)
         if len(self.words) != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"{len(self.words)} words for code length {self.code_length}"
@@ -131,8 +135,7 @@ class HashIndex:
 
     def __post_init__(self) -> None:
         self.words = np.ascontiguousarray(_in_range(self.words, "code words", 64, np.uint64))
-        if not is_int(self.code_length) or self.code_length < 1:
-            raise ShapeMismatch(f"code length must be an integer >= 1, got {self.code_length!r}")
+        _check_code_length(self.code_length)
         if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
             raise ShapeMismatch(
                 f"words shape {self.words.shape} incompatible with K={self.code_length}"

@@ -437,33 +437,48 @@ class TestTotalLoss:
         assert lv.total == sim_loss(z, d, cfg)[0]
         assert not lv.grad_classifier[0].any()
 
-    @pytest.mark.parametrize("zero", ["sim_loss", "kl_loss", "cls_loss"])
+    @pytest.mark.parametrize("zero", ["kl_loss", "cls_loss"])
     def test_a_zero_weight_term_computes_only_its_value(self, monkeypatch, zero):
-        # in the step kernel, which train runs at its (lambda_sim, lambda1, lambda2):
-        # the term's value is still reported (the head's from the logits), its public
-        # loss (value and gradient) is not called, and the gradients equal the
-        # weighted sum with that term at 0
+        # the term's value is still reported, its public loss (value and gradient)
+        # is not called, and the gradients equal the weighted sum with that term at 0
         z, d, labels, clf, target = self._inputs()
         cfg = SimLossConfig()
         sim_v, sim_g = sim_loss(z, d, cfg)
         kl_v, kl_g = kl_loss(z, target)
         cls_v, grad_logits = cls_loss(classifier_forward(clf, z), labels)
-        weights = {"sim_loss": 0.9, "kl_loss": 0.7, "cls_loss": 1.3, zero: 0.0}
-        w_sim, w_kl, w_cls = weights["sim_loss"], weights["kl_loss"], weights["cls_loss"]
+        weights = {"kl_loss": 0.7, "cls_loss": 1.3, zero: 0.0}
+        w_kl, w_cls = weights["kl_loss"], weights["cls_loss"]
         calls = []
         real = getattr(losses_mod, zero)
         monkeypatch.setattr(losses_mod, zero, lambda *a, **k: calls.append(1) or real(*a, **k))
-        head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
-        sim, kl, logits, cls, grad_z = losses_mod._step_loss(
-            z, _label_side(d, cfg), labels, clf, target, (w_sim, w_kl, w_cls), cfg, head)
+        lv = total_loss(z, d, labels, clf, target, w_kl, w_cls, cfg)
         assert calls == []
-        if cls is None:
-            cls = float(_cls_value(logits, labels)[0])
-        assert (sim, kl, cls) == (sim_v, kl_v, cls_v)
+        assert (lv.sim, lv.kl, lv.cls) == (sim_v, kl_v, cls_v)
         np.testing.assert_array_equal(
-            grad_z, w_sim * sim_g + w_kl * kl_g + w_cls * (grad_logits @ clf.weights))
-        np.testing.assert_array_equal(head[0], w_cls * (grad_logits.T @ z))
-        np.testing.assert_array_equal(head[1], w_cls * grad_logits.sum(axis=0))
+            lv.grad_z, sim_g + w_kl * kl_g + w_cls * (grad_logits @ clf.weights))
+        np.testing.assert_array_equal(lv.grad_classifier[0], w_cls * (grad_logits.T @ z))
+        np.testing.assert_array_equal(lv.grad_classifier[1], w_cls * grad_logits.sum(axis=0))
+
+    def test_a_zero_sim_weight_computes_only_its_value(self, monkeypatch):
+        # the similarity weight is 0 only in the step kernel, which train runs at its
+        # (lambda_sim, lambda1, lambda2): sim's value is still reported, sim_loss is
+        # not called, and the gradients equal the weighted sum with that term at 0
+        z, d, labels, clf, target = self._inputs()
+        cfg = SimLossConfig()
+        sim_v, _ = sim_loss(z, d, cfg)
+        kl_v, kl_g = kl_loss(z, target)
+        cls_v, grad_logits = cls_loss(classifier_forward(clf, z), labels)
+        calls = []
+        monkeypatch.setattr(losses_mod, "sim_loss",
+                            lambda *a, **k: calls.append(1) or sim_loss(*a, **k))
+        head = (np.zeros_like(clf.weights), np.zeros_like(clf.biases))
+        sim, kl, _, cls, grad_z = losses_mod._step_loss(
+            z, _label_side(d, cfg), labels, clf, target, (0.0, 0.7, 1.3), cfg, head)
+        assert calls == []
+        assert (sim, kl, cls) == (sim_v, kl_v, cls_v)
+        np.testing.assert_array_equal(grad_z, 0.7 * kl_g + 1.3 * (grad_logits @ clf.weights))
+        np.testing.assert_array_equal(head[0], 1.3 * (grad_logits.T @ z))
+        np.testing.assert_array_equal(head[1], 1.3 * grad_logits.sum(axis=0))
 
     def test_labels_are_checked_at_zero_head_weight(self):
         z, d, labels, clf, target = self._inputs()
