@@ -7,13 +7,12 @@ noise, so feature-space distances correlate with semantic distances.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._args import MAX_ITEMS, count, floats, integers, real
 from .errors import (
     ConfigError,
     InvalidShapeParam,
@@ -31,11 +30,6 @@ FEATURES_VERSION = 1
 # distance that matters downstream
 _OPEN_LO = np.finfo(np.float64).tiny
 _OPEN_HI = 1.0 - np.finfo(np.float64).epsneg
-
-
-def is_int(value) -> bool:
-    """True for an integer (Python or numpy), False for a bool, a float or anything else."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -57,12 +51,11 @@ class RngState:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngState":
-        if not is_int(seed) or not 0 <= seed < 2**128:
-            raise ConfigError(f"seed must lie in [0, 2**128) and be an integer, got {seed!r}")
-        return cls(np.random.Generator(np.random.Philox(key=int(seed))))
+        seed = count(seed, "seed", ConfigError, 0, 2**128 - 1)
+        return cls(np.random.Generator(np.random.Philox(key=seed)))
 
-    def split(self, n: int) -> list["RngState"]:
-        bg = self.generator.bit_generator
+    def split(self, n: int) -> list["RngState"]:  # at most 1024 children, one jump each
+        n, bg = count(n, "n", InvalidShapeParam, 1, 1024), self.generator.bit_generator
         return [RngState(np.random.Generator(bg.jumped(i + 1))) for i in range(n)]
 
 
@@ -74,13 +67,8 @@ class Dataset:
     labels: np.ndarray  # N leaf node ids
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float32)
-        labels = np.asarray(self.labels)
-        if labels.dtype.kind not in "iu":  # a float, bool or string label is no node id
-            raise ShapeMismatch(f"labels must be integers, got dtype {labels.dtype}")
-        self.labels = labels.astype(np.int64, copy=False)
-        if self.features.ndim != 2:
-            raise ShapeMismatch(f"features must be 2-D, got shape {self.features.shape}")
+        self.labels = integers(self.labels, "labels", ShapeMismatch, 2**63)  # node ids
+        self.features = floats(self.features, "features", ShapeMismatch, 2, np.float32)
         n = self.features.shape[0]
         if n < 1:
             raise ShapeMismatch("dataset must contain at least one sample")
@@ -100,8 +88,10 @@ class Dataset:
 
 def beta_sample(alpha: float, beta: float, shape: tuple[int, int], rng: RngState) -> np.ndarray:
     """I.i.d. Beta(alpha, beta) draws, clamped into the open interval (0, 1)."""
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails both
-        raise InvalidShapeParam(f"alpha and beta must be finite and positive, got {alpha}, {beta}")
+    alpha, beta = (real(v, "alpha and beta", InvalidShapeParam, open_low=True) for v in (alpha, beta))
+    items = MAX_ITEMS  # each size bounds the rest, so that their product fits numpy's limit
+    for n in shape if isinstance(shape, tuple) else (shape,):
+        items //= max(1, count(n, "a size in shape", InvalidShapeParam, 0, items))
     sample = rng.generator.beta(alpha, beta, size=shape)
     return np.clip(sample, _OPEN_LO, _OPEN_HI, out=sample)
 
@@ -113,24 +103,11 @@ def generate_synthetic(t: Taxonomy, per_class: int, dim: int, noise: float, rng:
     each sample adds Gaussian(0, noise^2) on top of its leaf mean.
     Output has per_class rows for each leaf, grouped in leaf id order.
     """
-    if not (is_int(per_class) and is_int(dim)) or per_class < 1 or dim < 1:
-        raise InvalidShapeParam(
-            f"per_class and dim must be >= 1 and integers, got {per_class!r}, {dim!r}"
-        )
-    if not math.isfinite(noise):
-        raise InvalidShapeParam(f"noise must be finite, got {noise}")
-    if noise < 0:
-        raise InvalidShapeParam("noise must be >= 0")
     leaves = t.leaves()
-    # numpy cannot allocate an array of more than intp-max bytes; check the float64
-    # node means, then the features at float64 width, before allocating either
-    limit = np.iinfo(np.intp).max
-    if 8 * len(t) * int(dim) > limit:
-        raise InvalidShapeParam(f"dim {dim} is too large: the node means would exceed {limit} bytes")
-    if 8 * int(per_class) * len(leaves) * int(dim) > limit:
-        raise InvalidShapeParam(
-            f"per_class {per_class} is too large: the features would exceed {limit} bytes"
-        )
+    # the float64 node means, then the features at float64 width, fit numpy's limit
+    dim = count(dim, "dim", InvalidShapeParam, 1, MAX_ITEMS // len(t))
+    per_class = count(per_class, "per_class", InvalidShapeParam, 1, MAX_ITEMS // (len(leaves) * dim))
+    noise = real(noise, "noise", InvalidShapeParam)
 
     gen = rng.generator
     means = np.zeros((len(t), dim), dtype=np.float64)
@@ -151,8 +128,8 @@ def generate_synthetic(t: Taxonomy, per_class: int, dim: int, noise: float, rng:
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
-    features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[1] < 1:  # read_features rejects an N x 0 file
+    features = floats(features, "features", ShapeMismatch, 2, np.float32)
+    if features.shape[1] < 1:  # read_features rejects an N x 0 file
         raise ShapeMismatch(f"features must be N x D with D >= 1, got shape {features.shape}")
     write_atomic(
         path,

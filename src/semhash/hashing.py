@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, is_int
+from ._args import count, floats, integers
+from .data import Dataset, all_finite
 from .errors import EmptyIndex, LengthMismatch, NonFiniteInput, ShapeMismatch
 from .files import file_header, read_file, write_atomic
 from .model import EncoderParams, _embedding_values, _forward
@@ -24,11 +25,6 @@ WORD_BITS = 64
 # rows per block of encode's forward pass and of packing: working memory stays one
 # block, and a row's bits do not depend on how many rows are encoded with it
 ENCODE_ROWS = 512
-
-
-def _check_code_length(code_length: int) -> None:
-    if not is_int(code_length) or code_length < 1:
-        raise ShapeMismatch(f"code length must be an integer >= 1, got {code_length!r}")
 
 
 def _n_words(code_length: int) -> int:
@@ -48,14 +44,11 @@ class HashCode:
     code_length: int
 
     def __post_init__(self) -> None:
-        _check_code_length(self.code_length)
-        if len(self.words) != _n_words(self.code_length):
-            raise ShapeMismatch(
-                f"{len(self.words)} words for code length {self.code_length}"
-            )
+        n = _n_words(count(self.code_length, "code length", ShapeMismatch, 1))
+        if not isinstance(self.words, tuple) or len(self.words) != n:
+            raise ShapeMismatch(f"{self.words!r} is no tuple of {n} words for K={self.code_length}")
         for w in self.words:
-            if not 0 <= w < (1 << WORD_BITS):
-                raise ShapeMismatch(f"word {w:#x} out of 64-bit range")
+            count(w, "a code word", ShapeMismatch, 0, (1 << WORD_BITS) - 1)
         if self.words[-1] & ~_pad_mask(self.code_length) & ((1 << WORD_BITS) - 1):
             raise ShapeMismatch("padding bits above the code length must be zero")
 
@@ -84,7 +77,7 @@ def _packed(values: np.ndarray) -> np.ndarray:
     words = np.empty((len(values), _n_words(values.shape[1])), dtype=np.uint64)
     for start in range(0, len(values), ENCODE_ROWS):
         block = values[start : start + ENCODE_ROWS]
-        if not np.isfinite(block).all():
+        if not all_finite(block):
             raise NonFiniteInput("embeddings contain NaN or inf")
         words[start : start + ENCODE_ROWS] = _pack(block >= 0.5)
     return words
@@ -103,18 +96,11 @@ def hamming(a: HashCode, b: HashCode) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
-def _in_range(values, name: str, bits: int, dtype=np.int64) -> np.ndarray:
-    """``values`` as ``dtype`` if each is an integer in [0, 2**bits); else ``ShapeMismatch``."""
-    array = np.asarray(values)  # Python ints beyond int64 give a float or object array
-    if array.size and (array.dtype.kind not in "iu" or array.min() < 0 or int(array.max()) >> bits):
-        raise ShapeMismatch(f"{name} must be integers in [0, 2**{bits})")
-    return array.astype(dtype, copy=False)
-
-
 def _entries(ids, labels, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n`` rows' unique sample ids in [0, 2**63) and labels in [0, 2**32), as int64;
     ``LengthMismatch`` unless there are ``n`` of each, and a repeated id names the smallest."""
-    ids, labels = _in_range(ids, "sample ids", 63), _in_range(labels, "labels", 32)
+    ids = integers(ids, "sample ids", ShapeMismatch, 2**63)
+    labels = integers(labels, "labels", ShapeMismatch, 2**32)
     if ids.shape != (n,) or labels.shape != (n,):
         raise LengthMismatch(f"{n} rows but sample ids {ids.shape} and labels {labels.shape}")
     ordered = np.sort(ids)
@@ -134,12 +120,11 @@ class HashIndex:
     code_length: int
 
     def __post_init__(self) -> None:
-        self.words = np.ascontiguousarray(_in_range(self.words, "code words", 64, np.uint64))
-        _check_code_length(self.code_length)
-        if self.words.ndim != 2 or self.words.shape[1] != _n_words(self.code_length):
-            raise ShapeMismatch(
-                f"words shape {self.words.shape} incompatible with K={self.code_length}"
-            )
+        words = integers(self.words, "code words", ShapeMismatch, 2**64, np.uint64)
+        n_words = _n_words(count(self.code_length, "code length", ShapeMismatch, 1))
+        if words.ndim != 2 or words.shape[1] != n_words:
+            raise ShapeMismatch(f"words shape {words.shape} incompatible with K={self.code_length}")
+        self.words = np.ascontiguousarray(words)
         self.ids, self.labels = _entries(self.ids, self.labels, len(self.words))
         mask = np.uint64(_pad_mask(self.code_length))
         if len(self.words) and np.any(self.words[:, -1] & ~mask):
@@ -170,6 +155,7 @@ def build_index(
 
 def index_values(values: np.ndarray, labels) -> HashIndex:
     """The index of N x K embedding values' codes, with ids 0 to N - 1."""
+    values = floats(values, "embeddings", ShapeMismatch, 2, None)  # no float64 copy of float32
     return HashIndex(_packed(values), np.arange(len(values)), labels, values.shape[1])
 
 
@@ -224,8 +210,7 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     """Exact top-k by (Hamming distance, sample id) over a full scan."""
     if len(index) == 0:
         raise EmptyIndex("index is empty")
-    if not is_int(k) or k < 1:
-        raise ShapeMismatch(f"k must be an integer >= 1, got {k}")
+    count(k, "k", ShapeMismatch, 1)
     if q.code_length != index.code_length:
         raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
     dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._args import count
 from .errors import (
     CycleDetected,
     EmptyInput,
@@ -126,8 +127,7 @@ class Taxonomy:
         return len(self.nodes)
 
     def name(self, node_id: int) -> str:
-        self._check_id(node_id)
-        return self.nodes[node_id].name
+        return self.nodes[self._check_id(node_id)].name
 
     def node_id(self, name: str) -> int:
         try:
@@ -136,33 +136,35 @@ class Taxonomy:
             raise UnknownNode(f"unknown node name {name!r}") from None
 
     def parent(self, node_id: int) -> Optional[int]:
-        self._check_id(node_id)
-        return self._parent[node_id]
+        return self._parent[self._check_id(node_id)]
 
     def depth(self, node_id: int) -> int:
-        self._check_id(node_id)
-        return self._depth[node_id]
+        return self._depth[self._check_id(node_id)]
 
     def node_height(self, node_id: int) -> int:
-        self._check_id(node_id)
-        return self._node_height[node_id]
+        return self._node_height[self._check_id(node_id)]
 
     def leaves(self) -> list[int]:
         """Leaf node ids in id order."""
         return [node.id for node in self.nodes if not self._children[node.id]]
 
-    def _check_id(self, node_id) -> None:
-        if (isinstance(node_id, bool) or not isinstance(node_id, (int, np.integer))
-                or not 0 <= node_id < len(self.nodes)):
-            raise UnknownNode(f"unknown node id {node_id!r}")
+    def _check_id(self, node_id) -> int:
+        return count(node_id, "node id", UnknownNode, 0, len(self.nodes) - 1)
 
-    def _check_leaves(self, node_ids: Sequence[int]) -> None:
-        """Reject unknown ids, then non-leaves, so an unknown id is reported first."""
-        for node_id in node_ids:
-            self._check_id(node_id)
-        for node_id in node_ids:
+    def _check_leaves(self, node_ids: Sequence[int]) -> list[int]:
+        """The ids of leaves ``node_ids``; an unknown id is reported before a non-leaf."""
+        ids = [self._check_id(node_id) for node_id in _node_ids(node_ids)]
+        for node_id in ids:
             if self._children[node_id]:
                 raise NotALeaf(f"node {self.nodes[node_id].name!r} is not a leaf")
+        return ids
+
+
+def _node_ids(values) -> np.ndarray:
+    """``values`` as a 1-D object array, in which a bool stays a bool; else ``UnknownNode``."""
+    if (ids := np.asarray(values, dtype=object)).ndim != 1:
+        raise UnknownNode(f"node ids must be a 1-D sequence, got {values!r}")
+    return ids
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -210,8 +212,7 @@ def semantic_distance(t: Taxonomy, a: int, b: int) -> float:
 
 def distance_matrix(t: Taxonomy, labels: Sequence[int]) -> np.ndarray:
     """Pairwise semantic distances for an ordered list of leaf labels."""
-    t._check_leaves(labels)
-    ancestors = t._ancestors[:, labels]
+    ancestors = t._ancestors[:, t._check_leaves(labels)]
     return _lca_distances(t, ancestors, ancestors)
 
 

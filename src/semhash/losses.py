@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._args import floats, integers, real
 from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from .model import ClassifierParams, _embedding_values, classifier_forward
 
@@ -36,12 +37,8 @@ class SimLossConfig:
     tau_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        # chained so that NaN, which fails every comparison, is rejected too
-        if not (0 < self.gamma < math.inf and 0 <= self.rho < math.inf
-                and 0 < self.tau_floor < math.inf):
-            raise ConfigError(
-                f"need finite gamma > 0, rho >= 0, tau_floor > 0; got {self}"
-            )
+        for name in ("gamma", "rho", "tau_floor"):  # rho may be 0
+            real(getattr(self, name), name, ConfigError, open_low=name != "rho")
 
 
 @dataclass
@@ -110,7 +107,7 @@ def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
     b = zv.shape[0]
     if b < 2:
         raise BatchTooSmall(f"similarity loss needs B >= 2, got {b}")
-    d = np.asarray(distances, dtype=np.float64)
+    d = floats(distances, "distance matrix", ShapeMismatch, 2)
     if d.shape != (b, b):
         raise ShapeMismatch(f"distance matrix {d.shape} != ({b}, {b})")
     return zv, d
@@ -118,9 +115,7 @@ def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
 
 def _kl_inputs(z, target) -> tuple[np.ndarray, np.ndarray]:
     zv = _embedding_values(z)
-    tv = np.asarray(target, dtype=np.float64)
-    if tv.ndim != 2:
-        raise ShapeMismatch(f"target must be M x K, got {tv.shape}")
+    tv = floats(target, "target", ShapeMismatch, 2)
     if zv.shape[0] < 2:
         raise BatchTooSmall(f"divergence loss needs B >= 2, got {zv.shape[0]}")
     if tv.shape[0] < 1:
@@ -246,17 +241,13 @@ def _kl_value(pairs: _Pairs):
 
 
 def _cls_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeMismatch(f"logits must be B x C, got {logits.shape}")
+    logits = floats(logits, "logits", ShapeMismatch, 2)
     b, c = logits.shape
     if b == 0:
         raise BatchTooSmall("classification loss needs B >= 1, got 0")
+    labels = integers(labels, "labels", LabelOutOfRange, c)
     if labels.shape != (b,):
         raise ShapeMismatch(f"{b} logit rows but labels shape {labels.shape}")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
-        raise LabelOutOfRange(f"labels must be integers in [0, {c})")
     return logits, labels
 
 
@@ -336,6 +327,7 @@ def total_loss(
     """
     zv, d = _sim_inputs(z, distances)
     _, tv = _kl_inputs(zv, target)
+    lambda1, lambda2 = real(lambda1, "lambda1", ConfigError), real(lambda2, "lambda2", ConfigError)
     head = (np.zeros_like(classifier.weights), np.zeros_like(classifier.biases))
     sim_v, kl_v, logits, _, grad_z = _step_loss(
         zv, _label_side(d, cfg), labels, classifier, tv, (1.0, lambda1, lambda2), cfg, head)

@@ -17,10 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _threads
+from ._args import count
+from .data import all_finite
 from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
-from .data import is_int
 from .hashing import HashIndex, _entries, _rank_by_id, hamming_to_all
-from .hierarchy import Taxonomy, _lca_distances, semantic_distance
+from .hierarchy import Taxonomy, _lca_distances, _node_ids, semantic_distance
 from .model import _embedding_values
 # not called here; perfbench/spans.py patches this module's ``distance_matrix``
 # by name, so the name stays
@@ -118,16 +119,13 @@ def _score_ranking(
     ranked_labels: Sequence[int], query_label: int, k_max: int, t: Taxonomy
 ) -> MetricsReport:
     """Score a complete ranking as given: positions as distances and ids, -1 as the query id."""
-    n = len(ranked_labels)
-    if not is_int(k_max) or not 1 <= k_max <= n:  # before any label is checked
-        raise KTooLarge(f"k={k_max} outside the integers [1, {n}]")
-    for label in ranked_labels:  # the first bad (query, item) pair decides the error
+    ranked = _node_ids(ranked_labels)
+    count(k_max, "k", KTooLarge, 1, len(ranked))  # before any label is checked
+    for label in ranked:  # the first bad (query, item) pair decides the error
         t._check_leaves([query_label, label])
-    positions = np.arange(n)
-    return _score(
-        lambda rows: positions[None, :], positions, np.asarray(ranked_labels, dtype=np.int64),
-        np.array([-1]), np.array([query_label]), t, k_max, False, "given",
-    )
+    positions = np.arange(len(ranked))
+    return _score(lambda rows: positions[None, :], positions, ranked.astype(np.int64),
+                  np.array([-1]), np.array([query_label]), t, k_max, False, "given")
 
 
 def hp_at_k(
@@ -206,14 +204,11 @@ def _score(
     own_col = np.searchsorted(item_ids[by_id], query_ids)
     has_own = np.isin(query_ids, item_ids)
     min_candidates = n_items - int(has_own.any())
-    if not is_int(k_max) or not 1 <= k_max <= min_candidates:
-        raise KTooLarge(f"k_max={k_max} outside the integers [1, {min_candidates}]")
+    count(k_max, "k_max", KTooLarge, 1, min_candidates)
 
     # each block's relevances against the L distinct labels come from their ancestor table
     label_ids, label_rows = np.unique(np.concatenate([query_labels, item_labels]), return_inverse=True)
-    label_ids = label_ids.tolist()
-    t._check_leaves(label_ids)
-    ancestors = t._ancestors[:, label_ids]
+    ancestors = t._ancestors[:, t._check_leaves(label_ids)]
     query_rows, item_rows = label_rows[:n_queries], label_rows[n_queries:][by_id]
 
     block = max(1, _BLOCK_BYTES // (8 * n_items * _threads.WORKERS))
@@ -302,7 +297,7 @@ def evaluate_embeddings(
     """Leave-one-out evaluation of continuous embeddings under Manhattan ranking."""
     values = _embedding_values(values)
     ids, labels = _entries(ids, labels, len(values))  # the index's rule for its entries
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         raise NonFiniteInput("embeddings contain NaN or inf")
 
     def distances(rows: slice) -> np.ndarray:

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import _OPEN_HI, _OPEN_LO, RngState
+from ._args import MAX_ITEMS, count, floats
+from .data import _OPEN_HI, _OPEN_LO, RngState, all_finite
 from .errors import NonDeterministicLoss, NonFiniteInput, ShapeMismatch, StaleCache
 from .files import file_header, read_file, write_atomic
 
@@ -27,7 +28,7 @@ def _check_layer(name: str, w: np.ndarray, b: np.ndarray) -> None:
     """Check a dense layer: out x in weights with both widths at least 1, out biases, all finite."""
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0] or 0 in w.shape:
         raise ShapeMismatch(f"{name} weights {w.shape} / biases {b.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+    if not (all_finite(w) and all_finite(b)):
         raise NonFiniteInput(f"{name} has non-finite parameters")
 
 
@@ -94,10 +95,7 @@ class EmbeddingBatch:
 
 def _embedding_values(z) -> np.ndarray:
     """The float64 B x K value matrix of an ``EmbeddingBatch`` or of an array-like."""
-    values = z.values if isinstance(z, EmbeddingBatch) else np.asarray(z, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"embeddings must be B x K, got {values.shape}")
-    return values
+    return z.values if isinstance(z, EmbeddingBatch) else floats(z, "embeddings", ShapeMismatch, 2)
 
 
 @dataclass
@@ -111,16 +109,19 @@ def init_encoder(
     in_dim: int, hidden_sizes: Sequence[int], code_length: int, rng: RngState
 ) -> EncoderParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    sizes = [in_dim, *hidden_sizes, code_length]
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    layers, fan_in = [], count(in_dim, "a layer width", ShapeMismatch, 1, MAX_ITEMS)
+    for fan_out in (*hidden_sizes, code_length):
+        fan_out = count(fan_out, "a layer width", ShapeMismatch, 1, MAX_ITEMS // fan_in)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.generator.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append((w, np.zeros(fan_out)))
-    return EncoderParams(layers=layers, code_length=code_length)
+        fan_in = fan_out
+    return EncoderParams(layers=layers, code_length=fan_in)
 
 
 def init_classifier(code_length: int, n_classes: int, rng: RngState) -> ClassifierParams:
+    code_length = count(code_length, "code_length", ShapeMismatch, 1, MAX_ITEMS)
+    n_classes = count(n_classes, "n_classes", ShapeMismatch, 1, MAX_ITEMS // code_length)
     bound = np.sqrt(6.0 / (code_length + n_classes))
     w = rng.generator.uniform(-bound, bound, size=(n_classes, code_length))
     return ClassifierParams(weights=w, biases=np.zeros(n_classes))
@@ -149,12 +150,10 @@ def _forward(layers, x) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"input must be B x D, got shape {x.shape}")
+    x = floats(x, "input", ShapeMismatch, 2)
     if x.shape[1] != p.in_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != encoder in-dim {p.in_dim}")
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise NonFiniteInput("input contains non-finite values")
     # a saturated unit is a valid output; a NaN one fails EmbeddingBatch's check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +182,7 @@ def encoder_backward(
     """Gradients of sum(grad_z * z) w.r.t. every encoder parameter."""
     if cache.params is not p:
         raise StaleCache("cache was produced by a different parameter set")
-    grad_z = np.asarray(grad_z, dtype=np.float64)
+    grad_z = floats(grad_z, "grad_z", ShapeMismatch, 2)
     z = cache.activations[-1]
     if grad_z.shape != z.shape:
         raise ShapeMismatch(f"grad_z shape {grad_z.shape} != output shape {z.shape}")
@@ -224,6 +223,7 @@ def gradient_check(
     floored at 1e-6 so rounding noise at near-zero coordinates does not
     register as disagreement.
     """
+    max_coords = count(max_coords, "max_coords", ShapeMismatch, 1)
     v1, analytic = loss_fn(params)
     v2, _ = loss_fn(params)
     if v1 != v2:

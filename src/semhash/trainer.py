@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, RngState, all_finite, beta_sample, is_int
+from ._args import MAX_ITEMS, count, real
+from .data import Dataset, RngState, all_finite, beta_sample
 from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
 # train takes its label distances from the leaves' ancestor table; distance_matrix
 # is imported only for perfbench/spans.py, which wraps it here
@@ -42,6 +42,8 @@ ADAM = (0.9, 0.999, 1e-8)  # Adam's beta1, beta2 and eps
 # label side, targets, logits) takes for a chunk of steps, so that training's
 # memory does not grow with N * B
 _CHUNK_BYTES = 1 << 18
+# the number settings whose least value is not 0; the learning rate must lie above 0
+_LOW = {"code_length": 1, "batch_size": 2}
 
 
 @dataclass
@@ -58,30 +60,16 @@ class TrainConfig:
     variant: str = "shred"
 
     def __post_init__(self) -> None:
-        # each setting has its default's type (a float setting: any real number but a
-        # bool), and NaN fails every comparison below, so types are checked here first
-        for f in fields(self):
+        for f in fields(self):  # an int setting takes an integer, a float one a real number
             value = getattr(self, f.name)
-            if type(f.default) is int and not is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if isinstance(f.default, float):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"{f.name} must be a real number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.code_length < 1:
-            raise ConfigError(f"code_length must be >= 1, got {self.code_length}")
-        if not (isinstance(self.hidden_sizes, tuple)
-                and all(is_int(h) and h >= 1 for h in self.hidden_sizes)):
-            raise ConfigError(f"hidden sizes must be integers >= 1 in a tuple, got {self.hidden_sizes}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda_sim < 0:
-            raise ConfigError("loss weights must be non-negative")
+            if type(f.default) is int:
+                count(value, f.name, ConfigError, _LOW.get(f.name, 0))
+            elif type(f.default) is float:
+                real(value, f.name, ConfigError, open_low=f.name == "learning_rate")
+        if not isinstance(self.hidden_sizes, tuple):
+            raise ConfigError(f"hidden_sizes must be a tuple, got {self.hidden_sizes!r}")
+        for h in self.hidden_sizes:
+            count(h, "hidden_sizes", ConfigError, 1)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "shrewd" and self.lambda2 != 0:
@@ -174,8 +162,9 @@ def adam_step(
     eps: float,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
-    if step_index < 1:
-        raise ConfigError(f"step index must be >= 1, got {step_index}")
+    count(step_index, "step index", ConfigError, 1)
+    lr, eps = real(lr, "lr", ConfigError), real(eps, "eps", ConfigError, open_low=True)
+    beta1, beta2 = real(beta1, "beta1", ConfigError, 0, 1), real(beta2, "beta2", ConfigError, 0, 1)
     m, v = state.m, state.v
     update, denom = state._scratch
     if not params.shape == grads.shape == m.shape == v.shape == update.shape:
@@ -219,8 +208,7 @@ def train(
 ) -> tuple[EncoderParams, ClassifierParams, TrainLog]:
     """Train encoder and head; deterministic given ``config.seed``.  Checks its inputs once."""
     n = dataset.n_samples
-    if n < config.batch_size:
-        raise ConfigError(f"dataset size {n} < batch size {config.batch_size}")
+    bsz = count(config.batch_size, "batch_size", ConfigError, 2, n)  # a batch holds distinct rows
     if not all_finite(dataset.features):  # a Dataset's features can change after its check
         raise NonFiniteInput("features contain non-finite values")
     leaves = taxonomy.leaves()  # the head's classes, in id order
@@ -228,14 +216,13 @@ def train(
     unknown = dataset.labels[np.take(leaves, class_idx, mode="clip") != dataset.labels]
     if unknown.size:
         raise UnknownLabel(f"dataset label {unknown[0]} is not a leaf of the taxonomy")
-    # numpy makes no array over intp-max bytes: check the float64 arrays the config sizes
-    fans = [int(n) for n in (dataset.dim, *config.hidden_sizes, config.code_length)]
-    sizes = [*(a * b for a, b in zip(fans, fans[1:])), len(leaves) * fans[-1],
-             int(config.batch_size) ** 2 * fans[-1]]  # the layers, the C x K head, the sign slot
-    for name, size in zip(["hidden_sizes"] * len(config.hidden_sizes) + ["code_length"] * 2
-                          + ["batch_size"], sizes):
-        if 8 * size > np.iinfo(np.intp).max:
-            raise ConfigError(f"{name} is too large: an array it sizes would exceed numpy's limit")
+    # numpy makes no array over MAX_ITEMS float64 entries: each width bounds the next layer's,
+    # and the code length the last layer, the C x K head and the B x B x K sign slot
+    width = max(1, dataset.dim)
+    for h in config.hidden_sizes:
+        width = count(h, "hidden_sizes", ConfigError, 1, MAX_ITEMS // width)
+    count(config.code_length, "code_length", ConfigError, 1,
+          MAX_ITEMS // max(width, len(leaves), bsz**2))
 
     init_rng, shuffle_rng, target_rng = RngState.from_seed(config.seed).split(3)
     ancestors = taxonomy._ancestors[:, leaves]  # (height + 1) x L: no L x L table
@@ -256,7 +243,6 @@ def train(
 
     log = TrainLog()
     step = 0
-    bsz = config.batch_size
     epoch_rows = n - n % bsz
     weights = (config.lambda_sim, config.lambda1, config.lambda2)
     # steps per chunk: a step's widest array row is B distances, K targets or C logits

@@ -465,11 +465,13 @@ def test_train_rejects_zero_width_features(workdir, capsys):
     assert not any(workdir.glob("m.*"))
 
 
-@pytest.mark.parametrize("config, setting", [
-    ("code_length = 8\nhidden_sizes = 1000000000000000000\n", "hidden_sizes"),
-    ("code_length = 1000000000000000000\nhidden_sizes = 4\n", "code_length"),
+@pytest.mark.parametrize("config, setting, widest", [
+    # the 8 input features bound the hidden layer, and the 32 x 32 x K sign slot the code
+    ("code_length = 8\nhidden_sizes = 1000000000000000000\n", "hidden_sizes", 8),
+    ("code_length = 1000000000000000000\nhidden_sizes = 4\n", "code_length", 32 * 32),
 ], ids=["hidden_sizes", "code_length"])
-def test_train_with_a_layer_too_large_for_numpy_is_one_error_line(tmp_path, capsys, config, setting):
+def test_train_with_a_layer_too_large_for_numpy_is_one_error_line(tmp_path, capsys, config, setting,
+                                                                  widest):
     (tmp_path / "tax.txt").write_text(
         "root animal\nroot object\nanimal cat\nanimal dog\nobject car\nobject cup\n"
     )
@@ -483,7 +485,9 @@ def test_train_with_a_layer_too_large_for_numpy_is_one_error_line(tmp_path, caps
                "--taxonomy", str(tmp_path / "tax.txt"), "--out", str(tmp_path / "m")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == f"error: {setting} is too large: an array it sizes would exceed numpy's limit\n"
+    bound = (np.iinfo(np.intp).max // 8) // widest  # float64 entries in numpy's largest array
+    assert captured.err == (f"error: {setting} must be an integer in [1, {bound}], "
+                            f"got 1000000000000000000\n")
     assert not any(tmp_path.glob("m.*"))
 
 
@@ -529,7 +533,9 @@ def test_train_bad_config_value_is_one_error_line(workdir, capsys, key, value):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
     # a number that parses is checked by TrainConfig, whose message names the setting
-    want = f"error: {key} must be finite, got" if value in ("nan", "inf") else f"line {bad_line}:"
+    low = "> 0" if key == "learning_rate" else ">= 0"
+    want = (f"error: {key} must be a finite real number {low}, got {value}"
+            if value in ("nan", "inf") else f"line {bad_line}:")
     assert want in err[0]
     assert not (workdir / "m.checkpoint").exists()
 
@@ -565,7 +571,7 @@ def test_bad_seed_or_hidden_size_is_one_error_line(workdir, capsys, command, key
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
-    assert key.lstrip("-").replace("_", " ") in err[0]
+    assert key.lstrip("-") in err[0]
     assert not any(workdir.glob("m.*"))
 
 
@@ -951,7 +957,7 @@ def test_gen_data_non_finite_noise_is_one_error_line(workdir, capsys, value):
         ])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.splitlines() == [f"error: noise must be finite, got {value}"]
+    assert err.splitlines() == [f"error: noise must be a finite real number >= 0, got {value}"]
     assert "RuntimeWarning" not in err and not caught
     assert not any(workdir.glob("g.*"))
 

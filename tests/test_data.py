@@ -18,6 +18,7 @@ from semhash.data import (
     write_features,
     write_labels,
 )
+from semhash._args import MAX_ITEMS
 from semhash.benchmark import balanced_taxonomy
 from semhash.errors import (
     ConfigError,
@@ -54,13 +55,20 @@ class TestRngState:
     def test_seed_range_is_philox_key_range(self):
         RngState.from_seed(2**128 - 1)
         for seed in (-1, 2**128):
-            with pytest.raises(ConfigError, match="seed must lie in"):
+            with pytest.raises(ConfigError, match=rf"^seed must be an integer in \[0, {2**128 - 1}\], got {seed}$"):
                 RngState.from_seed(seed)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
     def test_seed_that_is_not_an_integer_is_rejected_not_truncated(self, seed):
-        with pytest.raises(ConfigError, match="seed must .* be an integer"):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, \d+\], got "):
             RngState.from_seed(seed)
+
+    @pytest.mark.parametrize("n", [2**70, -1, 0, 1025, 2.5, True])
+    def test_split_takes_a_count_of_at_most_1024_children(self, n):
+        # 2**70 looped once per child, and -1 returned no child
+        with pytest.raises(InvalidShapeParam, match=rf"^n must be an integer in \[1, 1024\], got {n!r}$"):
+            RngState.from_seed(0).split(n)
+        assert len(RngState.from_seed(0).split(np.int64(1024))) == 1024
 
     def test_numpy_integer_seed_is_the_same_stream(self):
         want = RngState.from_seed(7).generator.uniform(size=4)
@@ -107,6 +115,18 @@ class TestBetaSample:
             beta_sample(0.0, 0.1, (2, 2), RngState.from_seed(0))
         with pytest.raises(InvalidShapeParam):
             beta_sample(0.1, -1.0, (2, 2), RngState.from_seed(0))
+
+    @pytest.mark.parametrize("shape", [(-1, 2), (2.5, 2), (2, True), 2.5, (2**70, 2), (2**40, 2**40)])
+    def test_a_shape_that_no_array_takes_is_invalid(self, shape):
+        # each size bounds the next, so that their product fits numpy's largest array
+        with pytest.raises(InvalidShapeParam, match=r"^a size in shape must be an integer in \[0, \d+\], got "):
+            beta_sample(0.1, 0.1, shape, RngState.from_seed(0))
+        assert beta_sample(0.1, 0.1, 3, RngState.from_seed(0)).shape == (3,)
+
+    @pytest.mark.parametrize("alpha", ["a", None, 1j, True, 10**400])
+    def test_a_shape_param_that_is_no_finite_real_is_invalid(self, alpha):
+        with pytest.raises(InvalidShapeParam, match="^alpha and beta must be a finite real number > 0, got "):
+            beta_sample(alpha, 0.1, (2, 2), RngState.from_seed(0))
 
     @pytest.mark.parametrize("alpha, beta", [
         (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0),
@@ -183,15 +203,29 @@ class TestGenerateSynthetic:
         with pytest.raises(InvalidShapeParam):
             generate_synthetic(five_node_tax, 2, 4, -0.1, rng)
         for noise in (np.nan, np.inf):
-            with pytest.raises(InvalidShapeParam, match="noise must be finite"):
+            with pytest.raises(InvalidShapeParam, match=f"^noise must be a finite real number >= 0, got {noise}$"):
                 generate_synthetic(five_node_tax, 2, 4, noise, rng)
 
     @pytest.mark.parametrize("per_class, dim", [
         (2.5, 4), (2, np.nan), (2, 4.0), (True, 4), (2, "4"),
     ])
     def test_sizes_that_are_no_integers_are_invalid(self, five_node_tax, per_class, dim):
-        with pytest.raises(InvalidShapeParam, match="^per_class and dim must be >= 1 and integers, got "):
+        with pytest.raises(InvalidShapeParam, match=r"^(per_class|dim) must be an integer in \[1, \d+\], got "):
             generate_synthetic(five_node_tax, per_class, dim, 0.1, RngState.from_seed(0))
+
+    @pytest.mark.parametrize("noise", ["0.5", None, 1j, True, np.bool_(False)])
+    def test_noise_that_is_no_real_number_is_invalid(self, five_node_tax, noise):
+        # these raised TypeError, and True was noise 1.0
+        with pytest.raises(InvalidShapeParam, match="^noise must be a finite real number >= 0, got "):
+            generate_synthetic(five_node_tax, 2, 3, noise, RngState.from_seed(0))
+
+    def test_sizes_beyond_numpys_largest_array_are_invalid(self, five_node_tax):
+        # the means of the 6 nodes bound dim, and the features of the 3 leaves per_class
+        rng = RngState.from_seed(0)
+        with pytest.raises(InvalidShapeParam, match=rf"^dim must be an integer in \[1, {MAX_ITEMS // 6}\]"):
+            generate_synthetic(five_node_tax, 1, MAX_ITEMS // 6 + 1, 0.5, rng)
+        with pytest.raises(InvalidShapeParam, match=rf"^per_class must be an integer in \[1, {MAX_ITEMS // 6}\]"):
+            generate_synthetic(five_node_tax, MAX_ITEMS // 6 + 1, 2, 0.5, rng)
 
     @pytest.mark.parametrize("noise", [1e300, 1e39])
     def test_overflowing_noise_is_named(self, five_node_tax, noise):
@@ -278,7 +312,7 @@ class TestDatasetFiles:
 
     def test_smallest_bad_id_is_reported(self, tmp_path, five_node_tax):
         t = five_node_tax
-        with pytest.raises(UnknownNode, match="^unknown node id 7$"):
+        with pytest.raises(UnknownNode, match=r"^node id must be an integer in \[0, 5\], got 7$"):
             write_labels(tmp_path / "d.labels", [t.node_id("a1"), 9, 7, 8], t)
         assert list(tmp_path.iterdir()) == []
 
@@ -431,7 +465,7 @@ def test_zero_width_features_are_finite(n):
 def test_non_integer_labels_are_a_shape_mismatch(labels):
     # a cast to int64 would truncate floats, read bools and digit strings as ids,
     # and overflow on an integer beyond uint64
-    with pytest.raises(ShapeMismatch, match="^labels must be integers, got dtype "):
+    with pytest.raises(ShapeMismatch, match=r"^labels must be integers in \[0, 9223372036854775808\)$"):
         Dataset(features=np.zeros((2, 2), dtype=np.float32), labels=labels)
 
 

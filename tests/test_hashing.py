@@ -164,6 +164,26 @@ class TestIndexValues:
         with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
             index_values(np.array([[0.2, bad]]), [0])
 
+    def test_values_that_are_no_matrix_are_a_shape_mismatch(self):
+        # these raised IndexError and AttributeError before the float-array rule
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                "embeddings must be a 2-D array of real numbers, got float64 of shape (2,)")):
+            index_values(np.array([0.2, 0.7]), [0])
+        with pytest.raises(ShapeMismatch, match="got a ragged sequence$"):
+            index_values([[0.2, 0.7], [0.1]], [0, 1])
+        assert index_values([[0.2, 0.7]], [0]).words.tolist() == [[0b10]]
+
+    def test_float32_values_are_packed_without_a_float64_copy(self):
+        values = np.random.default_rng(2).uniform(0.0, 1.0, (20_000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            index = index_values(values, np.zeros(len(values), dtype=np.int64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.words.tobytes() == hashing_mod._pack(values >= 0.5).tobytes()
+        assert peak < values.nbytes  # a float64 copy alone would be twice their size
+
 
 class TestPacking:
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=200))

@@ -182,7 +182,7 @@ class TestSemanticDistance:
         # test_unknown_ids_rejected covers the distance functions
         t = five_node_tax
         for lookup in (t.name, t.parent, t.depth, t.node_height):
-            with pytest.raises(UnknownNode, match="^unknown node id True$"):
+            with pytest.raises(UnknownNode, match=r"^node id must be an integer in \[0, 5\], got True$"):
                 lookup(True)
 
     def test_unknown_id_reported_before_non_leaf(self, five_node_tax):

@@ -75,7 +75,8 @@ class TestPairWeight:
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_similarity_setting_is_a_config_error(key, value):
     # NaN fails every range comparison, and tau_floor = inf would switch the term off
-    with pytest.raises(ConfigError, match="need finite"):
+    low = ">= 0" if key == "rho" else "> 0"
+    with pytest.raises(ConfigError, match=f"^{key} must be a finite real number {low}, got {value}$"):
         SimLossConfig(**{key: value})
 
 
@@ -83,7 +84,8 @@ def test_non_finite_similarity_setting_is_a_config_error(key, value):
     ("gamma", 0.0), ("gamma", -0.1), ("rho", -1e-9), ("tau_floor", 0.0), ("tau_floor", -1.0),
 ])
 def test_similarity_setting_out_of_range_is_a_config_error(key, value):
-    with pytest.raises(ConfigError, match="need finite"):
+    low = ">= 0" if key == "rho" else "> 0"
+    with pytest.raises(ConfigError, match=f"^{key} must be a finite real number {low}, got {value}$"):
         SimLossConfig(**{key: value})
 
 

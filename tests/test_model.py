@@ -21,6 +21,7 @@ from semhash.hashing import binarize
 from semhash.hierarchy import parse_taxonomy
 from semhash.losses import SimLossConfig, kl_loss, sim_loss, total_loss
 from semhash.metrics import evaluate_embeddings
+from semhash._args import MAX_ITEMS
 from semhash.model import (
     ClassifierParams,
     _sigmoid,
@@ -408,3 +409,25 @@ def test_init_respects_fan_bound():
     bound = np.sqrt(6.0 / (10 + 8))
     assert np.all(np.abs(w0) <= bound)
     assert not p.layers[0][1].any()
+
+
+@pytest.mark.parametrize("width", [-1, 0, float("nan"), 2.5, True, 2**70])
+def test_a_width_that_is_no_count_is_a_shape_mismatch(width):
+    # these raised numpy's ValueError, OverflowError or TypeError
+    rng = RngState.from_seed(0)
+    for call in (lambda: init_encoder(width, (4,), 3, rng), lambda: init_encoder(3, (width,), 3, rng),
+                 lambda: init_encoder(3, (4,), width, rng)):
+        with pytest.raises(ShapeMismatch, match=r"^a layer width must be an integer in \[1, \d+\], got "):
+            call()
+    for name, call in (("code_length", lambda: init_classifier(width, 2, rng)),
+                       ("n_classes", lambda: init_classifier(3, width, rng))):
+        with pytest.raises(ShapeMismatch, match=rf"^{name} must be an integer in \[1, \d+\], got "):
+            call()
+
+
+def test_each_width_bounds_the_next_to_numpys_largest_array():
+    # 2**31 x 2**31 float64 weights are over numpy's limit: rejected before any draw
+    with pytest.raises(ShapeMismatch, match=rf"^a layer width must be an integer in \[1, {MAX_ITEMS // 2**31}\], "):
+        init_encoder(2**31, (2**31,), 3, RngState.from_seed(0))
+    with pytest.raises(ShapeMismatch, match=rf"^n_classes must be an integer in \[1, {MAX_ITEMS // 2**31}\], "):
+        init_classifier(2**31, 2**31, RngState.from_seed(0))

@@ -41,12 +41,12 @@ def test_seeds_below_one_is_a_usage_error(tmp_path, capsys, seeds):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--per-class", "0", "per_class and dim must be >= 1"),
-    ("--dim", "0", "per_class and dim must be >= 1"),
-    ("--k-max", "0", "k_max=0 outside"),
-    ("--epochs", "-1", "epochs must be >= 0"),
-    ("--code-length", "0", "code_length must be >= 1"),
-    ("--noise", "nan", "noise must be finite"),
+    ("--per-class", "0", "per_class must be an integer in [1, "),
+    ("--dim", "0", "dim must be an integer in [1, "),
+    ("--k-max", "0", "k_max must be an integer in [1, "),
+    ("--epochs", "-1", "epochs must be an integer >= 0, got -1"),
+    ("--code-length", "0", "code_length must be an integer >= 1, got 0"),
+    ("--noise", "nan", "noise must be a finite real number >= 0, got nan"),
 ])
 def test_value_the_library_rejects_is_a_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "f.csv"

@@ -94,6 +94,24 @@ class TestAdamStep:
         np.testing.assert_array_equal(p, np.ones(2))
         assert not state.m.any() and not state.v.any()
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("lr", float("nan"), "lr must be a finite real number >= 0, got nan"),  # gave NaN params
+        ("lr", "x", "lr must be a finite real number >= 0, got 'x'"),  # was numpy's error
+        ("step_index", 2.5, "step index must be an integer >= 1, got 2.5"),  # was taken
+        ("beta1", 1.0, "beta1 must be a finite real number in [0, 1), got 1.0"),
+        ("beta2", True, "beta2 must be a finite real number in [0, 1), got True"),
+        ("eps", 0.0, "eps must be a finite real number > 0, got 0.0"),
+    ])
+    def test_a_malformed_setting_is_a_config_error_before_any_write(self, setting, value, message):
+        p = np.ones(2)
+        state = AdamState.zeros_like(p)
+        args = {"step_index": 1, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, setting: value}
+        with pytest.raises(ConfigError) as caught:
+            adam_step(p, np.ones(2), state, **args)
+        assert str(caught.value) == message
+        np.testing.assert_array_equal(p, np.ones(2))
+        assert not state.m.any() and not state.v.any()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_flat_buffer_and_per_array_match_oracle_bitwise(self, seed):
         # one concatenated vector must reproduce the per-array, fresh-array
@@ -213,7 +231,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
     def test_hidden_sizes_floor(self, hidden):
-        with pytest.raises(ConfigError, match="hidden sizes"):
+        with pytest.raises(ConfigError, match="^hidden_sizes must be an integer >= 1, got "):
             TrainConfig(hidden_sizes=hidden)
 
     @pytest.mark.parametrize("value", ["16,,32", ",16", "16,", ",", "16, ,32"])
@@ -265,7 +283,8 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_in_a_config_fails_the_setting_check(self, key, value):
         # a number that parses is checked once, by TrainConfig
-        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+        low = "> 0" if key == "learning_rate" else ">= 0"
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite real number {low}, got {value}$"):
             parse_config(f"# one bad value\n{key} = {value}\nseed = 1\n")
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -276,7 +295,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_setting_is_a_config_error(self, key, value):
-        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite real number"):
             TrainConfig(**{key: value})
 
     @pytest.mark.parametrize("key", INT_KEYS)
@@ -287,7 +306,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("hidden", [(16.0,), (16, 2.5), (True,)])
     def test_hidden_size_that_is_not_an_integer_is_a_config_error(self, hidden):
-        with pytest.raises(ConfigError, match="hidden sizes must be integers"):
+        with pytest.raises(ConfigError, match="^hidden_sizes must be an integer >= 1, got "):
             TrainConfig(hidden_sizes=hidden)
 
     def test_numpy_integer_settings_are_integers(self):
@@ -297,7 +316,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.1", None, [0.1], 1j])
     def test_float_setting_that_is_not_a_real_number_is_a_config_error(self, key, value):
-        with pytest.raises(ConfigError, match=f"^{key} must be a real number"):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite real number"):
             TrainConfig(**{key: value})
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -307,7 +326,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("hidden", [[8], [], range(1, 3)])
     def test_hidden_sizes_that_are_not_a_tuple_are_a_config_error(self, hidden):
-        with pytest.raises(ConfigError, match="hidden sizes must be integers >= 1 in a tuple"):
+        with pytest.raises(ConfigError, match="^hidden_sizes must be a tuple, got "):
             TrainConfig(hidden_sizes=hidden)
 
 
