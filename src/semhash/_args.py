@@ -1,11 +1,13 @@
-"""The public API's rules for number and array arguments, one rule per kind: each takes the
-argument, its name and its caller's ``SemhashError`` class, returns the argument as the caller
-uses it, and formats a message only when its check fails."""
+"""The public API's rules for number, sequence and array arguments, one rule per kind: each takes
+the argument, its name and its caller's ``SemhashError`` class (``finite``'s is ``NonFiniteInput``),
+returns the argument as the caller uses it, and formats a message only when its check fails."""
 from __future__ import annotations
 
 import numbers
 
 import numpy as np
+
+from .errors import NonFiniteInput
 
 # the most float64 entries in one array: numpy makes none over intp-max bytes
 MAX_ITEMS = np.iinfo(np.intp).max // 8
@@ -45,9 +47,21 @@ def _array(values) -> np.ndarray | None:
         return None
 
 
+def sequence(values, name: str, error: type) -> np.ndarray:
+    """``values`` as a 1-D object array, whose entries stay as given (a bool stays a bool)."""
+    if (items := np.asarray(values, dtype=object)).ndim != 1:
+        raise error(f"{name} must be a 1-D sequence, got {values!r}")
+    return items
+
+
 def integers(values, name: str, error: type, high: int, dtype=np.int64) -> np.ndarray:
     """``values`` as a ``dtype`` array if each is an integer in [0, high)."""
-    array = _array(values)  # Python ints beyond int64 give a float or object array
+    array = _array(values)
+    if array is not None and array.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+        # numpy makes floats or objects of Python ints beyond int64: those are taken exactly
+        items = np.asarray(values, dtype=object)
+        if all(type(v) is int and 0 <= v < high for v in items.flat):
+            array = items.astype(dtype)
     if array is None or array.size and (
             array.dtype.kind not in "iu" or array.min() < 0 or int(array.max()) >= high):
         raise error(f"{name} must be integers in [0, {high})")
@@ -62,3 +76,10 @@ def floats(values, name: str, error: type, ndim: int, dtype=np.float64) -> np.nd
         got = "a ragged sequence" if array is None else f"{array.dtype} of shape {array.shape}"
         raise error(f"{name} must be a {ndim}-D array of real numbers, got {got}")
     return array if dtype is None else array.astype(dtype, copy=False)
+
+
+def finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` if no entry is NaN or inf, found by min and max: no entry-sized temporary."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise NonFiniteInput(f"{name} must not contain NaN or inf")
+    return values

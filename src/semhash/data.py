@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._args import MAX_ITEMS, count, floats, integers, real
+from ._args import MAX_ITEMS, count, finite, floats, integers, real
 from .errors import (
     ConfigError,
     InvalidShapeParam,
@@ -30,12 +30,6 @@ FEATURES_VERSION = 1
 # distance that matters downstream
 _OPEN_LO = np.finfo(np.float64).tiny
 _OPEN_HI = 1.0 - np.finfo(np.float64).epsneg
-
-
-def all_finite(values: np.ndarray) -> bool:
-    """True if no entry is NaN or infinite, checked without an entry-sized temporary:
-    min and max propagate NaN and +-inf.  An array without entries is finite."""
-    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 @dataclass
@@ -74,8 +68,7 @@ class Dataset:
             raise ShapeMismatch("dataset must contain at least one sample")
         if self.labels.shape != (n,):
             raise ShapeMismatch(f"{n} feature rows but labels of shape {self.labels.shape}")
-        if not all_finite(self.features):
-            raise NonFiniteInput("features contain non-finite values")
+        finite(self.features, "features")
 
     @property
     def n_samples(self) -> int:
@@ -122,9 +115,10 @@ def generate_synthetic(t: Taxonomy, per_class: int, dim: int, noise: float, rng:
             block = slice(i * per_class, (i + 1) * per_class)
             features[block] = means[leaf] + noise * gen.standard_normal((per_class, dim))
             labels[block] = leaf
-    if not all_finite(features):
-        raise InvalidShapeParam(f"noise {noise} overflows the float32 features")
-    return Dataset(features=features, labels=labels)
+    try:  # Dataset's check of the features finds an overflow
+        return Dataset(features=features, labels=labels)
+    except NonFiniteInput:
+        raise InvalidShapeParam(f"noise {noise} overflows the float32 features") from None
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

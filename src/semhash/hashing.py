@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._args import count, floats, integers
-from .data import Dataset, all_finite
-from .errors import EmptyIndex, LengthMismatch, NonFiniteInput, ShapeMismatch
+from ._args import count, finite, floats, integers
+from .data import Dataset
+from .errors import EmptyIndex, LengthMismatch, ShapeMismatch
 from .files import file_header, read_file, write_atomic
 from .model import EncoderParams, _embedding_values, _forward
 
@@ -62,8 +62,8 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def pack_bits(bits: Sequence[int] | np.ndarray) -> HashCode:
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size < 1:
+    bits = floats(bits, "bits", ShapeMismatch, 1, None)
+    if bits.size < 1:
         raise ShapeMismatch("bits must be a non-empty 1-D sequence")
     as_bool = bits.astype(bool)
     if np.count_nonzero(bits != as_bool):  # only 0 and 1 equal their truth value
@@ -77,8 +77,7 @@ def _packed(values: np.ndarray) -> np.ndarray:
     words = np.empty((len(values), _n_words(values.shape[1])), dtype=np.uint64)
     for start in range(0, len(values), ENCODE_ROWS):
         block = values[start : start + ENCODE_ROWS]
-        if not all_finite(block):
-            raise NonFiniteInput("embeddings contain NaN or inf")
+        finite(block, "embeddings")
         words[start : start + ENCODE_ROWS] = _pack(block >= 0.5)
     return words
 
@@ -110,6 +109,17 @@ def _entries(ids, labels, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, labels
 
 
+def _words(words, code_length: int, error: type, ndims: tuple[int, ...]) -> np.ndarray:
+    """``words`` as uint64 rows of W code words, padding bits zero; a wrong rank or W is ``error``."""
+    words = integers(words, "code words", ShapeMismatch, 2**64, np.uint64)
+    n_words = _n_words(count(code_length, "code length", ShapeMismatch, 1))
+    if words.ndim not in ndims or words.shape[-1] != n_words:
+        raise error(f"code words of shape {words.shape} are no rows of {n_words} for K={code_length}")
+    if np.any(words[..., -1] & ~np.uint64(_pad_mask(code_length))):
+        raise ShapeMismatch("padding bits above the code length must be zero")
+    return words
+
+
 @dataclass
 class HashIndex:
     """Searchable codes with parallel unique sample ids in [0, 2**63) and labels in [0, 2**32)."""
@@ -120,15 +130,8 @@ class HashIndex:
     code_length: int
 
     def __post_init__(self) -> None:
-        words = integers(self.words, "code words", ShapeMismatch, 2**64, np.uint64)
-        n_words = _n_words(count(self.code_length, "code length", ShapeMismatch, 1))
-        if words.ndim != 2 or words.shape[1] != n_words:
-            raise ShapeMismatch(f"words shape {words.shape} incompatible with K={self.code_length}")
-        self.words = np.ascontiguousarray(words)
+        self.words = np.ascontiguousarray(_words(self.words, self.code_length, ShapeMismatch, (2,)))
         self.ids, self.labels = _entries(self.ids, self.labels, len(self.words))
-        mask = np.uint64(_pad_mask(self.code_length))
-        if len(self.words) and np.any(self.words[:, -1] & ~mask):
-            raise ShapeMismatch("padding bits above the code length must be zero")
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -191,9 +194,7 @@ def hamming_to_all(index: HashIndex, words: np.ndarray) -> np.ndarray:
     The distances are of the smallest unsigned type that holds ``K + 1``, so
     a caller can mark an entry with a value above K, such as the type's maximum.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    if words.ndim not in (1, 2) or words.shape[-1:] != index.words.shape[1:]:
-        raise LengthMismatch(f"query words {words.shape} != index rows {index.words.shape[1:]}")
+    words = _words(words, index.code_length, LengthMismatch, (1, 2))
     dtype = np.min_scalar_type(index.code_length + 1)
     return np.bitwise_count(index.words ^ words[..., None, :]).sum(axis=-1, dtype=dtype)
 
@@ -213,7 +214,7 @@ def query_topk(index: HashIndex, q: HashCode, k: int) -> list[tuple[int, int]]:
     count(k, "k", ShapeMismatch, 1)
     if q.code_length != index.code_length:
         raise LengthMismatch(f"query K={q.code_length} != index K={index.code_length}")
-    dists = hamming_to_all(index, np.array(q.words, dtype=np.uint64))
+    dists = hamming_to_all(index, q.words)
     return [(int(index.ids[i]), int(dists[i])) for i in _rank_by_id(dists, index.ids)[:k]]
 
 

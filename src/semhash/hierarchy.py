@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._args import count
+from ._args import count, sequence
 from .errors import (
     CycleDetected,
     EmptyInput,
@@ -153,18 +153,11 @@ class Taxonomy:
 
     def _check_leaves(self, node_ids: Sequence[int]) -> list[int]:
         """The ids of leaves ``node_ids``; an unknown id is reported before a non-leaf."""
-        ids = [self._check_id(node_id) for node_id in _node_ids(node_ids)]
+        ids = [self._check_id(node_id) for node_id in sequence(node_ids, "node ids", UnknownNode)]
         for node_id in ids:
             if self._children[node_id]:
                 raise NotALeaf(f"node {self.nodes[node_id].name!r} is not a leaf")
         return ids
-
-
-def _node_ids(values) -> np.ndarray:
-    """``values`` as a 1-D object array, in which a bool stays a bool; else ``UnknownNode``."""
-    if (ids := np.asarray(values, dtype=object)).ndim != 1:
-        raise UnknownNode(f"node ids must be a 1-D sequence, got {values!r}")
-    return ids
 
 
 def parse_taxonomy(text: str) -> Taxonomy:

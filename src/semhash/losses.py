@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._args import floats, integers, real
+from ._args import finite, floats, integers, real
 from .errors import BatchTooSmall, ConfigError, LabelOutOfRange, ShapeMismatch
 from .model import ClassifierParams, _embedding_values, classifier_forward
 
@@ -110,7 +110,7 @@ def _sim_inputs(z, distances) -> tuple[np.ndarray, np.ndarray]:
     d = floats(distances, "distance matrix", ShapeMismatch, 2)
     if d.shape != (b, b):
         raise ShapeMismatch(f"distance matrix {d.shape} != ({b}, {b})")
-    return zv, d
+    return finite(zv, "embeddings"), finite(d, "distance matrix")
 
 
 def _kl_inputs(z, target) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +122,7 @@ def _kl_inputs(z, target) -> tuple[np.ndarray, np.ndarray]:
         raise BatchTooSmall("target sample must be non-empty")
     if tv.shape[1] != zv.shape[1]:
         raise ShapeMismatch(f"target dim {tv.shape[1]} != embedding dim {zv.shape[1]}")
-    return zv, tv
+    return finite(zv, "embeddings"), finite(tv, "target")
 
 
 def sim_loss(

@@ -17,11 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _threads
-from ._args import count
-from .data import all_finite
-from .errors import KTooLarge, LengthMismatch, NoRelevantItems, NonFiniteInput, ShapeMismatch
+from ._args import count, finite, sequence
+from .errors import KTooLarge, LengthMismatch, NoRelevantItems, ShapeMismatch, UnknownNode
 from .hashing import HashIndex, _entries, _rank_by_id, hamming_to_all
-from .hierarchy import Taxonomy, _lca_distances, _node_ids, semantic_distance
+from .hierarchy import Taxonomy, _lca_distances, semantic_distance
 from .model import _embedding_values
 # not called here; perfbench/spans.py patches this module's ``distance_matrix``
 # by name, so the name stays
@@ -119,7 +118,7 @@ def _score_ranking(
     ranked_labels: Sequence[int], query_label: int, k_max: int, t: Taxonomy
 ) -> MetricsReport:
     """Score a complete ranking as given: positions as distances and ids, -1 as the query id."""
-    ranked = _node_ids(ranked_labels)
+    ranked = sequence(ranked_labels, "node ids", UnknownNode)
     count(k_max, "k", KTooLarge, 1, len(ranked))  # before any label is checked
     for label in ranked:  # the first bad (query, item) pair decides the error
         t._check_leaves([query_label, label])
@@ -162,10 +161,10 @@ def hamming_ranking(
 
     ``words`` is one code as a row of packed ``uint64`` words.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    if words.ndim != 1:
-        raise LengthMismatch(f"one code expected, got words of shape {words.shape}")
-    return _rank_by_id(hamming_to_all(index, words), index.ids, exclude_id)
+    dists = hamming_to_all(index, words)
+    if dists.ndim != 1:
+        raise LengthMismatch(f"one code expected, got words of shape {np.shape(words)}")
+    return _rank_by_id(dists, index.ids, exclude_id)
 
 
 def manhattan_ranking(
@@ -295,10 +294,8 @@ def evaluate_embeddings(
     per_query: bool = False,
 ) -> MetricsReport:
     """Leave-one-out evaluation of continuous embeddings under Manhattan ranking."""
-    values = _embedding_values(values)
+    values = finite(_embedding_values(values), "embeddings")
     ids, labels = _entries(ids, labels, len(values))  # the index's rule for its entries
-    if not all_finite(values):
-        raise NonFiniteInput("embeddings contain NaN or inf")
 
     def distances(rows: slice) -> np.ndarray:
         queries = values[rows]

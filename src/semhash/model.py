@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._args import MAX_ITEMS, count, floats
-from .data import _OPEN_HI, _OPEN_LO, RngState, all_finite
-from .errors import NonDeterministicLoss, NonFiniteInput, ShapeMismatch, StaleCache
+from ._args import MAX_ITEMS, count, finite, floats, sequence
+from .data import _OPEN_HI, _OPEN_LO, RngState
+from .errors import NonDeterministicLoss, ShapeMismatch, StaleCache
 from .files import file_header, read_file, write_atomic
 
 CHECKPOINT_MAGIC = b"SHRW"
@@ -28,8 +28,8 @@ def _check_layer(name: str, w: np.ndarray, b: np.ndarray) -> None:
     """Check a dense layer: out x in weights with both widths at least 1, out biases, all finite."""
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0] or 0 in w.shape:
         raise ShapeMismatch(f"{name} weights {w.shape} / biases {b.shape}")
-    if not (all_finite(w) and all_finite(b)):
-        raise NonFiniteInput(f"{name} has non-finite parameters")
+    finite(w, name)
+    finite(b, name)
 
 
 @dataclass
@@ -110,7 +110,7 @@ def init_encoder(
 ) -> EncoderParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     layers, fan_in = [], count(in_dim, "a layer width", ShapeMismatch, 1, MAX_ITEMS)
-    for fan_out in (*hidden_sizes, code_length):
+    for fan_out in (*sequence(hidden_sizes, "hidden_sizes", ShapeMismatch), code_length):
         fan_out = count(fan_out, "a layer width", ShapeMismatch, 1, MAX_ITEMS // fan_in)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.generator.uniform(-bound, bound, size=(fan_out, fan_in))
@@ -150,11 +150,9 @@ def _forward(layers, x) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def encoder_forward(p: EncoderParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCache]:
-    x = floats(x, "input", ShapeMismatch, 2)
+    x = finite(floats(x, "input", ShapeMismatch, 2), "input")
     if x.shape[1] != p.in_dim:
         raise ShapeMismatch(f"input dim {x.shape[1]} != encoder in-dim {p.in_dim}")
-    if not all_finite(x):
-        raise NonFiniteInput("input contains non-finite values")
     # a saturated unit is a valid output; a NaN one fails EmbeddingBatch's check
     with np.errstate(over="ignore", invalid="ignore"):
         x, act = _forward(p.layers, x)
@@ -182,7 +180,7 @@ def encoder_backward(
     """Gradients of sum(grad_z * z) w.r.t. every encoder parameter."""
     if cache.params is not p:
         raise StaleCache("cache was produced by a different parameter set")
-    grad_z = floats(grad_z, "grad_z", ShapeMismatch, 2)
+    grad_z = finite(floats(grad_z, "grad_z", ShapeMismatch, 2), "grad_z")
     z = cache.activations[-1]
     if grad_z.shape != z.shape:
         raise ShapeMismatch(f"grad_z shape {grad_z.shape} != output shape {z.shape}")

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._args import MAX_ITEMS, count, real
-from .data import Dataset, RngState, all_finite, beta_sample
-from .errors import ConfigError, DivergedLoss, NonFiniteInput, ShapeMismatch, UnknownLabel
+from ._args import MAX_ITEMS, count, finite, real
+from .data import Dataset, RngState, beta_sample
+from .errors import ConfigError, DivergedLoss, ShapeMismatch, UnknownLabel
 # train takes its label distances from the leaves' ancestor table; distance_matrix
 # is imported only for perfbench/spans.py, which wraps it here
 from .hierarchy import Taxonomy, _lca_distances, distance_matrix
@@ -209,8 +209,7 @@ def train(
     """Train encoder and head; deterministic given ``config.seed``.  Checks its inputs once."""
     n = dataset.n_samples
     bsz = count(config.batch_size, "batch_size", ConfigError, 2, n)  # a batch holds distinct rows
-    if not all_finite(dataset.features):  # a Dataset's features can change after its check
-        raise NonFiniteInput("features contain non-finite values")
+    finite(dataset.features, "features")  # a Dataset's features can change after its check
     leaves = taxonomy.leaves()  # the head's classes, in id order
     class_idx = np.searchsorted(leaves, dataset.labels)
     unknown = dataset.labels[np.take(leaves, class_idx, mode="clip") != dataset.labels]

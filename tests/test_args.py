@@ -1,4 +1,5 @@
-"""The four argument rules at their boundaries: bools, numpy numbers and each end of a range."""
+"""The argument rules at their boundaries: bools, numpy numbers, each end of a range, and
+NaN and the infinities."""
 from __future__ import annotations
 
 import math
@@ -6,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from semhash._args import MAX_ITEMS, count, floats, integers, real
-from semhash.errors import ConfigError, LabelOutOfRange, ShapeMismatch
+from semhash._args import MAX_ITEMS, count, finite, floats, integers, real, sequence
+from semhash.errors import ConfigError, LabelOutOfRange, NonFiniteInput, ShapeMismatch, UnknownNode
 
 
 class TestCount:
@@ -107,6 +108,15 @@ class TestIntegers:
     def test_no_entries_are_in_range(self):
         assert integers([], "ids", ShapeMismatch, 1).shape == (0,)
 
+    @pytest.mark.parametrize("values", [[[0], [2**64 - 1]], (2**63, 1), [[2**64 - 1, 0]]])
+    def test_python_ints_that_numpy_makes_floats_are_taken_exactly(self, values):
+        got = integers(values, "words", ShapeMismatch, 2**64, np.uint64)
+        assert got.dtype == np.uint64 and got.tolist() == np.array(values, dtype=np.uint64).tolist()
+
+    @pytest.mark.parametrize("values", [[2**63, 2.0], [[1], [2.0]], [2**63, None], [[2**64]], [-1, 2**63]])
+    def test_a_float_object_or_out_of_range_int_beside_a_large_int_is_the_callers_error(self, values):
+        with pytest.raises(ShapeMismatch, match=r"^words must be integers in \[0, 18446744073709551616\)$"):
+            integers(values, "words", ShapeMismatch, 2**64, np.uint64)
 
 class TestFloats:
     def test_the_rank_is_exact(self):
@@ -136,6 +146,34 @@ class TestFloats:
         assert floats(f32.astype(np.float64), "z", ShapeMismatch, 2, np.float32).dtype == np.float32
         assert floats(f32, "z", ShapeMismatch, 2, None) is f32  # no copy
         assert floats([[1, 2]], "z", ShapeMismatch, 2, None).dtype == np.int64
+
+
+class TestFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_and_the_infinities_are_non_finite_input(self, bad, dtype):
+        values = np.ones((3, 2), dtype)
+        values[2, 1] = bad
+        with pytest.raises(NonFiniteInput, match="^target must not contain NaN or inf$"):
+            finite(values, "target")
+
+    def test_the_largest_floats_and_an_empty_array_are_finite(self):
+        finite(np.array([np.finfo(np.float64).max, -np.finfo(np.float64).max]), "x")
+        finite(np.array([np.finfo(np.float32).max], np.float32), "x")
+        finite(np.empty((0, 3)), "x")
+
+
+class TestSequence:
+    def test_a_1d_sequence_keeps_its_entries(self):
+        got = sequence([True, 2.5, np.uint8(3)], "ids", UnknownNode)
+        assert got.dtype == object and [type(v) for v in got] == [bool, float, np.uint8]
+        assert sequence((), "ids", UnknownNode).shape == (0,)
+
+    @pytest.mark.parametrize("values", [2.5, 3, "ab", None, [[1], [2]]])
+    def test_anything_else_is_the_callers_error(self, values):
+        with pytest.raises(ShapeMismatch) as caught:
+            sequence(values, "hidden_sizes", ShapeMismatch)
+        assert str(caught.value) == f"hidden_sizes must be a 1-D sequence, got {values!r}"
 
 
 def test_max_items_is_numpys_array_limit_in_float64_entries():

@@ -502,7 +502,7 @@ def test_train_on_features_with_a_nan_is_one_error_line(workdir, capsys):
                "--taxonomy", str(workdir / "tax.txt"), "--out", str(workdir / "m")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == "error: features contain non-finite values\n"
+    assert captured.err == "error: features must not contain NaN or inf\n"
     assert not any(workdir.glob("m.*"))
 
 

@@ -438,7 +438,7 @@ def test_non_finite_features_are_non_finite_input(bad):
     # the class that train's entry check and encoder_forward raise for the same rows
     features = np.ones((3, 2), dtype=np.float32)
     features[1, 0] = bad
-    with pytest.raises(NonFiniteInput, match="^features contain non-finite values$"):
+    with pytest.raises(NonFiniteInput, match="^features must not contain NaN or inf$"):
         Dataset(features=features, labels=np.zeros(3, dtype=np.int64))
 
 

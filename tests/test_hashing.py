@@ -128,7 +128,7 @@ class TestEncode:
 
     def test_a_forward_pass_that_makes_nan_raises(self):
         dataset = Dataset(np.ones((3, 4), dtype=np.float32), np.zeros(3, dtype=np.int64))
-        with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
+        with pytest.raises(NonFiniteInput, match="^embeddings must not contain NaN or inf$"):
             encode(overflowing_encoder(4, [[1.0, -1.0]]), dataset)  # inf - inf
 
     def test_an_encoder_of_another_input_width_is_a_shape_mismatch(self):
@@ -161,7 +161,7 @@ class TestIndexValues:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_raise(self, bad):
-        with pytest.raises(NonFiniteInput, match="^embeddings contain NaN or inf$"):
+        with pytest.raises(NonFiniteInput, match="^embeddings must not contain NaN or inf$"):
             index_values(np.array([[0.2, bad]]), [0])
 
     def test_values_that_are_no_matrix_are_a_shape_mismatch(self):
@@ -193,9 +193,19 @@ class TestPacking:
         assert unpack_bits(code).tolist() == bits
         assert pack_bits(unpack_bits(code)) == code
 
-    @pytest.mark.parametrize("bits", [[2, 3], [0, 2], [0.5], [-1], [1, np.nan], [np.inf], [None]])
+    @pytest.mark.parametrize("bits", [[2, 3], [0, 2], [0.5], [-1], [1, np.nan], [np.inf]])
     def test_values_other_than_0_and_1_rejected(self, bits):
         with pytest.raises(ShapeMismatch, match="0 or 1"):
+            pack_bits(bits)
+
+    @pytest.mark.parametrize("bits, got", [
+        ([[1], [1, 0]], "a ragged sequence"),  # this raised numpy's ValueError
+        ([None], "object of shape (1,)"),
+        ([[1, 0]], "int64 of shape (1, 2)"),
+    ])
+    def test_bits_that_are_no_1d_numbers_are_a_shape_mismatch(self, bits, got):
+        message = re.escape(f"bits must be a 1-D array of real numbers, got {got}")
+        with pytest.raises(ShapeMismatch, match=message):
             pack_bits(bits)
 
     @pytest.mark.parametrize("bits", [[True, False], [1.0, 0.0], np.array([0, 1], dtype=np.int8)])
@@ -288,8 +298,33 @@ class TestHammingToAll:
 
     def test_wrong_word_count(self):
         idx = build_index([pack_bits([1, 0])], [0], [0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=re.escape(
+                "code words of shape (2,) are no rows of 1 for K=2")):
             hamming_to_all(idx, np.zeros(2, dtype=np.uint64))
+
+    @pytest.mark.parametrize("words", [
+        [2.9],  # this was cast to the word 2
+        [-1], ["a"], [2**64],
+        np.array([[1.0]]),  # a float array, even of a whole number
+    ])
+    def test_query_words_that_are_no_64_bit_integers_are_a_shape_mismatch(self, words):
+        idx = build_index([pack_bits([1, 0])], [0], [0])
+        message = r"^code words must be integers in \[0, 18446744073709551616\)$"
+        with pytest.raises(ShapeMismatch, match=message):
+            hamming_to_all(idx, words)
+
+    def test_a_set_padding_bit_in_a_query_is_a_shape_mismatch(self):
+        # this scored the padding bit as a distance
+        idx = build_index([pack_bits([1, 0])], [0], [0])
+        with pytest.raises(ShapeMismatch, match="^padding bits above the code length must be zero$"):
+            hamming_to_all(idx, [0b101])
+        assert hamming_to_all(idx, [0b01]).tolist() == [0]
+
+    def test_query_words_as_python_ints_score_like_uint64_words(self):
+        codes = [pack_bits([1] * 64), pack_bits([0] * 63 + [1])]
+        idx = build_index(codes, [0, 1], [0, 0])
+        for q in ([2**64 - 1], (2**63,), [[0], [2**64 - 1]]):
+            assert hamming_to_all(idx, q).tolist() == hamming_to_all(idx, np.array(q, np.uint64)).tolist()
 
     @pytest.mark.parametrize("shape", [(3, 2), (1, 1, 1)])
     def test_block_of_wrong_shape(self, shape):
@@ -464,15 +499,22 @@ def test_build_index_rejects_what_an_index_file_cannot_hold(ids, labels):
     np.array([[1.5]]),  # would be truncated to word 1
     np.array([[-1]]),  # would overflow the uint64 cast
     np.array([[2**64]], dtype=object),
+    [[2.9]], [[True]], [[1], [2.0]], [[-1], [2**64 - 1]],
 ])
 def test_index_rejects_code_words_that_are_not_64_bit_integers(words):
     with pytest.raises(ShapeMismatch, match="code words must be integers in"):
-        HashIndex(words, [0], [3], 64)
+        HashIndex(words, range(len(words)), [3] * len(words), 64)
 
 
 def test_index_keeps_the_largest_64_bit_word():
     index = HashIndex(np.array([[2**64 - 1]]), [0], [3], 64)
     assert index.words.dtype == np.uint64 and index.words.tolist() == [[2**64 - 1]]
+
+
+def test_index_takes_python_int_words_that_numpy_would_make_floats():
+    # numpy turns this nesting into float64, which rounded 2**64 - 1 and was rejected
+    index = HashIndex([[0], [2**64 - 1]], [0, 1], [0, 0], 64)
+    assert index.words.dtype == np.uint64 and index.words.tolist() == [[0], [2**64 - 1]]
 
 
 @settings(max_examples=150, deadline=None)

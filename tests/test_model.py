@@ -370,7 +370,7 @@ class TestCheckpoint:
         path = tmp_path / "nan.checkpoint"
         for extra in (b"", b"\0"):  # the content error comes before the extra byte's
             path.write_bytes(raw[:-8] + struct.pack("<d", np.nan) + extra)  # the head's last bias
-            with pytest.raises(MalformedFile, match="nan.checkpoint: classifier has non-finite"):
+            with pytest.raises(MalformedFile, match="nan.checkpoint: classifier must not contain NaN or inf$"):
                 load_checkpoint(path)
         bad_k = bytearray(raw)
         bad_k[12:16] = struct.pack("<I", 3)  # the header's K; the last layer is 4 wide

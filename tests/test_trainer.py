@@ -480,7 +480,7 @@ class TestTrain:
         calls = []
         real = trainer_mod._step_loss
         monkeypatch.setattr(trainer_mod, "_step_loss", lambda *a: calls.append(1) or real(*a))
-        with pytest.raises(NonFiniteInput, match="non-finite"):
+        with pytest.raises(NonFiniteInput, match="^features must not contain NaN or inf$"):
             train(cfg, ds, tax)
         assert calls == []
 
