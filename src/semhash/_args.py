@@ -40,9 +40,9 @@ def real(value, name: str, error: type, low: float = 0, high: float | None = Non
     raise error(f"{name} must be a finite real number {bounds}, got {value!r}")
 
 
-def _array(values) -> np.ndarray | None:
+def _array(values, dtype=None) -> np.ndarray | None:
     try:  # None for a ragged nesting, which has no shape
-        return np.asarray(values)
+        return np.asarray(values, dtype=dtype)
     except ValueError:
         return None
 
@@ -56,12 +56,14 @@ def sequence(values, name: str, error: type) -> np.ndarray:
 
 def integers(values, name: str, error: type, high: int, dtype=np.int64) -> np.ndarray:
     """``values`` as a ``dtype`` array if each is an integer in [0, high)."""
-    array = _array(values)
-    if array is not None and array.dtype.kind in "fO" and not isinstance(values, np.ndarray):
-        # numpy makes floats or objects of Python ints beyond int64: those are taken exactly
-        items = np.asarray(values, dtype=object)
-        if all(type(v) is int and 0 <= v < high for v in items.flat):
-            array = items.astype(dtype)
+    array = values
+    if not isinstance(values, np.ndarray):
+        # entry by entry, as count reads one: numpy would make a bool among ints 0 or 1,
+        # and ints beyond int64 floats or objects
+        items = _array(values, object)
+        array = items.astype(dtype) if items is not None and all(
+            (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool))
+            and 0 <= v < high for v in items.flat) else None
     if array is None or array.size and (
             array.dtype.kind not in "iu" or array.min() < 0 or int(array.max()) >= high):
         raise error(f"{name} must be integers in [0, {high})")

@@ -26,7 +26,7 @@ VARIANT_CONFIGS: dict[str, dict] = {
 }
 
 
-def balanced_taxonomy(branching: tuple[int, ...] = (4, 2, 2)) -> Taxonomy:
+def balanced_taxonomy(branching: tuple[int, ...]) -> Taxonomy:
     """Balanced tree with the given fan-out per level below the root."""
     lines = []
     level = ["root"]

@@ -113,6 +113,8 @@ class Taxonomy:
             d = self._depth[i]
             self._ancestors[1:d, i] = self._ancestors[1:d, self._parent[i]]
             self._ancestors[d:, i] = i
+        for table in (self._heights, self._ancestors):  # read-only, for eval's threads
+            table.flags.writeable = False
 
         self._name_to_id = {node.name: node.id for node in self.nodes}
         if len(self._name_to_id) != n:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .files import file_header, read_file, write_atomic
 CHECKPOINT_MAGIC = b"SHRW"
 CHECKPOINT_VERSION = 1
 _GRAD_CHECK_STEP = 1e-5  # gradient_check moves each coordinate this far each way
+_GRAD_CHECK_COORDS = 10_000  # and checks at most this many coordinates
 
 
 def _check_layer(name: str, w: np.ndarray, b: np.ndarray) -> None:
@@ -210,18 +211,15 @@ class GradCheckReport:
 def gradient_check(
     loss_fn: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]],
     params: list[np.ndarray],
-    max_coords: int = 10_000,
-    rng: Optional[RngState] = None,
 ) -> GradCheckReport:
     """Compare a loss's analytic gradient against central finite differences.
 
     The loss callable maps a parameter list to (value, gradient list) and must
-    be deterministic.  Every coordinate is checked, or a random subsample when
-    there are more than ``max_coords``.  The relative error denominator is
-    floored at 1e-6 so rounding noise at near-zero coordinates does not
-    register as disagreement.
+    be deterministic.  Every coordinate is checked, or a subsample drawn from
+    seed 0 when there are more than ``_GRAD_CHECK_COORDS``.  The relative error
+    denominator is floored at 1e-6 so rounding noise at near-zero coordinates
+    does not register as disagreement.
     """
-    max_coords = count(max_coords, "max_coords", ShapeMismatch, 1)
     v1, analytic = loss_fn(params)
     v2, _ = loss_fn(params)
     if v1 != v2:
@@ -234,9 +232,9 @@ def gradient_check(
         for pi, p in enumerate(params)
         for idx in np.ndindex(*p.shape)
     ]
-    if len(coords) > max_coords:
-        gen = (rng or RngState.from_seed(0)).generator
-        picks = gen.choice(len(coords), size=max_coords, replace=False)
+    if len(coords) > _GRAD_CHECK_COORDS:
+        gen = RngState.from_seed(0).generator
+        picks = gen.choice(len(coords), size=_GRAD_CHECK_COORDS, replace=False)
         coords = [coords[i] for i in picks]
 
     worst = GradCheckReport(0.0, -1, (), len(coords), 0.0, 0.0)

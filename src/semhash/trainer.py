@@ -157,14 +157,11 @@ def adam_step(
     state: AdamState,
     step_index: int,
     lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
+    """One bias-corrected Adam update at ``ADAM`` of ``params`` and ``state`` in place; returns both."""
     count(step_index, "step index", ConfigError, 1)
-    lr, eps = real(lr, "lr", ConfigError), real(eps, "eps", ConfigError, open_low=True)
-    beta1, beta2 = real(beta1, "beta1", ConfigError, 0, 1), real(beta2, "beta2", ConfigError, 0, 1)
+    lr = real(lr, "lr", ConfigError)
+    beta1, beta2, eps = ADAM
     m, v = state.m, state.v
     update, denom = state._scratch
     if not params.shape == grads.shape == m.shape == v.shape == update.shape:
@@ -280,7 +277,7 @@ def train(
                         raise DivergedLoss(
                             f"step {step}: non-finite total (sim={sim!r}, kl={kl!r}, cls={cls!r})")
                     _backward(encoder.layers, x, acts, grad_z, layer_grads)
-                    params, adam = adam_step(buf, grad, adam, step, config.learning_rate, *ADAM)
+                    params, adam = adam_step(buf, grad, adam, step, config.learning_rate)
                     if not np.isfinite(params).all():
                         raise DivergedLoss(f"step {step}: parameters became non-finite")
                     values.append((sim, kl))

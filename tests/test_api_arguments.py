@@ -4,8 +4,9 @@ Each call must return or raise a ``SemhashError`` within 2 s, with warnings as
 errors: never a numpy or Python error, a warning or a hang.  The slots are
 (callable, argument, kind); object arguments (a ``Taxonomy``, ``HashIndex``,
 ``EncoderParams``, ``ClassifierParams``, ``RngState`` or ``Dataset``) stay valid.
-An array zoo goes further: a float array with a NaN or infinite entry, and code
-words that no code has, must raise a ``SemhashError``.
+An array zoo goes further: a float array with a NaN or infinite entry, a list of
+integers with a bool among them, and code words that no code has, must raise a
+``SemhashError``.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from semhash import (
     evaluate,
     evaluate_embeddings,
     generate_synthetic,
-    gradient_check,
     hp_at_k,
     kl_loss,
     query_topk,
@@ -57,7 +57,7 @@ from semhash.model import init_classifier, init_encoder
 
 ZOO = [
     2.5, True, -1, 0, 2**70, float("nan"), float("inf"), np.float64(3), 1e300, np.int64(-5),
-    "0.5", None, 1j, [[1, 2], [3]], np.array(["a", "b"]), object(),
+    "0.5", None, 1j, [[1, 2], [3]], np.array(["a", "b"]), object(), [True, 2],
 ]
 
 TAX = balanced_taxonomy((2, 2))  # 7 nodes, 4 leaves
@@ -99,13 +99,9 @@ def backward(grad_z):
     return encoder_backward(params, cache, grad_z)
 
 
-def adam(step=1, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam(step=1, lr=1e-3):
     params = np.ones(3)
-    return adam_step(params, np.ones(3), AdamState.zeros_like(params), step, lr, beta1, beta2, eps)
-
-
-def quadratic(params):
-    return float(sum((p * p).sum() for p in params)), [2 * p for p in params]
+    return adam_step(params, np.ones(3), AdamState.zeros_like(params), step, lr)
 
 
 def total(z=z, distances=distances, labels=(0, 1, 0, 1), target=target, lambda1=1.0, lambda2=1.0):
@@ -193,13 +189,8 @@ SLOTS = {
     ("init_encoder", "hidden_sizes", "sequence"): (lambda v: init_encoder(3, v, 3, rng()), [4, 2]),
     ("init_classifier", "code_length", "count"): (lambda v: init_classifier(v, 2, rng()), 1),
     ("init_classifier", "n_classes", "count"): (lambda v: init_classifier(3, v, rng()), 1),
-    ("gradient_check", "max_coords", "count"):
-        (lambda v: gradient_check(quadratic, [np.ones(3)], v), 2**70),
     ("adam_step", "step_index", "count"): (lambda v: adam(step=v), 2**70),
     ("adam_step", "lr", "real"): (lambda v: adam(lr=v), 1e300),
-    ("adam_step", "beta1", "real"): (lambda v: adam(beta1=v), 0),
-    ("adam_step", "beta2", "real"): (lambda v: adam(beta2=v), np.float32(0.5)),
-    ("adam_step", "eps", "real"): (lambda v: adam(eps=v), 2**70),
     ("TrainConfig", "code_length", "count"): (lambda v: TrainConfig(code_length=v), 1),
     ("TrainConfig", "hidden_sizes[0]", "count"): (lambda v: TrainConfig(hidden_sizes=(v,)), 1),
     ("TrainConfig", "batch_size", "count"): (lambda v: TrainConfig(batch_size=v), 2),
@@ -297,6 +288,29 @@ def test_a_non_finite_entry_of_a_float_array_is_a_semhash_error(slot, bad):
     values = np.array(valid, dtype=np.float64)
     values.flat[values.size // 2] = bad
     call_with_value(call, values, may_return=False)
+
+
+def with_a_bool(valid):
+    """``valid`` as nested lists with its first 0 or 1 entry a bool, or None if it has no such
+    entry or only one entry (a lone bool makes a bool array, which the array rule rejects)."""
+    values = np.array(valid, dtype=object)
+    flat = values.ravel()
+    hits = [i for i, v in enumerate(flat) if v in (0, 1)]
+    if values.size < 2 or not hits:
+        return None
+    flat[hits[0]] = bool(flat[hits[0]])
+    return flat.reshape(values.shape).tolist()
+
+
+# the integer-array slots whose valid value still holds after a 0 or 1 becomes a bool,
+# had numpy read the bool as that integer
+BOOL_SLOTS = [slot for slot in SLOTS if slot[2] == "integer array" and with_a_bool(SLOTS[slot][1])]
+
+
+@pytest.mark.parametrize("slot", BOOL_SLOTS, ids=lambda slot: f"{slot[0]}-{slot[1]}")
+def test_a_bool_among_the_integers_of_an_integer_array_is_a_semhash_error(slot):
+    call, valid = SLOTS[slot]
+    call_with_value(call, with_a_bool(valid), may_return=False)
 
 
 @pytest.mark.parametrize("words", [[2.9], [-1], ["a"], [2**64], [0b1000]],

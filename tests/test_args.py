@@ -118,6 +118,20 @@ class TestIntegers:
         with pytest.raises(ShapeMismatch, match=r"^words must be integers in \[0, 18446744073709551616\)$"):
             integers(values, "words", ShapeMismatch, 2**64, np.uint64)
 
+    @pytest.mark.parametrize("values", [[True, 2], [2, False], [[1], [True]], [np.True_, 2], (True, 2**63)])
+    def test_a_bool_among_integers_is_the_callers_error(self, values):
+        # numpy would make the bool 0 or 1 before the rule saw the array
+        with pytest.raises(ShapeMismatch, match=r"^words must be integers in \[0, 18446744073709551616\)$"):
+            integers(values, "words", ShapeMismatch, 2**64, np.uint64)
+
+    def test_numpy_integers_in_a_list_are_integers(self):
+        got = integers([np.int64(3), np.uint8(2), 1, np.uint64(2**64 - 1)], "words", ShapeMismatch,
+                       2**64, np.uint64)
+        assert got.dtype == np.uint64 and got.tolist() == [3, 2, 1, 2**64 - 1]
+        with pytest.raises(ShapeMismatch, match=r"^ids must be integers in \[0, 8\)$"):
+            integers([np.int64(-1), 2], "ids", ShapeMismatch, 8)
+
+
 class TestFloats:
     def test_the_rank_is_exact(self):
         assert floats([[1, 2]], "z", ShapeMismatch, 2).shape == (1, 2)

@@ -500,6 +500,7 @@ def test_build_index_rejects_what_an_index_file_cannot_hold(ids, labels):
     np.array([[-1]]),  # would overflow the uint64 cast
     np.array([[2**64]], dtype=object),
     [[2.9]], [[True]], [[1], [2.0]], [[-1], [2**64 - 1]],
+    [[True], [2]], [[True], [2**64 - 1]],  # numpy would make the bool the word 1
 ])
 def test_index_rejects_code_words_that_are_not_64_bit_integers(words):
     with pytest.raises(ShapeMismatch, match="code words must be integers in"):

@@ -342,6 +342,19 @@ class TestAncestorTable:
         np.testing.assert_array_equal(t._ancestors, [[0]])
         np.testing.assert_array_equal(t._heights, [0.0])
 
+    @pytest.mark.parametrize("table", ["_ancestors", "_heights"])
+    def test_the_tables_are_read_only(self, table):
+        # eval's two threads read them: no caller can write into them after construction
+        t = parse_taxonomy("root a\nroot b\na a1\na a2\nb b1")
+        leaves = t.leaves()
+        before = distance_matrix(t, leaves)
+        values = getattr(t, table)
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            values += 1
+        np.testing.assert_array_equal(distance_matrix(t, leaves), before)
+
     def test_two_parses_of_one_text_are_equal(self, five_node_tax, wordnet_like_tax):
         # the array tables take no part in ==, so it compares the lists and stays a bool
         text = "root a\nroot b\na a1\na a2"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semhash.model as model_mod
 from conftest import overflowing_encoder
 from oracles import bf_encoder_backward, bf_encoder_forward, bf_sigmoid
 from semhash.data import _OPEN_HI, _OPEN_LO, RngState
@@ -301,13 +302,14 @@ class TestGradientCheck:
         with pytest.raises(NonDeterministicLoss):
             gradient_check(loss_fn, [np.zeros(3)])
 
-    def test_subsampling_above_limit(self):
+    def test_subsampling_above_limit(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_GRAD_CHECK_COORDS", 100)
         big = [np.zeros((40, 40))]
 
         def loss_fn(ps):
             return float((ps[0] ** 2).sum()) / 2.0, [p.copy() for p in ps]
 
-        report = gradient_check(loss_fn, big, max_coords=100, rng=RngState.from_seed(0))
+        report = gradient_check(loss_fn, big)
         assert report.n_checked == 100
 
 
